@@ -1,7 +1,6 @@
 """Correctness and performance tooling for the simulated HIP runtime.
 
-Three cooperating passes over programs written against
-:mod:`repro.runtime`:
+Two analyzers over programs written against :mod:`repro.runtime`:
 
 * **hipsan**, a dynamic happens-before sanitizer
   (:mod:`repro.analyze.sanitizer`): build the runtime with
@@ -11,19 +10,21 @@ Three cooperating passes over programs written against
   reads, races with in-flight ``hipMemcpyAsync``, lifetime violations
   through ``hipFree``, and XNACK-off fatal accesses.
 
-* a **static linter** (:mod:`repro.analyze.linter`):
-  ``python -m repro lint <paths>`` flags missing synchronization,
-  leaked allocations, free-before-sync, mixed explicit/managed usage
-  and deprecated/unknown API names without running anything.
+* one **static analysis engine** (:mod:`repro.analyze.advise`): a
+  per-function CFG + dataflow fixpoint with two rule selections over
+  the same analysis of each file.
 
-* a **static performance advisor** (:mod:`repro.analyze.advise`):
-  ``python -m repro advise <paths|--apps>`` runs a CFG + dataflow
-  analysis that prices the paper's UPM anti-patterns — redundant
-  copies, first-touch placement, predicted fault storms, TLB reach,
-  mixed allocation models, device syncs in loops — with SARIF 2.1.0
-  output and a CI baseline.
+  - ``python -m repro lint <paths>`` (the ``lint.*`` rules) flags
+    missing synchronization, use-after-free, double and unsynchronized
+    frees, leaked allocations, mixed explicit/managed usage and
+    deprecated/unknown API names without running anything.
+  - ``python -m repro advise <paths|--apps>`` (the ``advise.*`` rules)
+    prices the paper's UPM anti-patterns — redundant copies,
+    first-touch placement, predicted fault storms, TLB reach, mixed
+    allocation models, device syncs in loops — with SARIF 2.1.0 output
+    and a CI baseline.
 
-All passes report :class:`~repro.analyze.findings.Finding` records
+Both report :class:`~repro.analyze.findings.Finding` records
 whose severities come from the shared rule registry
 (:data:`~repro.analyze.findings.RULES`), rendered by the common
 text/JSON/SARIF reporters.
@@ -35,6 +36,9 @@ from .advise import (
     advise_paths,
     advise_source,
     fingerprint,
+    lint_file,
+    lint_paths,
+    lint_source,
     load_baseline,
     new_findings,
     port_is_clean,
@@ -58,7 +62,6 @@ from .findings import (
     rule_spec,
 )
 from .hb import VectorClock, ordered_before
-from .linter import lint_file, lint_paths, lint_source
 from .sanitizer import (
     GPU_FAULT_STORM_PAGES,
     SMALL_PARAMS,

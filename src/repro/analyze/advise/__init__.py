@@ -1,10 +1,11 @@
-"""``repro.advise`` — static UPM performance advisor.
+"""``repro.advise`` — the static analysis engine, with two rule selections.
 
-A CFG + dataflow analysis over the simulator's Python/HIP-API surface
-that finds the *performance* anti-patterns the paper measures — the
-ones :mod:`repro.analyze.linter`'s flat AST walk cannot see because
-they depend on what reaches a program point, on which path, and in
-what allocation state:
+A CFG + dataflow analysis over the simulator's Python/HIP-API surface.
+One :class:`ModuleAnalysis` per file feeds both selections: the
+``advise.*`` checks find the *performance* anti-patterns the paper
+measures, and the ``lint.*`` checks find HIP API misuse (lifetime,
+synchronization, unknown or deprecated names).  Both depend on what
+reaches a program point, on which path, and in what allocation state:
 
 * :mod:`.cfg` — per-function control-flow graphs (branches, loops,
   try/finally, with) with dominators and loop regions;
@@ -13,7 +14,8 @@ what allocation state:
 * :mod:`.dataflow` — the worklist fixpoint and event emission;
 * :mod:`.summaries` — bottom-up interprocedural summaries, so a
   finding survives ``apps/common.py``-style helper refactors;
-* :mod:`.checks` — the six paper-grounded checks;
+* :mod:`.checks` — the six paper-grounded ``advise.*`` checks;
+* :mod:`.lint` — the ``lint.*`` rules (``repro lint``);
 * :mod:`.sarif` / :mod:`.baseline` — SARIF 2.1.0 output and the CI
   suppression baseline.
 
@@ -31,7 +33,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from ...hw.config import MI300AConfig
 from ..findings import Finding, Severity
-from ..linter import _excluded
 from .baseline import (
     fingerprint,
     load_baseline,
@@ -39,6 +40,7 @@ from .baseline import (
     save_baseline,
 )
 from .checks import run_checks
+from .lint import lint_checks
 from .sarif import render_sarif, to_sarif, validate_sarif
 from .summaries import ModuleAnalysis, analyze_module
 
@@ -50,6 +52,10 @@ __all__ = [
     "advise_source",
     "analyze_module",
     "fingerprint",
+    "lint_checks",
+    "lint_file",
+    "lint_paths",
+    "lint_source",
     "load_baseline",
     "new_findings",
     "port_is_clean",
@@ -59,6 +65,36 @@ __all__ = [
     "to_sarif",
     "validate_sarif",
 ]
+
+
+def _source_files(
+    paths: Iterable[Union[Path, str]], exclude: Iterable[str] = ()
+) -> List[Path]:
+    """Every ``.py`` file under *paths* (files or directories), once.
+
+    An *exclude* entry is a path suffix (``examples/racey_port.py``,
+    optionally ``./``-prefixed) or a bare file name.
+    """
+    suffixes = [e.strip().removeprefix("./") for e in exclude]
+    suffixes = [e for e in suffixes if e]
+    files: List[Path] = []
+    seen = set()
+    for root in map(Path, paths):
+        for file in sorted(root.rglob("*.py")) if root.is_dir() else [root]:
+            resolved = file.resolve()
+            if resolved in seen or any(
+                resolved.as_posix().endswith("/" + e) or file.name == e
+                for e in suffixes
+            ):
+                continue
+            seen.add(resolved)
+            files.append(file)
+    return files
+
+
+def _analyze_file(path: Union[Path, str]) -> ModuleAnalysis:
+    path = Path(path)
+    return analyze_module(path.read_text(encoding="utf-8"), str(path))
 
 
 def advise_source(
@@ -74,8 +110,7 @@ def advise_file(
     path: Union[Path, str], config: Optional[MI300AConfig] = None
 ) -> List[Finding]:
     """Advise one file."""
-    path = Path(path)
-    return advise_source(path.read_text(), str(path), config)
+    return run_checks(_analyze_file(path), config)
 
 
 def advise_paths(
@@ -84,17 +119,32 @@ def advise_paths(
     config: Optional[MI300AConfig] = None,
 ) -> List[Finding]:
     """Advise every ``.py`` file under the given files/directories."""
-    findings: List[Finding] = []
-    seen = set()
-    for root in paths:
-        root = Path(root)
-        files = [root] if root.is_file() else sorted(root.rglob("*.py"))
-        for file in files:
-            if file in seen or _excluded(file, exclude):
-                continue
-            seen.add(file)
-            findings.extend(advise_file(file, config))
-    return findings
+    return [
+        finding
+        for file in _source_files(paths, exclude)
+        for finding in advise_file(file, config)
+    ]
+
+
+def lint_source(source: str, file: str = "<string>") -> List[Finding]:
+    """Lint one source string."""
+    return lint_checks(analyze_module(source, file))
+
+
+def lint_file(path: Union[Path, str]) -> List[Finding]:
+    """Lint one Python file."""
+    return lint_checks(_analyze_file(path))
+
+
+def lint_paths(
+    paths: Iterable[Union[Path, str]], exclude: Iterable[str] = ()
+) -> List[Finding]:
+    """Lint every ``.py`` file under *paths* (files or directories)."""
+    return [
+        finding
+        for file in _source_files(paths, exclude)
+        for finding in lint_file(file)
+    ]
 
 
 def advise_apps(

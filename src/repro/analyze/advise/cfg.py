@@ -46,12 +46,6 @@ class Node:
     #: expression itself (with-as).
     bind_mode: str = ""
 
-    def describe(self) -> str:  # pragma: no cover - debugging aid
-        label = self.kind
-        if self.line is not None:
-            label += f"@{self.line}"
-        return label
-
 
 @dataclass
 class Loop:
@@ -74,6 +68,8 @@ class CFG:
         #: node id -> ids of every loop whose body contains it (innermost
         #: last), filled by the builder.
         self.loops_of: Dict[int, Tuple[int, ...]] = {}
+        #: Entry (join) node ids of ``except`` handlers.
+        self.handlers: Set[int] = set()
 
     # -- construction ---------------------------------------------------
 
@@ -188,17 +184,14 @@ class _Builder:
                 self.cfg.add_edge(node.id, handler)
 
     def statement(self, stmt: ast.stmt, frontier: Set[int]) -> Set[int]:
-        if not frontier:
-            frontier = set()  # unreachable code still gets nodes
+        # An empty frontier (unreachable code) still gets nodes.
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
             return frontier  # nested scopes are separate CFGs
         if isinstance(stmt, ast.If):
             return self._if(stmt, frontier)
-        if isinstance(stmt, (ast.While,)):
-            return self._while(stmt, frontier)
-        if isinstance(stmt, (ast.For, ast.AsyncFor)):
-            return self._for(stmt, frontier)
+        if isinstance(stmt, (ast.While, ast.For, ast.AsyncFor)):
+            return self._loop(stmt, frontier)
         if isinstance(stmt, ast.Try):
             return self._try(stmt, frontier)
         if isinstance(stmt, (ast.With, ast.AsyncWith)):
@@ -243,31 +236,16 @@ class _Builder:
         self.cfg.loops.append(Loop(head=-1))
         return index
 
-    def _while(self, stmt: ast.While, frontier: Set[int]) -> Set[int]:
+    def _loop(
+        self, stmt: ast.While | ast.For | ast.AsyncFor, frontier: Set[int]
+    ) -> Set[int]:
         index = self._loop_region()
-        test = self._header(stmt.test, frontier)
-        self.cfg.loops[index].head = test.id
-        after = self.cfg._new("join")
-        self.loop_targets.append((after.id, test.id))
-        self.loop_stack.append(index)
-        body_out = self.build(stmt.body, {test.id})
-        self.loop_stack.pop()
-        self.loop_targets.pop()
-        for src in body_out:
-            self.cfg.add_edge(src, test.id)  # back edge
-        # Loop exit: the test fails (always possible statically), plus
-        # any `else` clause runs on normal exit.
-        exit_frontier = {test.id}
-        if stmt.orelse:
-            exit_frontier = self.build(stmt.orelse, exit_frontier)
-        self._attach(after, exit_frontier)
-        return {after.id}
-
-    def _for(self, stmt: ast.For | ast.AsyncFor, frontier: Set[int]) -> Set[int]:
-        index = self._loop_region()
-        head = self._header(
-            stmt.iter, frontier, bind=stmt.target, bind_mode="iter"
-        )
+        if isinstance(stmt, ast.While):
+            head = self._header(stmt.test, frontier)
+        else:
+            head = self._header(
+                stmt.iter, frontier, bind=stmt.target, bind_mode="iter"
+            )
         self.cfg.loops[index].head = head.id
         after = self.cfg._new("join")
         self.loop_targets.append((after.id, head.id))
@@ -277,6 +255,8 @@ class _Builder:
         self.loop_targets.pop()
         for src in body_out:
             self.cfg.add_edge(src, head.id)  # back edge
+        # Loop exit: the test fails / the iterator runs out (always
+        # possible statically), plus any `else` clause on normal exit.
         exit_frontier = {head.id}
         if stmt.orelse:
             exit_frontier = self.build(stmt.orelse, exit_frontier)
@@ -288,6 +268,7 @@ class _Builder:
         handler_joins: List[Node] = []
         for handler in stmt.handlers:
             entry = self.cfg._new("join")
+            self.cfg.handlers.add(entry.id)
             handler_entries.append(entry.id)
             handler_joins.append(entry)
         self.handler_stack.append(handler_entries)

@@ -1,6 +1,6 @@
 """Forward dataflow over one function's CFG.
 
-The interpreter runs a classic worklist fixpoint with three state
+The interpreter runs a classic worklist fixpoint with six state
 components:
 
 * ``env`` — reaching definitions joined into one abstract value per
@@ -12,20 +12,37 @@ components:
 * ``gpu_warm`` — *must* already be mapped into the GPU page table on
   every path (intersection join): origins a GPU kernel or an SDMA copy
   has definitely touched.  First-touch hazards and predicted fault
-  storms key off "not definitely warm".
+  storms key off "not definitely warm";
+* ``freed`` — names that *may* have been passed to a free call since
+  they were last bound (union join);
+* ``pending`` — asynchronous work (launches, async copies) that *may*
+  still be in flight: no synchronization on some path since (union
+  join).  Work that wraps around a loop's back edge is marked as
+  carried by that loop: the sync rules judge one iteration at a time,
+  so it counts again only after the loop exits.  ``except`` handlers
+  start with none: a raised runtime error has drained or aborted the
+  queue;
+* ``owned`` — names that *may* own an allocation: bound directly to an
+  allocator call with a literal allocator, and neither rebound nor
+  returned since (union join).
 
 After the fixpoint converges, one emit pass walks the statement nodes
 in program order and records :class:`Event` records — allocations,
 CPU writes, kernel launches (with each access's warm/written status at
 that point), copies, and synchronizations — which
 :mod:`repro.analyze.advise.checks` consumes and
-:mod:`repro.analyze.advise.summaries` replays at call sites.
+:mod:`repro.analyze.advise.summaries` replays at call sites.  The same
+pass records the lifetime facts the ``lint.*`` rules read
+(:mod:`repro.analyze.advise.lint`): frees, uses of freed names, host
+accesses, owning binds, and the owned names still unfreed at exit.
+These are intra-function facts and are never replayed.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .cfg import CFG, Node, build_cfg
@@ -65,8 +82,53 @@ DIRECT_ALLOCATORS: Dict[str, str] = {
     "managed_static": "managed_static",
 }
 
+#: Foldable binary operators on constant numbers.
+_BINOPS = {
+    ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+    ast.FloorDiv: operator.floordiv, ast.Div: operator.truediv,
+    ast.Mod: operator.mod, ast.Pow: operator.pow,
+    ast.LShift: lambda a, b: int(a) << int(b),
+    ast.RShift: lambda a, b: int(a) >> int(b),
+}
+
+#: Synchronization calls -> the sync event's kind.
+SYNC_KINDS = {
+    "hipDeviceSynchronize": "device",
+    "hipStreamSynchronize": "stream",
+    "hipEventSynchronize": "event",
+}
+
 #: Container methods that imply a CPU write to the receiving buffer.
 CPU_WRITE_METHODS = frozenset({"extend", "append", "push_back", "fill"})
+
+#: Allocator spellings (call names, or ``array(..., allocator=...)``
+#: literals) whose result a name owns, and the memory model each
+#: belongs to.  ``managed_static`` is absent on purpose: statics cannot
+#: be freed, so they are exempt from lifetime tracking.
+OWNING_MODELS: Dict[str, str] = {
+    "hipMalloc": "explicit", "hipHostMalloc": "explicit",
+    "hipHostRegister": "explicit", "malloc+register": "explicit",
+    "hipMallocManaged": "managed", "malloc": "host",
+}
+
+#: Deallocation spellings: the HIP call and the memory-manager method.
+FREE_CALLS = frozenset({"hipFree", "free"})
+
+#: Calls that create a runtime/APU: a function calling one owns the
+#: memory arena and is accountable for leaks.
+RUNTIME_FACTORIES = frozenset({"make_runtime", "make_apu"})
+
+#: Calls that enqueue asynchronous work.
+ASYNC_CALLS = frozenset({"launchKernel", "hipMemcpyAsync", "run_gpu"})
+
+#: Calls that drain it (hipMemcpy is synchronous on the default stream).
+SYNC_CALLS = frozenset({
+    "hipDeviceSynchronize", "hipStreamSynchronize", "hipEventSynchronize",
+    "synchronize", "device_synchronize", "hipMemcpy",
+})
+
+#: Host-side compute that reads buffers on the host timeline.
+HOST_COMPUTE_CALLS = frozenset({"runCpuKernel", "run_cpu"})
 
 
 @dataclass(frozen=True)
@@ -83,7 +145,9 @@ class LaunchAccess:
 class Event:
     """One dataflow fact, attributed to the function that executed it."""
 
-    kind: str  #: "alloc" | "cpu_write" | "launch" | "copy" | "sync"
+    #: "alloc" | "cpu_write" | "launch" | "copy" | "sync", plus the
+    #: lifetime facts "free" | "use" | "host" | "bind" | "unfreed".
+    kind: str
     line: int
     function: str
     loops: Tuple[int, ...] = ()  #: enclosing loop ids, function-local
@@ -98,6 +162,13 @@ class Event:
     size_bytes: Optional[int] = None
     is_async: bool = False
     sync_kind: str = ""  #: sync: "device" | "stream" | "event"
+    #: free / use / bind / unfreed: the handle's name; host: the name
+    #: read through ``.np``, or "" for host compute.
+    name: str = ""
+    model: str = ""  #: bind: memory model of the allocator
+    prior_models: FrozenSet[str] = frozenset()  #: bind: models owned before
+    freed_at: Optional[int] = None  #: free / use: earliest prior free
+    pending_at: Optional[int] = None  #: free / host: earliest pending work
 
     @property
     def in_loop(self) -> bool:
@@ -115,25 +186,26 @@ class FunctionResult:
     param_names: List[str] = field(default_factory=list)
     param_defaults: Dict[int, object] = field(default_factory=dict)
     xnack_off: bool = False
+    owns_runtime: bool = False  #: calls make_runtime / make_apu
+    cfg: Optional[CFG] = None
 
 
+@dataclass(slots=True)
 class AbsState:
     """The product state flowing along CFG edges."""
 
-    __slots__ = ("env", "cpu_written", "gpu_warm")
-
-    def __init__(
-        self,
-        env: Optional[Dict[str, object]] = None,
-        cpu_written: FrozenSet[Origin] = frozenset(),
-        gpu_warm: FrozenSet[Origin] = frozenset(),
-    ) -> None:
-        self.env: Dict[str, object] = dict(env or {})
-        self.cpu_written: FrozenSet[Origin] = cpu_written
-        self.gpu_warm: FrozenSet[Origin] = gpu_warm
+    env: Dict[str, object] = field(default_factory=dict)
+    cpu_written: FrozenSet[Origin] = frozenset()
+    gpu_warm: FrozenSet[Origin] = frozenset()
+    freed: FrozenSet[Tuple[str, int]] = frozenset()  #: (name, free line)
+    #: (line, loops it was issued in, loops whose back edge it wrapped)
+    pending: FrozenSet[Tuple[int, Tuple[int, ...], FrozenSet[int]]] = (
+        frozenset()
+    )
+    owned: FrozenSet[Tuple[str, int, str]] = frozenset()  #: (name, line, model)
 
     def copy(self) -> "AbsState":
-        return AbsState(self.env, self.cpu_written, self.gpu_warm)
+        return replace(self, env=dict(self.env))
 
     def merge(self, other: "AbsState") -> bool:
         """Join *other* into self; True when anything changed."""
@@ -143,10 +215,11 @@ class AbsState:
             if joined != self.env.get(name):
                 self.env[name] = joined
                 changed = True
-        cpu = self.cpu_written | other.cpu_written
-        if cpu != self.cpu_written:
-            self.cpu_written = cpu
-            changed = True
+        for slot in ("cpu_written", "freed", "pending", "owned"):
+            union = getattr(self, slot) | getattr(other, slot)
+            if union != getattr(self, slot):
+                setattr(self, slot, union)
+                changed = True
         warm = self.gpu_warm & other.gpu_warm
         if warm != self.gpu_warm:
             self.gpu_warm = warm
@@ -168,6 +241,7 @@ class _Interp:
         self.summaries = summaries
         self._node: Optional[Node] = None  # node being transferred
         self._emit = False
+        self._heads = {loop.head: i for i, loop in enumerate(cfg.loops)}
 
     # -- event plumbing -------------------------------------------------
 
@@ -175,9 +249,21 @@ class _Interp:
         assert self._node is not None
         return self.cfg.loops_of.get(self._node.id, ())
 
-    def _record(self, event: Event) -> None:
+    def _record(self, kind: str, line: int, **fields) -> None:
+        """Record one event at the node being emitted."""
         if self._emit:
-            self.result.events.append(event)
+            self.result.events.append(
+                Event(kind=kind, line=line, function=self.result.qualname,
+                      loops=self._loops(), **fields)
+            )
+
+    def _replay(self, event: Event, **changes) -> None:
+        """Record a callee's event, re-bound at this call site."""
+        if self._emit:
+            changes.setdefault("loops", ())
+            self.result.events.append(
+                replace(event, via_summary=True, **changes)
+            )
 
     def _line(self, expr: ast.AST) -> int:
         line = getattr(expr, "lineno", None)
@@ -189,6 +275,17 @@ class _Interp:
 
     def transfer(self, node: Node, state: AbsState, emit: bool) -> AbsState:
         self._node, self._emit = node, emit
+        if node.id in self.cfg.handlers:
+            state.pending = frozenset()
+        loop = self._heads.get(node.id)
+        if loop is not None:
+            # Work issued inside this loop that reaches its head came
+            # around a back edge.
+            state.pending = frozenset(
+                (line, loops, wrapped | {loop}) if loop in loops
+                else (line, loops, wrapped)
+                for line, loops, wrapped in state.pending
+            )
         if node.kind == "header":
             if node.expr is not None:
                 value = self.eval(node.expr, state)
@@ -214,6 +311,15 @@ class _Interp:
         elif isinstance(stmt, ast.Return):
             value = self.eval(stmt.value, state) if stmt.value else None
             self.result.ret = join(self.result.ret, value)
+            if stmt.value is not None:
+                # Returning a handle hands its ownership to the caller.
+                returned = {
+                    n.id for n in ast.walk(stmt.value)
+                    if isinstance(n, ast.Name)
+                }
+                state.owned = frozenset(
+                    o for o in state.owned if o[0] not in returned
+                )
         elif isinstance(stmt, ast.Expr):
             self.eval(stmt.value, state)
         elif isinstance(stmt, (ast.Assert, ast.Raise, ast.Delete)):
@@ -239,6 +345,7 @@ class _Interp:
     ) -> None:
         if isinstance(target, ast.Name):
             state.env[target.id] = value
+            self._rebind(target.id, state)
         elif isinstance(target, (ast.Tuple, ast.List)):
             elems: Sequence[object]
             if isinstance(value, TupleVal) and len(value.elems) == len(
@@ -266,7 +373,19 @@ class _Interp:
                 for t, e in zip(target.elts, value_expr.elts):
                     self._assign(t, self.eval(e, state), e, state)
                 return
+            model = (
+                self._owned_model(value_expr)
+                if isinstance(target, ast.Name) else None
+            )
+            prior = frozenset(
+                m for n, _, m in state.owned if model and n == target.id
+            )
             self._bind_target(target, value, state)
+            if model:  # the name owns a fresh allocation
+                line = self._line(value_expr)
+                state.owned = state.owned | {(target.id, line, model)}
+                self._record("bind", line, name=target.id, model=model,
+                             prior_models=prior)
             return
         if isinstance(target, ast.Subscript):
             # `buf.np[...] = v` / `buf[...] = v`: a CPU store.
@@ -281,6 +400,7 @@ class _Interp:
             value = self.eval(stmt.value, state)
             folded = self._fold_binop(type(stmt.op), current, value)
             state.env[name] = folded
+            self._rebind(name, state)
         elif isinstance(stmt.target, ast.Subscript):
             self._cpu_write(
                 self.eval(stmt.target.value, state),
@@ -288,19 +408,79 @@ class _Interp:
                 state,
             )
 
+    # -- lifetime facts -------------------------------------------------
+
+    @staticmethod
+    def _rebind(name: str, state: AbsState) -> None:
+        """A new binding ends the old handle's story under *name*."""
+        state.freed = frozenset(f for f in state.freed if f[0] != name)
+        state.owned = frozenset(o for o in state.owned if o[0] != name)
+
+    def _owned_model(self, expr: ast.expr) -> Optional[str]:
+        """The memory model of a literal allocator call, else None."""
+        if not isinstance(expr, ast.Call):
+            return None
+        name = self._call_name(expr)
+        if name == "array" and not self._is_numpy_receiver(expr):
+            alloc = self._arg(expr, 2, "allocator")
+            if alloc is None:
+                return "explicit"  # array() defaults to hipMalloc
+            if isinstance(alloc, ast.Constant):
+                return OWNING_MODELS.get(str(alloc.value))
+            return None  # dynamic allocator: not tracked
+        return OWNING_MODELS.get(name or "")
+
+    @staticmethod
+    def _freed_at(name: str, state: AbsState) -> Optional[int]:
+        return min((ln for n, ln in state.freed if n == name), default=None)
+
+    def _free(self, expr: ast.Call, state: AbsState) -> object:
+        """``hipFree(name)`` / ``mm.free(name)``: the name is released."""
+        first = expr.args[0] if expr.args else None
+        name = first.id if isinstance(first, ast.Name) else ""
+        # The freed name itself is not a use (a second free is reported
+        # as a double free).
+        for arg in expr.args[1 if name else 0:]:
+            self.eval(arg, state)
+        for keyword in expr.keywords:
+            self.eval(keyword.value, state)
+        line = self._line(expr)
+        freed_at = self._freed_at(name, state) if name else None
+        self._record("free", line, name=name, freed_at=freed_at,
+                     pending_at=self._pending_at(state))
+        if name and freed_at is None:
+            state.freed = state.freed | {(name, line)}
+        return TOP
+
+    def _use(self, expr: ast.expr, state: AbsState) -> None:
+        """A name passed to a call or dereferenced: a use of its handle."""
+        if not isinstance(expr, ast.Name):
+            return
+        freed_at = self._freed_at(expr.id, state)
+        if freed_at is not None:
+            self._record("use", self._line(expr), name=expr.id,
+                         freed_at=freed_at)
+
+    def _host(self, expr: ast.expr, name: str, state: AbsState) -> None:
+        """A host-timeline access, racing any pending async work."""
+        self._record("host", self._line(expr), name=name,
+                     pending_at=self._pending_at(state))
+
+    def _pending_at(self, state: AbsState) -> Optional[int]:
+        """Earliest pending work issued in this iteration or before the
+        enclosing loops, ignoring work carried from earlier iterations."""
+        here = set(self._loops())
+        return min(
+            (line for line, _, wrapped in state.pending
+             if not wrapped & here),
+            default=None,
+        )
+
     def _cpu_write(self, value: object, line: int, state: AbsState) -> None:
         origins = origins_of(value)
         if origins or isinstance(value, ParamVal):
             state.cpu_written = state.cpu_written | origins
-            self._record(
-                Event(
-                    kind="cpu_write",
-                    line=line,
-                    function=self.result.qualname,
-                    loops=self._loops(),
-                    buf=value,
-                )
-            )
+            self._record("cpu_write", line, buf=value)
 
     # -- expression evaluation ------------------------------------------
 
@@ -364,34 +544,25 @@ class _Interp:
 
     @staticmethod
     def _fold_binop(op: type, left: object, right: object) -> object:
-        if not (isinstance(left, NumVal) and isinstance(right, NumVal)):
+        fold = _BINOPS.get(op)
+        if fold is None or not (
+            isinstance(left, NumVal) and isinstance(right, NumVal)
+        ):
             return TOP
-        a, b = left.value, right.value
         try:
-            if op is ast.Add:
-                return NumVal(a + b)
-            if op is ast.Sub:
-                return NumVal(a - b)
-            if op is ast.Mult:
-                return NumVal(a * b)
-            if op is ast.FloorDiv:
-                return NumVal(a // b)
-            if op is ast.Div:
-                return NumVal(a / b)
-            if op is ast.Mod:
-                return NumVal(a % b)
-            if op is ast.Pow:
-                return NumVal(a ** b)
-            if op is ast.LShift:
-                return NumVal(int(a) << int(b))
-            if op is ast.RShift:
-                return NumVal(int(a) >> int(b))
+            return NumVal(fold(left.value, right.value))
         except (ZeroDivisionError, OverflowError, ValueError, TypeError):
             return TOP
-        return TOP
 
     def _attribute(self, expr: ast.Attribute, state: AbsState) -> object:
+        self._use(expr.value, state)
         base = self.eval(expr.value, state)
+        if (
+            expr.attr == "np"
+            and isinstance(expr.value, ast.Name)
+            and any(o[0] == expr.value.id for o in state.owned)
+        ):
+            self._host(expr, expr.value.id, state)
         if isinstance(base, BufVal):
             if expr.attr in ("allocation", "np", "data"):
                 return base  # views of the same buffer
@@ -444,6 +615,26 @@ class _Interp:
 
     def _call(self, expr: ast.Call, state: AbsState) -> object:
         name = self._call_name(expr)
+        if name in FREE_CALLS:
+            return self._free(expr, state)
+        for arg in expr.args + [k.value for k in expr.keywords]:
+            self._use(arg, state)
+        value = self._dispatch(expr, name, state)
+        if name in RUNTIME_FACTORIES:
+            self.result.owns_runtime = True
+        if name in ASYNC_CALLS:
+            state.pending = state.pending | {
+                (self._line(expr), self._loops(), frozenset())
+            }
+        elif name in SYNC_CALLS:
+            state.pending = frozenset()
+        elif name in HOST_COMPUTE_CALLS:
+            self._host(expr, "", state)
+        return value
+
+    def _dispatch(
+        self, expr: ast.Call, name: Optional[str], state: AbsState
+    ) -> object:
         receiver = (
             self.eval(expr.func.value, state)
             if isinstance(expr.func, ast.Attribute)
@@ -468,25 +659,9 @@ class _Interp:
             return self._memcpy(expr, state, name == "hipMemcpyAsync")
         if name == "touch":
             return self._touch(expr, state)
-        if name in (
-            "hipDeviceSynchronize", "hipStreamSynchronize",
-            "hipEventSynchronize",
-        ):
+        if name in SYNC_KINDS:
             self._eval_args(expr, state)
-            kind = {
-                "hipDeviceSynchronize": "device",
-                "hipStreamSynchronize": "stream",
-                "hipEventSynchronize": "event",
-            }[name]
-            self._record(
-                Event(
-                    kind="sync",
-                    line=self._line(expr),
-                    function=self.result.qualname,
-                    loops=self._loops(),
-                    sync_kind=kind,
-                )
-            )
+            self._record("sync", self._line(expr), sync_kind=SYNC_KINDS[name])
             return TOP
         if name == "hipStreamCreate":
             self._eval_args(expr, state)
@@ -559,29 +734,14 @@ class _Interp:
         expr: ast.Call,
         families: Set[str],
         size: Optional[int],
-        state: AbsState,
+        label: str,
     ) -> BufVal:
         line = self._line(expr)
-        origins = frozenset(
-            Origin(
-                line=line,
-                family=family,
-                size_bytes=size,
-                name=self._literal_name(expr),
-            )
+        buf = BufVal(frozenset(
+            Origin(line=line, family=family, size_bytes=size, name=label)
             for family in families
-        )
-        buf = BufVal(origins)
-        self._record(
-            Event(
-                kind="alloc",
-                line=line,
-                function=self.result.qualname,
-                loops=self._loops(),
-                buf=buf,
-                size_bytes=size,
-            )
-        )
+        ))
+        self._record("alloc", line, buf=buf, size_bytes=size)
         return buf
 
     def _alloc_array(self, expr: ast.Call, state: AbsState) -> BufVal:
@@ -595,7 +755,9 @@ class _Interp:
         size = self._shape_size(shape, dtype_size)
         for keyword in expr.keywords:
             self.eval(keyword.value, state)
-        return self._make_buffer(expr, families, size, state)
+        return self._make_buffer(
+            expr, families, size, self._literal_name(expr)
+        )
 
     @staticmethod
     def _shape_size(shape: object, dtype_size: Optional[int]) -> Optional[int]:
@@ -629,7 +791,9 @@ class _Interp:
         size = size_value.as_int if isinstance(size_value, NumVal) else None
         for keyword in expr.keywords:
             self.eval(keyword.value, state)
-        return self._make_buffer(expr, {DIRECT_ALLOCATORS[name]}, size, state)
+        return self._make_buffer(
+            expr, {DIRECT_ALLOCATORS[name]}, size, self._literal_name(expr)
+        )
 
     def _alloc_vector(self, expr: ast.Call, state: AbsState) -> BufVal:
         self._eval_args(expr, state)
@@ -638,22 +802,7 @@ class _Interp:
             families = {"malloc"}  # UnifiedVector defaults to malloc
         else:
             families = self._families_of(self.eval(alloc_expr, state))
-        line = self._line(expr)
-        origins = frozenset(
-            Origin(line=line, family=f, size_bytes=None, name="std::vector")
-            for f in families
-        )
-        buf = BufVal(origins)
-        self._record(
-            Event(
-                kind="alloc",
-                line=line,
-                function=self.result.qualname,
-                loops=self._loops(),
-                buf=buf,
-            )
-        )
-        return buf
+        return self._make_buffer(expr, families, None, "std::vector")
 
     # -- kernels --------------------------------------------------------
 
@@ -703,9 +852,7 @@ class _Interp:
             stream = self.eval(stream_expr, state)
             if isinstance(stream, StreamVal):
                 stream_default = stream.default
-            elif isinstance(stream, ast.expr) or stream is TOP or isinstance(
-                stream, ParamVal
-            ):
+            elif stream is TOP or isinstance(stream, ParamVal):
                 stream_default = None
             if isinstance(stream_expr, ast.Constant) and (
                 stream_expr.value is None
@@ -732,17 +879,8 @@ class _Interp:
                 LaunchAccess(access.buf, access.mode, warm, written)
             )
             touched |= origins
-        self._record(
-            Event(
-                kind="launch",
-                line=self._line(expr),
-                function=self.result.qualname,
-                loops=self._loops(),
-                kernel=spec.name,
-                accesses=tuple(accesses),
-                stream_default=stream_default,
-            )
-        )
+        self._record("launch", self._line(expr), kernel=spec.name,
+                     accesses=tuple(accesses), stream_default=stream_default)
         state.gpu_warm = state.gpu_warm | frozenset(touched)
         return TOP
 
@@ -767,18 +905,8 @@ class _Interp:
                 size = next(iter(sizes))
         for keyword in expr.keywords:
             self.eval(keyword.value, state)
-        self._record(
-            Event(
-                kind="copy",
-                line=self._line(expr),
-                function=self.result.qualname,
-                loops=self._loops(),
-                dst=dst,
-                src=src,
-                size_bytes=size,
-                is_async=is_async,
-            )
-        )
+        self._record("copy", self._line(expr), dst=dst, src=src,
+                     size_bytes=size, is_async=is_async)
         # SDMA touches both endpoints' pages: they are mapped afterwards.
         state.gpu_warm = (
             state.gpu_warm | origins_of(dst) | origins_of(src)
@@ -822,29 +950,11 @@ class _Interp:
         """Replay a callee's events against the caller's state."""
         for event in summary.events:
             if event.kind == "alloc":
-                buf = substitute(event.buf, bindings)
-                self._record(
-                    Event(
-                        kind="alloc",
-                        line=event.line,
-                        function=event.function,
-                        via_summary=True,
-                        buf=buf,
-                        size_bytes=event.size_bytes,
-                    )
-                )
+                self._replay(event, buf=substitute(event.buf, bindings))
             elif event.kind == "cpu_write":
                 buf = substitute(event.buf, bindings)
                 state.cpu_written = state.cpu_written | origins_of(buf)
-                self._record(
-                    Event(
-                        kind="cpu_write",
-                        line=event.line,
-                        function=event.function,
-                        via_summary=True,
-                        buf=buf,
-                    )
-                )
+                self._replay(event, buf=buf)
             elif event.kind == "launch":
                 accesses: List[LaunchAccess] = []
                 touched: Set[Origin] = set()
@@ -861,38 +971,17 @@ class _Interp:
                         LaunchAccess(value, access.mode, warm, written)
                     )
                     touched |= origins
-                self._record(
-                    Event(
-                        kind="launch",
-                        line=event.line,
-                        function=event.function,
-                        via_summary=True,
-                        kernel=event.kernel,
-                        accesses=tuple(accesses),
-                        stream_default=event.stream_default,
-                    )
-                )
+                self._replay(event, accesses=tuple(accesses))
                 state.gpu_warm = state.gpu_warm | frozenset(touched)
             elif event.kind == "copy":
                 dst = substitute(event.dst, bindings)
                 src = substitute(event.src, bindings)
-                self._record(
-                    Event(
-                        kind="copy",
-                        line=event.line,
-                        function=event.function,
-                        loops=self._loops(),
-                        via_summary=True,
-                        dst=dst,
-                        src=src,
-                        size_bytes=event.size_bytes,
-                        is_async=event.is_async,
-                    )
-                )
+                self._replay(event, loops=self._loops(), dst=dst, src=src)
                 state.gpu_warm = (
                     state.gpu_warm | origins_of(dst) | origins_of(src)
                 )
-            # sync events are intra-function facts; not replayed.
+            # sync and lifetime events are intra-function facts; not
+            # replayed.
         return substitute(summary.ret, bindings)
 
 
@@ -943,6 +1032,7 @@ def analyze_function(
         param_defaults=dict(defaults),
     )
     cfg = build_cfg(body)
+    result.cfg = cfg
     interp = _Interp(result, cfg, summaries)
 
     entry_env: Dict[str, object] = dict(globals_env or {})
@@ -957,4 +1047,16 @@ def analyze_function(
         node = cfg.nodes[node_id]
         if node.kind in ("stmt", "header"):
             interp.transfer(node, in_states[node_id].copy(), emit=True)
+    # Owned names that reach the exit never freed on any path.
+    exit_state = in_states.get(cfg.exit)
+    if exit_state is not None:
+        freed = {name for name, _ in exit_state.freed}
+        for name, line, _ in sorted(
+            exit_state.owned, key=lambda o: (o[1], o[0])
+        ):
+            if name not in freed:
+                result.events.append(
+                    Event(kind="unfreed", line=line, function=qualname,
+                          name=name)
+                )
     return result

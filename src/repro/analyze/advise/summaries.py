@@ -16,16 +16,18 @@ degrades that call to TOP — sound for every check we run.  The module
 body itself is analyzed last (qualname ``<module>``) so script-style
 files like ``examples/slow_port.py`` work unchanged, and simple
 module-level constants (``CHUNK_BYTES = 16 << 20``) are folded and
-pre-seeded into every function's entry environment.
+pre-seeded into every function's entry environment.  Functions nested
+anywhere else (``outer.inner``) are analyzed too, after the summarized
+ones, but are not summaries themselves.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .dataflow import FunctionResult, analyze_function
+from .dataflow import FunctionResult, _Interp, analyze_function
 from .values import NumVal, StrVal
 
 
@@ -38,6 +40,7 @@ class ModuleAnalysis:
     functions: Dict[str, FunctionResult] = field(default_factory=dict)
     #: (line, message) when the file did not parse.
     syntax_error: Optional[Tuple[int, str]] = None
+    tree: Optional[ast.Module] = None  #: the parsed module, when it parsed
 
 
 def _fold_expr(expr: ast.expr):
@@ -53,8 +56,6 @@ def _fold_expr(expr: ast.expr):
     if isinstance(expr, ast.BinOp):
         left, right = _fold_expr(expr.left), _fold_expr(expr.right)
         if isinstance(left, NumVal) and isinstance(right, NumVal):
-            from .dataflow import _Interp
-
             folded = _Interp._fold_binop(type(expr.op), left, right)
             return folded if isinstance(folded, NumVal) else None
     if isinstance(expr, ast.UnaryOp) and isinstance(expr.op, ast.USub):
@@ -76,21 +77,19 @@ def _module_constants(module: ast.Module) -> Dict[str, object]:
             targets, value = [stmt.target], stmt.value
         if value is None:
             continue
-        if len(targets) == 1 and isinstance(targets[0], ast.Tuple) and (
-            isinstance(value, ast.Tuple)
-        ) and len(targets[0].elts) == len(value.elts):
-            # CAP, RX, RY, RZ = 0.5, 1.0, 1.0, 4.75
-            for t, v in zip(targets[0].elts, value.elts):
-                if isinstance(t, ast.Name):
-                    folded = _fold_expr(v)
-                    if folded is not None:
-                        constants[t.id] = folded
-            continue
+        pairs = []
         for target in targets:
-            if isinstance(target, ast.Name):
-                folded = _fold_expr(value)
-                if folded is not None:
-                    constants[target.id] = folded
+            if isinstance(target, ast.Tuple) and isinstance(
+                value, ast.Tuple
+            ) and len(target.elts) == len(value.elts):
+                # CAP, RX, RY, RZ = 0.5, 1.0, 1.0, 4.75
+                pairs.extend(zip(target.elts, value.elts))
+            else:
+                pairs.append((target, value))
+        for target, expr in pairs:
+            folded = _fold_expr(expr)
+            if isinstance(target, ast.Name) and folded is not None:
+                constants[target.id] = folded
     return constants
 
 
@@ -110,6 +109,20 @@ def _collect_functions(
                 if isinstance(item, _FuncDef):
                     out.append((f"{stmt.name}.{item.name}", item))
     return out
+
+
+def _all_functions(
+    node: ast.AST, prefix: str = ""
+) -> Iterator[Tuple[str, ast.FunctionDef]]:
+    """(dotted qualname, def) for every function under *node*."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, _FuncDef + (ast.ClassDef,)):
+            qualname = prefix + child.name
+            if not isinstance(child, ast.ClassDef):
+                yield qualname, child
+            yield from _all_functions(child, qualname + ".")
+        else:
+            yield from _all_functions(child, prefix)
 
 
 def _non_self_params(fn: ast.FunctionDef) -> List[ast.arg]:
@@ -139,15 +152,12 @@ def _param_defaults(fn: ast.FunctionDef) -> Dict[int, object]:
 
 
 def _called_names(fn_body: Sequence[ast.stmt]) -> List[str]:
-    names: List[str] = []
-    for stmt in fn_body:
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Call):
-                if isinstance(node.func, ast.Name):
-                    names.append(node.func.id)
-                elif isinstance(node.func, ast.Attribute):
-                    names.append(node.func.attr)
-    return names
+    return [
+        name
+        for stmt in fn_body
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Call) and (name := _Interp._call_name(node))
+    ]
 
 
 def analyze_module(source: str, file: str) -> ModuleAnalysis:
@@ -158,6 +168,7 @@ def analyze_module(source: str, file: str) -> ModuleAnalysis:
     except SyntaxError as exc:
         analysis.syntax_error = (exc.lineno or 1, exc.msg or "syntax error")
         return analysis
+    analysis.tree = module
 
     constants = _module_constants(module)
     functions = _collect_functions(module)
@@ -181,7 +192,12 @@ def analyze_module(source: str, file: str) -> ModuleAnalysis:
             if callee is not None and callee != qualname:
                 visit(callee)
         visiting.pop()
-        result = analyze_function(
+        result = analyze(qualname, fn)
+        analysis.functions[qualname] = result
+        summaries[qualname.rsplit(".", 1)[-1]] = result
+
+    def analyze(qualname: str, fn: ast.FunctionDef) -> FunctionResult:
+        return analyze_function(
             qualname=qualname,
             body=fn.body,
             params=_non_self_params(fn),
@@ -190,11 +206,16 @@ def analyze_module(source: str, file: str) -> ModuleAnalysis:
             summaries=summaries,
             globals_env=constants,
         )
-        analysis.functions[qualname] = result
-        summaries[qualname.rsplit(".", 1)[-1]] = result
 
     for qualname, _ in functions:
         visit(qualname)
+    summarized = {id(fn) for _, fn in functions}
+    for qualname, fn in _all_functions(module):
+        if id(fn) in summarized:
+            continue
+        if qualname in analysis.functions:  # e.g. a def in each if-arm
+            qualname = f"{qualname}@{fn.lineno}"
+        analysis.functions[qualname] = analyze(qualname, fn)
 
     # The module body last, seeing every function's summary.
     body = [

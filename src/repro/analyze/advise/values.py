@@ -75,11 +75,6 @@ class Origin:
     def up_front(self) -> bool:
         return self.family in UP_FRONT_FAMILIES
 
-    def describe(self) -> str:
-        label = self.name or self.family
-        size = f", {self.size_bytes} B" if self.size_bytes else ""
-        return f"{label!r} ({self.family}, line {self.line}{size})"
-
 
 @dataclass(frozen=True)
 class BufVal:

@@ -1,18 +1,18 @@
 """Shared finding model, rule registry, and reporters for the analyzers.
 
-All three analysis passes — the dynamic sanitizer
-(:mod:`repro.analyze.sanitizer`), the static linter
-(:mod:`repro.analyze.linter`), and the static performance advisor
-(:mod:`repro.analyze.advise`) — report through the same
-:class:`Finding` record, so the CLI, the CI gates, and the tests can
-treat their output uniformly: a rule id, a severity, a message, an
-optional source location, and an optional fix hint.
+Both analyzers — the dynamic sanitizer
+(:mod:`repro.analyze.sanitizer`) and the static engine
+(:mod:`repro.analyze.advise`) with its ``lint.*`` and ``advise.*`` rule
+selections — report through the same :class:`Finding` record, so the
+CLI, the CI gates, and the tests can treat their output uniformly: a
+rule id, a severity, a message, an optional source location, and an
+optional fix hint.
 
 Every rule id any pass may emit is declared up front in one
 :data:`RULES` registry entry carrying the rule's severity, the paper
 section it derives from, and a one-line doc.  The registry is the
 single source of truth for severities (``make_finding`` refuses unknown
-codes), keeps codes collision-free across the three tools, and feeds
+codes), keeps codes collision-free across the rule families, and feeds
 the SARIF writer's ``tool.driver.rules`` table.
 """
 
@@ -102,12 +102,12 @@ def all_rules() -> List[RuleSpec]:
 
 
 # ----------------------------------------------------------------------
-# The registry: linter, sanitizer, and advisor rules in one place.
+# The registry: lint, sanitizer, and advise rules in one place.
 # ----------------------------------------------------------------------
 
 _E, _W, _I = Severity.ERROR, Severity.WARNING, Severity.INFO
 
-# Static linter (repro.analyze.linter).
+# Static engine, lint selection (repro.analyze.advise.lint).
 register_rule("lint.syntax-error", _E, "-", "source file does not parse")
 register_rule("lint.unknown-api", _E, "Table 1",
               "hipXxx name the simulated runtime does not provide")
@@ -147,7 +147,7 @@ register_rule("hipsan.xnack-fatal", _E, "Table 1",
 register_rule("hipsan.fault-storm", _I, "Figs. 7-8 / Section 5.2",
               "a buffer served a large number of GPU page faults")
 
-# Static performance advisor (repro.analyze.advise).
+# Static engine, advise selection (repro.analyze.advise.checks).
 register_rule("advise.syntax-error", _E, "-",
               "source file does not parse")
 register_rule("advise.redundant-copy", _W, "Section 4.3 / Fig. 3",

@@ -239,7 +239,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
-    """Static HIP API-misuse linter over Python sources."""
+    """The static engine's ``lint.*`` rules over Python sources."""
     from .analyze import (
         has_errors,
         lint_paths,

@@ -1,8 +1,9 @@
-"""Tests for the static HIP API-misuse linter (repro.analyze.linter).
+"""Tests for the ``lint.*`` rules of the static analysis engine.
 
 Each rule gets positive and negative coverage through ``lint_source``;
-the final class is the CI gate itself: the shipped examples and ported
-applications must lint clean of error-severity findings.
+``TestControlFlow`` covers what the CFG adds over a linear walk, and
+the final classes are the CI gate itself: the shipped examples and
+ported applications must lint clean of error-severity findings.
 """
 
 import pathlib
@@ -212,12 +213,131 @@ class TestModelAndApiRules:
         assert has_errors(findings)
 
 
+class TestControlFlow:
+    def test_free_on_returning_branch_spares_fallthrough(self):
+        # The freeing path returns before the use.
+        findings = lint("""
+            def f(hip, c, n):
+                buf = hip.hipMalloc(n)
+                if c:
+                    hip.hipFree(buf)
+                    return
+                hip.hipMemcpy(buf, buf)
+        """)
+        assert "lint.use-after-free" not in rules(findings)
+
+    def test_free_in_loop_reaches_next_iteration(self):
+        findings = lint("""
+            def f(hip, n):
+                buf = hip.hipMalloc(1024)
+                for i in range(n):
+                    hip.hipMemcpy(buf, buf)
+                    hip.hipFree(buf)
+        """)
+        assert {"lint.use-after-free", "lint.double-free"} <= rules(findings)
+
+    def test_sync_on_one_branch_leaves_the_other_pending(self):
+        findings = lint("""
+            def f(hip, spec, fix):
+                hip.launchKernel(spec)
+                if fix:
+                    hip.hipDeviceSynchronize()
+                hip.runCpuKernel(spec)
+        """)
+        assert "lint.missing-sync" in rules(findings)
+
+    def test_exclusive_branches_do_not_mix_models(self):
+        findings = lint("""
+            def f(hip, managed):
+                if managed:
+                    buf = hip.hipMallocManaged(1024)
+                else:
+                    buf = hip.hipMalloc(1024)
+                hip.hipFree(buf)
+        """)
+        assert "lint.mixed-model" not in rules(findings)
+
+    def test_unreachable_code_is_not_judged(self):
+        findings = lint("""
+            def f(hip):
+                buf = hip.hipMalloc(1024)
+                hip.hipFree(buf)
+                return
+                hip.hipFree(buf)
+        """)
+        assert "lint.double-free" not in rules(findings)
+
+    def test_work_launched_in_a_loop_is_pending_after_it(self):
+        findings = lint("""
+            def f(hip, spec, n):
+                for i in range(n):
+                    hip.launchKernel(spec)
+                hip.runCpuKernel(spec)
+        """)
+        assert "lint.missing-sync" in rules(findings)
+
+    def test_pipelined_loop_is_judged_per_iteration(self):
+        # Host work overlapping the previous iteration's kernel is the
+        # chunked / double-buffered pipeline of porting_walkthrough.py
+        # and heartwall; without byte ranges the rule cannot tell it from
+        # a race, so work carried around a back edge does not count
+        # inside the loop.
+        findings = lint("""
+            def f(hip, spec, n):
+                for i in range(n):
+                    hip.runCpuKernel(spec)
+                    hip.launchKernel(spec)
+                hip.hipDeviceSynchronize()
+        """)
+        assert "lint.missing-sync" not in rules(findings)
+
+    def test_handler_starts_without_pending_work(self):
+        findings = lint("""
+            def f(hip, spec, buf):
+                try:
+                    hip.launchKernel(spec)
+                    hip.hipDeviceSynchronize()
+                except HipError:
+                    hip.hipFree(buf)
+        """)
+        assert "lint.free-before-sync" not in rules(findings)
+
+    def test_nested_function_is_linted(self):
+        findings = lint("""
+            def outer():
+                def inner(hip, spec):
+                    hip.launchKernel(spec)
+                    hip.runCpuKernel(spec)
+                return inner
+        """)
+        assert "lint.missing-sync" in rules(findings)
+
+
 class TestLintPaths:
     def test_exclude_by_name(self, tmp_path):
         bad = tmp_path / "bad.py"
         bad.write_text("hipBogusCall()\n")
         assert lint_paths([tmp_path], exclude=("bad.py",)) == []
         assert has_errors(lint_paths([tmp_path]))
+
+    def test_exclude_dot_directory(self, tmp_path, monkeypatch):
+        hidden = tmp_path / ".hid" / "sub"
+        hidden.mkdir(parents=True)
+        (hidden / "bad.py").write_text("hipBogusCall()\n")
+        monkeypatch.chdir(tmp_path)
+        assert has_errors(lint_paths([".hid"]))
+        for entry in (".hid/sub/bad.py", "./.hid/sub/bad.py"):
+            assert lint_paths([".hid"], exclude=(entry,)) == []
+
+    def test_repeated_paths_report_once(self, tmp_path):
+        from repro.analyze import advise_paths
+
+        bad = tmp_path / "bad.py"
+        bad.write_text("hipBogusCall()\n")
+        assert len(lint_paths([bad, bad])) == 1
+        assert len(lint_paths([tmp_path, bad])) == 1
+        slow = ROOT / "examples" / "slow_port.py"
+        assert advise_paths([slow, slow]) == advise_paths([slow])
 
     def test_findings_carry_file_and_line(self, tmp_path):
         bad = tmp_path / "bad.py"
