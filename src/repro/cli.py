@@ -11,6 +11,7 @@ thin shell over the engine:
     python -m repro apps --app hotspot         # one application comparison
     python -m repro export --out results       # CSV export of the results
     python -m repro verify-bench out/BENCH_results.json
+    python -m repro verify-bench --golden --quick   # rows vs golden digests
     python -m repro lint examples              # static HIP API-misuse linter
     python -m repro analyze --quick            # hipsan sweep over the apps
     python -m repro advise --apps              # static UPM performance advisor
@@ -179,15 +180,33 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_bench(args: argparse.Namespace) -> int:
-    """Validate a BENCH_results.json artifact against the registry."""
-    from .exp import verify_bench
+    """Validate a BENCH_results.json artifact against the registry, or
+    (``--golden``) recompute every experiment's rows and compare them
+    with the committed golden digests."""
+    import json
+    from pathlib import Path
+    from .exp import (
+        GOLDEN_FILENAME, Engine, experiment_names, verify_bench, verify_golden,
+    )
 
-    problems = verify_bench(args.path)
+    if args.golden:
+        path = args.path or GOLDEN_FILENAME
+        grid = "quick" if args.quick else "full"
+        golden = json.loads(Path(path).read_text())[grid]
+        results = Engine().run_many(experiment_names(), quick=args.quick)
+        problems = verify_golden(results, golden)
+        label = f"{path} ({grid} grid)"
+    elif args.path:
+        problems, label = verify_bench(args.path), args.path
+    else:
+        print("verify-bench: give a BENCH file, or use --golden",
+              file=sys.stderr)
+        return 2
     if problems:
         for problem in problems:
             print(f"BENCH: {problem}", file=sys.stderr)
         return 1
-    print(f"{args.path}: ok")
+    print(f"{label}: ok")
     return 0
 
 
@@ -453,7 +472,18 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser(
         "verify-bench", help="validate a BENCH_results.json artifact"
     )
-    verify.add_argument("path", help="path to BENCH_results.json")
+    verify.add_argument(
+        "path", nargs="?",
+        help="path to BENCH_results.json (with --golden: the digest file, "
+             "default golden_rows.json)",
+    )
+    verify.add_argument(
+        "--golden", action="store_true",
+        help="rerun every experiment and compare its rows with the golden "
+             "digests; names each drifted experiment and point",
+    )
+    verify.add_argument("--quick", action="store_true",
+                        help="with --golden: check the quick grids")
     verify.set_defaults(func=cmd_verify_bench)
 
     lint = sub.add_parser("lint", help="static HIP API-misuse linter")

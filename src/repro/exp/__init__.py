@@ -26,6 +26,7 @@ Typical use::
 from .cache import ResultCache, code_version, default_cache_dir
 from .engine import (
     BENCH_FILENAME,
+    GOLDEN_FILENAME,
     SCHEMA_VERSION,
     Engine,
     ExperimentResult,
@@ -33,8 +34,10 @@ from .engine import (
     PointTimeoutError,
     bench_payload,
     execute_point,
+    update_golden,
     utc_timestamp,
     verify_bench,
+    verify_golden,
     write_artifacts,
 )
 from .registry import (
@@ -54,6 +57,7 @@ from . import experiments as _experiments  # noqa: E402,F401
 __all__ = [
     "BENCH_FILENAME",
     "Engine",
+    "GOLDEN_FILENAME",
     "ExperimentResult",
     "ExperimentSpec",
     "Point",
@@ -72,7 +76,9 @@ __all__ = [
     "get_spec",
     "register",
     "temporarily_registered",
+    "update_golden",
     "utc_timestamp",
     "verify_bench",
+    "verify_golden",
     "write_artifacts",
 ]

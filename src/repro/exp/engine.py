@@ -16,6 +16,7 @@ status by the CLI.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import json
 import signal
 import threading
@@ -30,7 +31,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .cache import ResultCache, code_version
 from .registry import get_spec
-from .spec import ExperimentSpec, Point
+from .spec import ExperimentSpec, Point, canonical_json
 
 #: Version of the artifact schema (per-experiment JSON and
 #: BENCH_results.json).  Bump on any incompatible layout change.
@@ -38,6 +39,9 @@ SCHEMA_VERSION = "1"
 
 #: Name of the top-level perf-trajectory artifact.
 BENCH_FILENAME = "BENCH_results.json"
+
+#: Name of the committed golden row digests (repository root).
+GOLDEN_FILENAME = "golden_rows.json"
 
 
 def utc_timestamp() -> str:
@@ -526,3 +530,55 @@ def verify_bench(
         elif not experiments[name].get("ok", False):
             problems.append(f"experiment {name!r} recorded a failure")
     return problems
+
+
+def row_digest(rows: Any) -> str:
+    """SHA-256 of *rows* encoded as canonical JSON."""
+    return hashlib.sha256(canonical_json(rows).encode()).hexdigest()
+
+
+def golden_digests(results: Mapping[str, ExperimentResult]) -> Dict[str, Any]:
+    """Per-experiment digest of all rows, plus one digest per point."""
+    return {
+        name: {
+            "rows": row_digest(result.rows),
+            "points": [row_digest(p.rows) for p in result.points],
+        }
+        for name, result in results.items()
+    }
+
+
+def verify_golden(
+    results: Mapping[str, ExperimentResult], golden: Mapping[str, Any]
+) -> List[str]:
+    """Compare *results* with golden digests; names every drifted point."""
+    problems = []
+    for name, digests in golden_digests(results).items():
+        want = golden.get(name)
+        if want is None:
+            problems.append(f"{name}: no golden digest")
+        elif digests["rows"] != want["rows"]:
+            points = results[name].points
+            drifted = [
+                p.point.describe()
+                for p, got, expect in zip(points, digests["points"], want["points"])
+                if got != expect
+            ]
+            if len(points) != len(want["points"]):
+                drifted.append(
+                    f"{len(points)} points, golden has {len(want['points'])}"
+                )
+            problems.append(f"{name}: rows drifted at " + "; ".join(drifted))
+    return problems
+
+
+def update_golden(path: Path | str = GOLDEN_FILENAME) -> None:
+    """Recompute the quick and full golden digests of every experiment."""
+    from .registry import experiment_names
+
+    engine = Engine()
+    golden = {
+        grid: golden_digests(engine.run_many(experiment_names(), quick=quick))
+        for grid, quick in (("quick", True), ("full", False))
+    }
+    Path(path).write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
