@@ -180,28 +180,24 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_bench(args: argparse.Namespace) -> int:
-    """Validate a BENCH_results.json artifact against the registry, or
-    (``--golden``) recompute every experiment's rows and compare them
-    with the committed golden digests."""
+    """Validate a BENCH_results.json artifact against the registry; with
+    ``--golden``, rerun every experiment and check its rows against the
+    committed golden digests."""
     import json
     from pathlib import Path
-    from .exp import (
-        GOLDEN_FILENAME, Engine, experiment_names, verify_bench, verify_golden,
-    )
+    from .exp import GOLDEN_FILENAME, Engine, experiment_names, verify_bench
+    from .exp import verify_golden
 
+    label = args.path or GOLDEN_FILENAME
     if args.golden:
-        path = args.path or GOLDEN_FILENAME
         grid = "quick" if args.quick else "full"
-        golden = json.loads(Path(path).read_text())[grid]
+        golden = json.loads(Path(label).read_text())[grid]
         results = Engine().run_many(experiment_names(), quick=args.quick)
-        problems = verify_golden(results, golden)
-        label = f"{path} ({grid} grid)"
+        problems, label = verify_golden(results, golden), f"{label} ({grid} grid)"
     elif args.path:
-        problems, label = verify_bench(args.path), args.path
+        problems = verify_bench(args.path)
     else:
-        print("verify-bench: give a BENCH file, or use --golden",
-              file=sys.stderr)
-        return 2
+        raise SystemExit("verify-bench: give a BENCH file, or use --golden")
     if problems:
         for problem in problems:
             print(f"BENCH: {problem}", file=sys.stderr)
@@ -472,16 +468,10 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser(
         "verify-bench", help="validate a BENCH_results.json artifact"
     )
-    verify.add_argument(
-        "path", nargs="?",
-        help="path to BENCH_results.json (with --golden: the digest file, "
-             "default golden_rows.json)",
-    )
-    verify.add_argument(
-        "--golden", action="store_true",
-        help="rerun every experiment and compare its rows with the golden "
-             "digests; names each drifted experiment and point",
-    )
+    verify.add_argument("path", nargs="?", help="BENCH_results.json, or "
+                        "with --golden the digests (default golden_rows.json)")
+    verify.add_argument("--golden", action="store_true",
+                        help="rerun every experiment; check its row digests")
     verify.add_argument("--quick", action="store_true",
                         help="with --golden: check the quick grids")
     verify.set_defaults(func=cmd_verify_bench)

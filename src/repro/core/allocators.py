@@ -170,9 +170,7 @@ class MemoryManager:
             )
         cost = pinned_alloc_cost_ns(self._config, size, managed=True)
         self._clock.advance(cost)
-        vma = self._up_front_vma(
-            size, name, pinned=True, contiguous=False, frame_range=frame_range
-        )
+        vma = self._up_front_vma(size, name, "pairs", frame_range)
         return self._register(
             Allocation(vma, AllocatorKind.HIP_MALLOC_MANAGED, size, False,
                        True, False, cost)
@@ -200,9 +198,7 @@ class MemoryManager:
         """
         cost = hip_malloc_cost_ns(self._config, size)
         self._clock.advance(cost)
-        vma = self._up_front_vma(
-            size, name, pinned=True, contiguous=True, frame_range=frame_range
-        )
+        vma = self._up_front_vma(size, name, "chunks", frame_range)
         return self._register(
             Allocation(vma, AllocatorKind.HIP_MALLOC, size, False, True,
                        self.xnack_enabled, cost)
@@ -223,9 +219,7 @@ class MemoryManager:
         """
         cost = pinned_alloc_cost_ns(self._config, size, managed=False)
         self._clock.advance(cost)
-        vma = self._up_front_vma(
-            size, name, pinned=True, contiguous=False, frame_range=frame_range
-        )
+        vma = self._up_front_vma(size, name, "pairs", frame_range)
         return self._register(
             Allocation(vma, AllocatorKind.HIP_HOST_MALLOC, size, False, True,
                        self.xnack_enabled, cost)
@@ -269,7 +263,7 @@ class MemoryManager:
         aperture at program load; both CPU and GPU can access them but at
         drastically reduced bandwidth (103 GB/s, Fig. 3).
         """
-        vma = self._up_front_vma(size, name, pinned=True, contiguous=False)
+        vma = self._up_front_vma(size, name, "pairs")
         vma.uncached = True
         return self._register(
             Allocation(vma, AllocatorKind.MANAGED_STATIC, size, False, True,
@@ -290,7 +284,7 @@ class MemoryManager:
         """A ``__device__`` static array: GPU-only from the CPU's view."""
         cost = hip_malloc_cost_ns(self._config, size)
         self._clock.advance(cost)
-        vma = self._up_front_vma(size, name, pinned=True, contiguous=True)
+        vma = self._up_front_vma(size, name, "chunks")
         return self._register(
             Allocation(vma, AllocatorKind.STATIC_DEVICE, size, False, True,
                        self.xnack_enabled, cost)
@@ -331,34 +325,33 @@ class MemoryManager:
         self,
         size: int,
         name: str,
-        pinned: bool,
-        contiguous: bool,
+        layout: str,
         frame_range: Optional[Tuple[int, int]] = None,
     ) -> VMA:
-        """Create a VMA with physical frames allocated immediately.
+        """Create a pinned VMA with physical frames allocated immediately.
 
-        *contiguous* selects large aligned chunks (hipMalloc) vs balanced
-        but minimally contiguous pages (pinned host memory, pinned in
-        pairs).  The GPU page table is populated right away; CPU PTEs
-        appear lazily via fault-around (Fig. 10's low fault counts).
-        *frame_range* confines the frames to one NUMA domain's window.
+        *layout* ``"chunks"`` takes large aligned chunks (hipMalloc);
+        ``"pairs"`` takes balanced but minimally contiguous pages (pinned
+        host memory: the normal buddy path in allocation order, landing
+        pairs); ``"scattered"`` takes single frames from the biased free
+        list (the degraded fallback).  The GPU page table is populated
+        right away; CPU PTEs appear lazily via fault-around (Fig. 10's
+        low fault counts).  *frame_range* confines the frames to one NUMA
+        domain's window.
         """
-        vma = self._as.mmap(size, name=name, pinned=pinned)
+        vma = self._as.mmap(size, name=name, pinned=True)
         vma.gpu_access = GPU_ACCESS_ALWAYS
         vma.on_demand = False
         try:
-            if contiguous:
-                chunk_pages = max(
-                    1, self._config.policy.up_front_contiguity_bytes // PAGE_SIZE
-                )
-                frames = self._physical.alloc_chunks(
-                    vma.npages, chunk_pages, frame_range=frame_range
+            if layout == "scattered":
+                frames = self._physical.alloc_scattered(
+                    vma.npages, pair_fraction=0.0, frame_range=frame_range
                 )
             else:
-                # Pinning grabs pages through the normal buddy path but in
-                # allocation order (balanced across channels), landing pairs.
+                chunk_bytes = self._config.policy.up_front_contiguity_bytes
+                chunk_pages = chunk_bytes // PAGE_SIZE if layout == "chunks" else 2
                 frames = self._physical.alloc_chunks(
-                    vma.npages, 2, frame_range=frame_range
+                    vma.npages, max(1, chunk_pages), frame_range=frame_range
                 )
         except OutOfMemoryError:
             # A failed frame allocation must not leak the address range.
@@ -393,18 +386,7 @@ class MemoryManager:
         managed = kind is AllocatorKind.HIP_MALLOC_MANAGED
         cost = pinned_alloc_cost_ns(self._config, size, managed=managed)
         self._clock.advance(cost)
-        vma = self._as.mmap(size, name=name, pinned=True)
-        vma.gpu_access = GPU_ACCESS_ALWAYS
-        vma.on_demand = False
-        try:
-            frames = self._physical.alloc_scattered(
-                vma.npages, pair_fraction=0.0, frame_range=frame_range
-            )
-        except OutOfMemoryError:
-            self._as.munmap(vma)
-            raise
-        vma.frames[:] = frames
-        self._hmm.gpu.map_range(vma, 0, vma.npages)
+        vma = self._up_front_vma(size, name, "scattered", frame_range)
         return self._register(
             Allocation(vma, kind, size, False, True, self.xnack_enabled, cost)
         )

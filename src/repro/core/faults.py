@@ -36,6 +36,7 @@ from .address_space import (
     GPU_ACCESS_XNACK,
     VMA,
 )
+from .fragments import contiguous_runs
 from .page import NO_FRAME
 from .page_table import HMMMirror
 from .physical import PhysicalMemory, TransientAllocationError
@@ -198,8 +199,11 @@ class FaultHandler:
             granularity = self._cpu_fault_around_pages(vma)
             idx = first_page + np.flatnonzero(need_map)
             self._map_cpu_pages(vma, idx, vma.frames[idx])
-            events = self._fault_around_events(idx, granularity)
-            report.cpu_fault_events += events
+            # One event per aligned fault-around window touched; idx is
+            # sorted, so distinct windows are where idx // granularity steps.
+            report.cpu_fault_events += 1 + int(
+                np.count_nonzero(np.diff(idx // granularity))
+            )
             report.cpu_faulted_pages += n_map
 
         self.counters.cpu_fault_events += report.cpu_fault_events
@@ -217,14 +221,9 @@ class FaultHandler:
 
     def _map_cpu_pages(self, vma: VMA, indices: np.ndarray, frames: np.ndarray) -> None:
         """Install system PTEs for scattered page indices (run-batched)."""
-        if indices.size == 0:
-            return
-        breaks = np.flatnonzero(np.diff(indices) != 1) + 1
-        starts = np.concatenate(([0], breaks))
-        ends = np.concatenate((breaks, [indices.size]))
-        for s, e in zip(starts, ends):
+        for s, n in contiguous_runs(indices):
             self._hmm.system.map_range(
-                vma, int(indices[s]), np.asarray(frames[s:e], dtype=np.int64)
+                vma, int(indices[s]), np.asarray(frames[s : s + n], dtype=np.int64)
             )
 
     def _cpu_fault_around_pages(self, vma: VMA) -> int:
@@ -235,17 +234,6 @@ class FaultHandler:
         else:
             gran = policy.up_front_cpu_fault_granularity_bytes
         return max(1, gran // PAGE_SIZE)
-
-    @staticmethod
-    def _fault_around_events(indices: np.ndarray, granularity_pages: int) -> int:
-        """Number of fault events when mapping *indices* with fault-around.
-
-        Each event maps the aligned *granularity_pages* window around the
-        faulting page, so the event count is the number of distinct
-        windows touched.
-        """
-        windows = np.unique(indices // granularity_pages)
-        return int(windows.size)
 
     # ------------------------------------------------------------------
     # GPU path

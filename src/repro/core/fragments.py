@@ -7,14 +7,17 @@ Section 3.2).  The amdgpu driver sets the 5-bit PTE fragment field
 opportunistically by scanning for maximal contiguous page ranges when it
 maps pages.
 
-This module reproduces that scan.  Given the physical frames backing a
-virtually contiguous page range, it:
+This module reproduces that scan with whole-array numpy code.  Given the
+physical frames backing a virtually contiguous page range, it:
 
 1. finds maximal runs where frames are physically contiguous (constant
-   ``frame - vpn`` delta),
-2. decomposes each run into maximal power-of-two blocks aligned in both
-   the virtual and the physical address space (which coincide whenever the
-   run's delta is itself suitably aligned), and
+   ``frame - vpn`` delta); pages of single-page runs keep exponent 0,
+2. decomposes all multi-page runs at once, in passes: each pass emits,
+   for every unfinished run, the largest power-of-two block that starts
+   at the run's position, is aligned in both the virtual and the physical
+   address space, and fits in the rest of the run.  The delta's own
+   alignment caps every block, so a run takes at most about 2 x 32
+   passes, however long it is, and
 3. assigns each page the exponent of its covering block.
 
 Up-front allocators produce long aligned runs and therefore large
@@ -32,14 +35,20 @@ from ..hw.config import MAX_FRAGMENT_EXPONENT
 def _trailing_zeros(values: np.ndarray) -> np.ndarray:
     """Number of trailing zero bits per element (0 input -> 63)."""
     v = values.astype(np.int64)
-    out = np.zeros(v.shape, dtype=np.int64)
-    zero = v == 0
-    v = np.where(zero, 1, v)
-    isolated = v & -v  # lowest set bit
-    # log2 of a power of two via float is exact for < 2**53.
-    out = np.log2(isolated.astype(np.float64)).astype(np.int64)
-    out[zero] = 63
-    return out
+    return np.where(v == 0, 63, _floor_log2(v & -v))  # v & -v: lowest set bit
+
+
+def _floor_log2(values: np.ndarray) -> np.ndarray:
+    """``floor(log2(v))`` per positive element (exact below 2**53)."""
+    return np.frexp(values.astype(np.float64))[1].astype(np.int64) - 1
+
+
+def _run_bounds(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start index and length of each maximal physically contiguous run."""
+    is_start = np.ones(len(frames), dtype=bool)
+    np.not_equal(np.diff(frames), 1, out=is_start[1:])
+    starts = np.flatnonzero(is_start)
+    return starts, np.diff(starts, append=len(frames))
 
 
 def contiguous_runs(frames: np.ndarray) -> list[tuple[int, int]]:
@@ -49,13 +58,7 @@ def contiguous_runs(frames: np.ndarray) -> list[tuple[int, int]]:
     Returns ``(start_index, length)`` pairs covering the whole range.
     """
     frames = np.asarray(frames, dtype=np.int64)
-    n = len(frames)
-    if n == 0:
-        return []
-    breaks = np.flatnonzero(np.diff(frames) != 1) + 1
-    starts = np.concatenate(([0], breaks))
-    ends = np.concatenate((breaks, [n]))
-    return [(int(s), int(e - s)) for s, e in zip(starts, ends)]
+    return [(int(s), int(n)) for s, n in zip(*_run_bounds(frames))]
 
 
 def compute_fragments(
@@ -76,71 +79,31 @@ def compute_fragments(
         int8 array of the same length: entry i covers ``2**exp[i]`` pages.
     """
     frames = np.asarray(frames, dtype=np.int64)
-    n = len(frames)
-    out = np.zeros(n, dtype=np.int8)
-    if n == 0:
-        return out
-
-    # Vectorised fast path for the dominant scattered case: pages whose
-    # neighbours are not physically adjacent are single-page fragments
-    # (exponent 0) and need no per-run work.
-    prev_adjacent = np.zeros(n, dtype=bool)
-    next_adjacent = np.zeros(n, dtype=bool)
-    if n > 1:
-        adj = np.diff(frames) == 1
-        prev_adjacent[1:] = adj
-        next_adjacent[:-1] = adj
-    isolated = ~(prev_adjacent | next_adjacent)
-    # out already 0 for isolated pages.
-
-    if isolated.all():
-        return out
-
-    # Enumerate only multi-page runs (the Python loop below is O(runs)).
-    breaks = np.flatnonzero(np.diff(frames) != 1) + 1
-    starts = np.concatenate(([0], breaks))
-    ends = np.concatenate((breaks, [n]))
-    lengths = ends - starts
+    starts, lengths = _run_bounds(frames)
     multi = lengths > 1
-    for start, length in zip(starts[multi], lengths[multi]):
-        _assign_run(out, frames, base_vpn, int(start), int(length), max_exponent)
-    return out
-
-
-def _assign_run(
-    out: np.ndarray,
-    frames: np.ndarray,
-    base_vpn: int,
-    start: int,
-    length: int,
-    max_exponent: int,
-) -> None:
-    """Greedy aligned power-of-two decomposition of one contiguous run.
-
-    Mirrors amdgpu's update loop: repeatedly emit the largest block that
-    (a) starts at the current position, (b) is aligned at both the virtual
-    and physical page number, and (c) fits in the remainder of the run.
-    """
-    pos = start
-    end = start + length
-    while pos < end:
-        vpn = base_vpn + pos
-        pfn = int(frames[pos])
-        align = min(
-            _scalar_trailing_zeros(vpn),
-            _scalar_trailing_zeros(pfn),
-        )
+    # Single-page runs (the scattered case) keep exponent 0.
+    pos, end = starts[multi], starts[multi] + lengths[multi]
+    # A run's frame - vpn delta is constant, so min(tz(vpn), tz(pfn)) is
+    # min(tz(vpn), tz(delta)): the delta's alignment caps every block.
+    cap = np.minimum(_trailing_zeros(frames[pos] - (base_vpn + pos)), max_exponent)
+    # Each emitted span adds its exponent at its first page and removes it
+    # past its last, so a running sum yields every page's exponent.
+    steps = np.zeros(len(frames) + 1, dtype=np.int8)
+    while pos.size:  # one greedy block per unfinished run per pass
         remaining = end - pos
-        size_exp = min(align, remaining.bit_length() - 1, max_exponent)
-        block = 1 << size_exp
-        out[pos : pos + block] = size_exp
-        pos += block
-
-
-def _scalar_trailing_zeros(value: int) -> int:
-    if value == 0:
-        return 63
-    return (value & -value).bit_length() - 1
+        exp = np.minimum(
+            np.minimum(_trailing_zeros(base_vpn + pos), _floor_log2(remaining)),
+            cap,
+        )
+        # A block at the cap leaves the next position aligned to the cap,
+        # so every further whole cap-sized block is emitted in this pass.
+        size = np.where(exp == cap, remaining >> exp << exp, 1 << exp)
+        steps[pos] += exp
+        pos = pos + size
+        steps[pos] -= exp
+        live = pos < end
+        pos, end, cap = pos[live], end[live], cap[live]
+    return np.cumsum(steps[:-1], dtype=np.int8)
 
 
 def fragment_histogram(exponents: np.ndarray) -> dict[int, int]:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .address_space import VMA
-from .fragments import compute_fragments
+from .fragments import compute_fragments, contiguous_runs
 from .page import NO_FRAME
 
 
@@ -184,20 +184,12 @@ class HMMMirror:
         SystemPageTable._check_range(vma, first_page, count)
         sl = slice(first_page, first_page + count)
         needed = vma.sys_valid[sl] & ~vma.gpu_valid[sl]
-        total = 0
         # Map each contiguous needed run so the fragment rescan sees it.
         idx = np.flatnonzero(needed)
-        if idx.size:
-            breaks = np.flatnonzero(np.diff(idx) != 1) + 1
-            starts = np.concatenate(([0], breaks))
-            ends = np.concatenate((breaks, [idx.size]))
-            for s, e in zip(starts, ends):
-                run_first = first_page + int(idx[s])
-                run_count = int(idx[e - 1] - idx[s]) + 1
-                self._gpu.map_range(vma, run_first, run_count)
-                total += run_count
-        self._gpu.stats.propagated_ptes += total
-        return total
+        for s, n in contiguous_runs(idx):
+            self._gpu.map_range(vma, first_page + int(idx[s]), n)
+        self._gpu.stats.propagated_ptes += idx.size
+        return int(idx.size)
 
     def invalidate_range(self, vma: VMA, first_page: int, count: int) -> int:
         """Remove GPU entries for the range (MMU-notifier path).

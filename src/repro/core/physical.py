@@ -39,6 +39,32 @@ class TransientAllocationError(OutOfMemoryError):
     HIP layer's bounded retry-with-backoff consumes these."""
 
 
+def _all_set(flags: np.ndarray, width: int) -> np.ndarray:
+    """Whether each group of *width* (a power of two) bools is all True.
+
+    Reads the bool bytes as 2-, 4- or 8-byte words and compares each word
+    with the all-ones byte pattern, folding eight bytes per step.
+    """
+    while width > 1:
+        step = min(width, 8)
+        flags = flags.view(f"u{step}") == 0x0101010101010101 >> (64 - 8 * step)
+        width //= step
+    return flags
+
+
+def _disjoint_runs(starts: np.ndarray, run: int) -> np.ndarray:
+    """Sorted *starts* without repeats or runs overlapping the previous one.
+
+    A sort plus an adjacent-difference mask: ``np.unique`` hashes, which
+    costs far more than sorting on the short integer arrays drawn here.
+    """
+    starts = np.sort(starts)
+    keep = np.empty(starts.size, dtype=bool)
+    keep[:1] = True
+    keep[1:] = np.diff(starts) >= run
+    return starts[keep]
+
+
 class PhysicalMemory:
     """Frame allocator over the APU's unified physical pool."""
 
@@ -120,28 +146,18 @@ class PhysicalMemory:
         ``[lo, hi)`` — the NPS4 placement path, where a partition-local
         allocation must stay inside one NUMA domain's physical quadrant.
         """
-        if npages <= 0:
-            raise ValueError(f"npages must be positive, got {npages}")
         if chunk_pages <= 0 or chunk_pages & (chunk_pages - 1):
             raise ValueError(f"chunk_pages must be a power of two, got {chunk_pages}")
-        self._consult_inject(npages, contiguous=True)
-        if npages > self._free_count:
-            raise OutOfMemoryError(
-                f"requested {npages} frames, only {self._free_count} free"
-            )
-        full_chunks, tail = divmod(npages, chunk_pages)
-        starts = self._find_aligned_runs(
-            full_chunks + (1 if tail else 0), chunk_pages, frame_range
-        )
-        frames = np.concatenate(
-            [np.arange(s, s + chunk_pages, dtype=np.int64) for s in starts]
-        )
-        frames = frames[:npages]
+        self._admit(npages, contiguous=True)
+        nchunks = -(-npages // chunk_pages)  # the last one may be partial
+        starts = self._find_aligned_runs(nchunks, chunk_pages, frame_range)
+        frames = (starts[:, None] + np.arange(chunk_pages)).ravel()[:npages]
         self._claim(frames)
         return frames
 
-    def _check_range(self, frame_range: Tuple[int, int]) -> Tuple[int, int]:
-        lo, hi = frame_range
+    def _check_range(self, frame_range: Optional[Tuple[int, int]]) -> Tuple[int, int]:
+        """The frame window ``[lo, hi)``: *frame_range* or the whole pool."""
+        lo, hi = frame_range or (0, self._total_frames)
         if not 0 <= lo < hi <= self._total_frames:
             raise ValueError(
                 f"frame range [{lo}, {hi}) outside pool of "
@@ -159,20 +175,25 @@ class PhysicalMemory:
         if count == 0:
             return np.empty(0, dtype=np.int64)
         # View the bitmap as aligned blocks and find fully-free blocks.
-        if frame_range is None:
-            first_block = 0
-            usable = (self._total_frames // chunk_pages) * chunk_pages
-        else:
-            lo, hi = self._check_range(frame_range)
-            first_block = -(-lo // chunk_pages)  # align the window start up
-            usable = (hi // chunk_pages) * chunk_pages
+        lo, hi = self._check_range(frame_range)
+        first_block = -(-lo // chunk_pages)  # align the window start up
+        usable = (hi // chunk_pages) * chunk_pages
         base = first_block * chunk_pages
         if base >= usable:
             raise OutOfMemoryError(
                 f"frame range too small for {chunk_pages}-page chunks"
             )
-        blocks = self._free[base:usable].reshape(-1, chunk_pages)
-        candidates = first_block + np.flatnonzero(blocks.all(axis=1))
+        # The stride-3 pick below reads only the first 3*count candidates,
+        # so scan windows that grow from the start of the range and stop
+        # once that many are found; only a short pool is scanned whole.
+        nblocks, need = (usable - base) // chunk_pages, 3 * count
+        found, done, window = [], 0, max(need, 64)
+        while done < nblocks and sum(map(len, found)) < need:
+            stop = min(nblocks, done + window)
+            bits = self._free[base + done * chunk_pages : base + stop * chunk_pages]
+            found.append(done + np.flatnonzero(_all_set(bits, chunk_pages)))
+            done, window = stop, 2 * window
+        candidates = first_block + np.concatenate(found)
         if len(candidates) < count:
             raise OutOfMemoryError(
                 f"cannot find {count} contiguous runs of {chunk_pages} pages "
@@ -210,13 +231,7 @@ class PhysicalMemory:
         *frame_range* restricts draws to the half-open window ``[lo, hi)``
         (NPS4 placement: scattered pages stay in one NUMA domain).
         """
-        if npages <= 0:
-            raise ValueError(f"npages must be positive, got {npages}")
-        self._consult_inject(npages, contiguous=False)
-        if npages > self._free_count:
-            raise OutOfMemoryError(
-                f"requested {npages} frames, only {self._free_count} free"
-            )
+        self._admit(npages, contiguous=False)
         if pair_fraction is None:
             pair_fraction = self._config.policy.on_demand_pair_fraction
 
@@ -239,8 +254,7 @@ class PhysicalMemory:
             for batch in allocated:
                 self.free(batch)
             raise
-        frames = np.concatenate(allocated)[:npages]
-        return frames
+        return np.concatenate(allocated)[:npages]
 
     def _draw_scattered(
         self,
@@ -255,10 +269,7 @@ class PhysicalMemory:
         sampling stalls (nearly-full pool).
         """
         mod = self._residue_modulus
-        if frame_range is None:
-            lo, hi = 0, self._total_frames
-        else:
-            lo, hi = self._check_range(frame_range)
+        lo, hi = self._check_range(frame_range)
         k_lo, k_hi = -(-lo // mod), hi // mod
         total = ndraws * run
         out = np.empty(total, dtype=np.int64)
@@ -282,24 +293,11 @@ class PhysicalMemory:
             ok = self._free[starts]
             for extra in range(1, run):
                 ok &= self._free[starts + extra]
-            starts = np.unique(starts[ok])
-            if run > 1 and starts.size > 1:
-                # Drop runs overlapping an earlier selected run.
-                keep = np.empty(starts.size, dtype=bool)
-                keep[0] = True
-                keep[1:] = np.diff(starts) >= run
-                starts = starts[keep]
-            starts = starts[:need_runs]
-            if starts.size:
-                if run == 1:
-                    frames = starts.astype(np.int64)
-                else:
-                    frames = (
-                        starts[:, None] + np.arange(run, dtype=np.int64)
-                    ).ravel()
-                self._claim(frames)
-                out[filled : filled + len(frames)] = frames
-                filled += len(frames)
+            starts = _disjoint_runs(starts[ok], run)[:need_runs]
+            frames = (starts[:, None] + np.arange(run)).ravel()
+            self._claim(frames)
+            out[filled : filled + len(frames)] = frames
+            filled += len(frames)
             attempts += 1
         if filled < total:
             # Pool too full for sampling: sweep for any free frames.
@@ -344,28 +342,31 @@ class PhysicalMemory:
     # Fault injection: transient failures and fragmentation pressure
     # ------------------------------------------------------------------
 
-    def _consult_inject(self, npages: int, contiguous: bool) -> None:
-        """Fire the ``physical.alloc`` injection site for this request."""
-        if self.inject is None:
-            return
-        fault = self.inject.fire(
+    def _admit(self, npages: int, contiguous: bool) -> None:
+        """Fire the ``physical.alloc`` injection site for a request, then
+        check its size against the free pool."""
+        if npages <= 0:
+            raise ValueError(f"npages must be positive, got {npages}")
+        fault = None if self.inject is None else self.inject.fire(
             "physical.alloc",
             npages=npages,
             contiguous=contiguous,
             free_frames=self._free_count,
         )
-        if fault is None:
-            return
-        if fault.kind == "transient":
-            raise TransientAllocationError(
-                f"injected transient allocation failure "
-                f"({npages} frame request)"
-            )
-        if fault.kind == "pressure":
+        if fault is not None:
+            if fault.kind == "transient":
+                raise TransientAllocationError(
+                    f"injected transient allocation failure "
+                    f"({npages} frame request)"
+                )
+            if fault.kind != "pressure":
+                raise ValueError(
+                    f"physical.alloc does not understand kind {fault.kind!r}"
+                )
             self.apply_pressure(float(fault.params.get("fraction", 0.25)))
-        else:
-            raise ValueError(
-                f"physical.alloc does not understand kind {fault.kind!r}"
+        if npages > self._free_count:
+            raise OutOfMemoryError(
+                f"requested {npages} frames, only {self._free_count} free"
             )
 
     def apply_pressure(self, fraction: float) -> int:

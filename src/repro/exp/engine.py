@@ -284,7 +284,6 @@ class Engine:
                     continue
                 plan.append((spec, point))
 
-        started = time.perf_counter()
         results: Dict[Tuple[str, int], PointResult] = {}
         pending: List[Tuple[ExperimentSpec, Point, Optional[str]]] = []
 
@@ -311,7 +310,6 @@ class Engine:
                 point, payload, wall_s=wall_s, cached=False
             )
 
-        total_wall = time.perf_counter() - started
         out: Dict[str, ExperimentResult] = {}
         for spec in specs:
             point_results = [
@@ -323,10 +321,6 @@ class Engine:
             out[spec.name] = ExperimentResult(
                 spec=spec, quick=quick, points=point_results, wall_s=wall
             )
-        # Distribute unattributed wall time (pool scheduling) nowhere;
-        # run_many callers that need the true elapsed time measure it
-        # around this call.  Kept simple on purpose.
-        del total_wall
         return out
 
     # -- internals ------------------------------------------------------
@@ -532,19 +526,14 @@ def verify_bench(
     return problems
 
 
-def row_digest(rows: Any) -> str:
-    """SHA-256 of *rows* encoded as canonical JSON."""
-    return hashlib.sha256(canonical_json(rows).encode()).hexdigest()
-
-
 def golden_digests(results: Mapping[str, ExperimentResult]) -> Dict[str, Any]:
-    """Per-experiment digest of all rows, plus one digest per point."""
+    """SHA-256 of each experiment's canonical JSON rows, and of each point's."""
+    def digest(rows: Any) -> str:
+        return hashlib.sha256(canonical_json(rows).encode()).hexdigest()
+
     return {
-        name: {
-            "rows": row_digest(result.rows),
-            "points": [row_digest(p.rows) for p in result.points],
-        }
-        for name, result in results.items()
+        name: {"rows": digest(r.rows), "points": [digest(p.rows) for p in r.points]}
+        for name, r in results.items()
     }
 
 

@@ -97,7 +97,9 @@ class UnifiedVector:
 
     def extend(self, values: Iterable[float]) -> None:
         """Append many elements (bulk push_back)."""
-        values = np.asarray(list(values), dtype=self._dtype)
+        if not isinstance(values, np.ndarray):
+            values = list(values)
+        values = np.asarray(values, dtype=self._dtype)
         needed = self._size + len(values)
         if needed > self._capacity:
             new_capacity = self._capacity

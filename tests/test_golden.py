@@ -10,6 +10,8 @@ file with :func:`repro.exp.update_golden`.
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.cli import main
 from repro.exp import Engine, ExperimentSpec, temporarily_registered, verify_golden
 from repro.exp.engine import golden_digests
@@ -62,6 +64,6 @@ def test_missing_experiment_and_point_count_reported():
     assert "3 points, golden has 4" in problem
 
 
-def test_verify_bench_needs_a_path_or_golden(capsys):
-    assert main(["verify-bench"]) == 2
-    assert "--golden" in capsys.readouterr().err
+def test_verify_bench_needs_a_path_or_golden():
+    with pytest.raises(SystemExit, match="--golden"):
+        main(["verify-bench"])
