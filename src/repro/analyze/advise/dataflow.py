@@ -170,10 +170,6 @@ class Event:
     freed_at: Optional[int] = None  #: free / use: earliest prior free
     pending_at: Optional[int] = None  #: free / host: earliest pending work
 
-    @property
-    def in_loop(self) -> bool:
-        return bool(self.loops)
-
 
 @dataclass
 class FunctionResult:

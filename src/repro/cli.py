@@ -180,24 +180,16 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_bench(args: argparse.Namespace) -> int:
-    """Validate a BENCH_results.json artifact against the registry; with
-    ``--golden``, rerun every experiment and check its rows against the
-    committed golden digests."""
-    import json
-    from pathlib import Path
-    from .exp import GOLDEN_FILENAME, Engine, experiment_names, verify_bench
-    from .exp import verify_golden
+    """Validate a BENCH artifact, or with ``--golden`` the rows themselves."""
+    from .exp import GOLDEN_PATH, check_golden, verify_bench
 
-    label = args.path or GOLDEN_FILENAME
+    if args.golden == bool(args.path) or (args.quick and not args.golden):
+        raise SystemExit("verify-bench: give a BENCH file, or --golden [--quick]")
     if args.golden:
-        grid = "quick" if args.quick else "full"
-        golden = json.loads(Path(label).read_text())[grid]
-        results = Engine().run_many(experiment_names(), quick=args.quick)
-        problems, label = verify_golden(results, golden), f"{label} ({grid} grid)"
-    elif args.path:
-        problems = verify_bench(args.path)
+        problems = check_golden(args.quick)
+        label = f"{GOLDEN_PATH.name} ({'quick' if args.quick else 'full'} grid)"
     else:
-        raise SystemExit("verify-bench: give a BENCH file, or use --golden")
+        problems, label = verify_bench(args.path), args.path
     if problems:
         for problem in problems:
             print(f"BENCH: {problem}", file=sys.stderr)
@@ -468,10 +460,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser(
         "verify-bench", help="validate a BENCH_results.json artifact"
     )
-    verify.add_argument("path", nargs="?", help="BENCH_results.json, or "
-                        "with --golden the digests (default golden_rows.json)")
-    verify.add_argument("--golden", action="store_true",
-                        help="rerun every experiment; check its row digests")
+    verify.add_argument("path", nargs="?", help="BENCH_results.json")
+    verify.add_argument("--golden", action="store_true", help="rerun every "
+                        "experiment; check its rows against golden_rows.json")
     verify.add_argument("--quick", action="store_true",
                         help="with --golden: check the quick grids")
     verify.set_defaults(func=cmd_verify_bench)

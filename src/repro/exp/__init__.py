@@ -26,18 +26,18 @@ Typical use::
 from .cache import ResultCache, code_version, default_cache_dir
 from .engine import (
     BENCH_FILENAME,
-    GOLDEN_FILENAME,
+    GOLDEN_PATH,
     SCHEMA_VERSION,
     Engine,
     ExperimentResult,
     PointResult,
     PointTimeoutError,
     bench_payload,
+    check_golden,
     execute_point,
     update_golden,
     utc_timestamp,
     verify_bench,
-    verify_golden,
     write_artifacts,
 )
 from .registry import (
@@ -57,7 +57,7 @@ from . import experiments as _experiments  # noqa: E402,F401
 __all__ = [
     "BENCH_FILENAME",
     "Engine",
-    "GOLDEN_FILENAME",
+    "GOLDEN_PATH",
     "ExperimentResult",
     "ExperimentSpec",
     "Point",
@@ -69,6 +69,7 @@ __all__ = [
     "UnknownExperimentError",
     "all_specs",
     "bench_payload",
+    "check_golden",
     "code_version",
     "default_cache_dir",
     "execute_point",
@@ -79,6 +80,5 @@ __all__ = [
     "update_golden",
     "utc_timestamp",
     "verify_bench",
-    "verify_golden",
     "write_artifacts",
 ]

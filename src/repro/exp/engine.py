@@ -29,6 +29,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .cache import ResultCache, code_version
 from .registry import get_spec
 from .spec import ExperimentSpec, Point, canonical_json
@@ -40,8 +42,9 @@ SCHEMA_VERSION = "1"
 #: Name of the top-level perf-trajectory artifact.
 BENCH_FILENAME = "BENCH_results.json"
 
-#: Name of the committed golden row digests (repository root).
-GOLDEN_FILENAME = "golden_rows.json"
+#: Golden row digests (repository root) and the numpy series they need.
+GOLDEN_PATH = Path(__file__).resolve().parents[3] / "golden_rows.json"
+NUMPY_SERIES = ".".join(np.__version__.split(".")[:2])
 
 
 def utc_timestamp() -> str:
@@ -561,13 +564,25 @@ def verify_golden(
     return problems
 
 
-def update_golden(path: Path | str = GOLDEN_FILENAME) -> None:
+def check_golden(quick: bool = False) -> List[str]:
+    """Rerun every experiment's grid and compare its rows with GOLDEN_PATH."""
+    from .registry import experiment_names
+
+    golden = json.loads(GOLDEN_PATH.read_text())
+    results = Engine().run_many(experiment_names(), quick=quick)
+    problems = verify_golden(results, golden["quick" if quick else "full"])
+    if problems and golden["numpy"] != NUMPY_SERIES:
+        problems.insert(0, f"numpy version mismatch: digests made with numpy "
+                        f"{golden['numpy']}, this is numpy {NUMPY_SERIES}")
+    return problems
+
+
+def update_golden() -> None:
     """Recompute the quick and full golden digests of every experiment."""
     from .registry import experiment_names
 
     engine = Engine()
-    golden = {
-        grid: golden_digests(engine.run_many(experiment_names(), quick=quick))
-        for grid, quick in (("quick", True), ("full", False))
-    }
-    Path(path).write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
+    golden: Dict[str, Any] = {"numpy": NUMPY_SERIES}
+    for grid, quick in (("quick", True), ("full", False)):
+        golden[grid] = golden_digests(engine.run_many(experiment_names(), quick=quick))
+    GOLDEN_PATH.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")

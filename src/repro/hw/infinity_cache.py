@@ -107,7 +107,3 @@ class InfinityCache:
     ) -> float:
         """Shorthand for ``residency(frames).hit_fraction``."""
         return self.residency(frames, visible_channels).hit_fraction
-
-    def slice_subset_capacity_bytes(self, channels: Sequence[int]) -> int:
-        """Aggregate capacity of the slices serving a channel subset."""
-        return len(set(int(c) for c in channels)) * self._geometry.slice_capacity_bytes

@@ -129,11 +129,6 @@ def collect_table1(quick: bool = False) -> ExperimentReport:
     return collect("table1", quick)
 
 
-def collect_fig2(quick: bool = False) -> ExperimentReport:
-    """Fig. 2: latency curves."""
-    return collect("fig2", quick)
-
-
 def collect_fig4(quick: bool = False) -> ExperimentReport:
     """Fig. 4: isolated atomics."""
     return collect("fig4", quick)

@@ -8,15 +8,13 @@ file with :func:`repro.exp.update_golden`.
 """
 
 import json
-from pathlib import Path
 
 import pytest
 
 from repro.cli import main
-from repro.exp import Engine, ExperimentSpec, temporarily_registered, verify_golden
-from repro.exp.engine import golden_digests
-
-GOLDEN = Path(__file__).resolve().parents[1] / "golden_rows.json"
+from repro.exp import GOLDEN_PATH, Engine, ExperimentSpec, temporarily_registered
+from repro.exp import engine as engine_module
+from repro.exp.engine import golden_digests, verify_golden
 
 
 def cube_runner(value):
@@ -29,15 +27,17 @@ CUBES = ExperimentSpec.define(
 )
 
 
-def test_quick_grid_matches_golden(capsys):
-    assert main(["verify-bench", "--golden", "--quick", str(GOLDEN)]) == 0
-    assert "quick grid" in capsys.readouterr().out
+def test_quick_grid_matches_golden(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # the digests are found from any directory
+    assert main(["verify-bench", "--golden", "--quick"]) == 0
+    assert "golden_rows.json (quick grid): ok" in capsys.readouterr().out
 
 
 def test_golden_covers_both_grids_of_every_experiment():
     from repro.exp import experiment_names
 
-    golden = json.loads(GOLDEN.read_text())
+    golden = json.loads(GOLDEN_PATH.read_text())
+    assert golden["numpy"].count(".") == 1  # the numpy series, e.g. "2.4"
     for grid in ("quick", "full"):
         assert sorted(golden[grid]) == sorted(experiment_names())
 
@@ -64,6 +64,19 @@ def test_missing_experiment_and_point_count_reported():
     assert "3 points, golden has 4" in problem
 
 
-def test_verify_bench_needs_a_path_or_golden():
+@pytest.mark.parametrize("argv", [
+    [], ["--quick"], ["BENCH_results.json", "--quick"],
+    ["golden_rows.json", "--golden"],
+])
+def test_verify_bench_needs_a_path_or_golden(argv):
     with pytest.raises(SystemExit, match="--golden"):
-        main(["verify-bench"])
+        main(["verify-bench", *argv])
+
+
+def test_numpy_mismatch_is_named_before_the_drift(monkeypatch):
+    monkeypatch.setattr(engine_module, "NUMPY_SERIES", "0.0")
+    monkeypatch.setattr(Engine, "run_many", lambda *a, **k: {})
+    monkeypatch.setattr(engine_module, "verify_golden", lambda *a: ["x: drifted"])
+    problems = engine_module.check_golden(quick=True)
+    assert problems[1:] == ["x: drifted"]
+    assert "numpy version mismatch" in problems[0] and "numpy 0.0" in problems[0]
