@@ -1,6 +1,6 @@
 """Partitioning modes: the Instinct partitioning guide's headline numbers.
 
-Regenerates the partition sweep (`python -m repro partition`) and asserts
+Regenerates the partition sweep (`python -m repro run partition`) and asserts
 the guide's findings on the simulated MI300A:
 
 * NPS4 with partition-local placement streams 5-10% faster than NPS1 —

@@ -1,65 +1,48 @@
 #!/usr/bin/env python3
 """Porting advisor: DrGPUM-style trace analysis for UPM ports.
 
-Traces a small explicit-model pipeline on the simulator, then lets the
-advisor find what the paper's porting strategies would fix: duplicated
-host/device buffer pairs, copy-dominated GPU time, dead allocations and
-fault-dominated kernels.
+Runs a small explicit-model pipeline on a traced simulator, then lets
+the advisor read the runtime's event log and find what the paper's
+porting strategies would fix: duplicated host/device buffer pairs,
+copy-dominated GPU time, dead allocations and fault-dominated kernels.
 
 Run:  python examples/porting_advisor.py
 """
 
-import numpy as np
-
 from repro import BufferAccess, KernelSpec, make_runtime
-from repro.profiling import MemoryTracer, PortingAdvisor
+from repro.profiling import PortingAdvisor
 
 
 def main() -> None:
-    hip = make_runtime(memory_gib=8, xnack=True)
+    hip = make_runtime(memory_gib=8, xnack=True, trace=True)
     apu = hip.apu
-    tracer = MemoryTracer()
 
-    # --- an explicit-model mini-app, instrumented --------------------
+    # --- an explicit-model mini-app; the runtime logs every call ------
     size = 128 << 20
     h_in = apu.memory.malloc(size, name="h_input")
     d_in = apu.memory.hip_malloc(size, name="d_input")
     d_out = apu.memory.hip_malloc(size, name="d_output")
     h_out = apu.memory.malloc(size, name="h_output")
     scratch = apu.memory.hip_malloc(16 << 20, name="d_scratch")  # oops
-    for buf in (h_in, d_in, d_out, h_out, scratch):
-        tracer.record_alloc(buf, apu.clock.now_ns)
 
     apu.touch(h_in, "cpu")
     for step in range(4):
-        t0 = apu.clock.now_ns
         hip.hipMemcpy(d_in, h_in, size)
-        tracer.record_copy("d_input", "h_input", size, t0,
-                           apu.clock.now_ns - t0)
-
-        result = hip.launchKernel(KernelSpec(
+        hip.launchKernel(KernelSpec(
             f"transform_{step}",
             [BufferAccess(d_in, "read"), BufferAccess(d_out, "write")],
         ))
         hip.hipDeviceSynchronize()
-        tracer.record_kernel(
-            f"transform_{step}", ["d_input", "d_output"],
-            result.start_ns, result.duration_ns, result.fault_ns,
-        )
-
-        t0 = apu.clock.now_ns
         hip.hipMemcpy(h_out, d_out, size)
-        tracer.record_copy("h_output", "d_output", size, t0,
-                           apu.clock.now_ns - t0)
 
     # --- the advisor's verdict ----------------------------------------
-    advisor = PortingAdvisor(tracer)
+    advisor = PortingAdvisor(apu.trace)
     report = advisor.analyse()
     print(advisor.summarise(report))
     print()
     print(f"Unifying the {len(report.duplicated_pairs)} pairs would save "
           f"{report.potential_memory_saving_bytes >> 20} MiB of the "
-          f"{tracer.live_bytes() >> 20} MiB footprint and eliminate "
+          f"{apu.memory.live_bytes() >> 20} MiB footprint and eliminate "
           f"{report.copy_time_ns / 1e6:.1f} ms of transfers — "
           "exactly the Listing 1 -> Listing 2 transformation.")
 

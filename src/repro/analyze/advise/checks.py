@@ -220,8 +220,15 @@ def _check_tlb_reach(
     ev: Event, file: str, cfg: MI300AConfig, out: _FindingMap
 ) -> None:
     """Fig. 9 / §5.3: an allocation larger than the L2 TLB's reach for
-    its allocator's fragment size thrashes the TLB when streamed."""
-    for origin in resolved_origins(ev.buf):
+    its allocator's fragment size thrashes the TLB when streamed.
+
+    Origins are visited in source order, so which of several oversized
+    allocation sites the finding names never depends on set hashing."""
+    origins = sorted(
+        resolved_origins(ev.buf),
+        key=lambda o: (o.line, o.family, o.name, o.size_bytes or 0),
+    )
+    for origin in origins:
         if origin.size_bytes is None:
             return
         if origin.up_front:

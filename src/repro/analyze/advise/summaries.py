@@ -96,7 +96,7 @@ def _module_constants(module: ast.Module) -> Dict[str, object]:
 _FuncDef = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def _collect_functions(
+def _gather_functions(
     module: ast.Module,
 ) -> List[Tuple[str, ast.FunctionDef]]:
     """(qualname, def) for every top-level function and class method."""
@@ -171,7 +171,7 @@ def analyze_module(source: str, file: str) -> ModuleAnalysis:
     analysis.tree = module
 
     constants = _module_constants(module)
-    functions = _collect_functions(module)
+    functions = _gather_functions(module)
     by_bare: Dict[str, str] = {}
     for qualname, fn in functions:
         by_bare[qualname.rsplit(".", 1)[-1]] = qualname

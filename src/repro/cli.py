@@ -1,15 +1,13 @@
 """Command-line interface: regenerate any of the paper's experiments.
 
-Every experiment lives in the :mod:`repro.exp` registry; the CLI is a
-thin shell over the engine:
+Every experiment lives in the :mod:`repro.exp` registry, and ``run`` is
+its one entry point; the CLI is a thin shell over the engine:
 
     python -m repro list                       # the experiment registry
     python -m repro run fig2 --quick           # one experiment
     python -m repro run --all --workers 4      # the whole paper, parallel
-    python -m repro run --all --quick --out out/   # + BENCH artifacts
-    python -m repro fig9                       # legacy alias for `run fig9`
-    python -m repro apps --app hotspot         # one application comparison
-    python -m repro export --out results       # CSV export of the results
+    python -m repro run --all --quick --out out/   # JSON/CSV/BENCH artifacts
+    python -m repro run apps --app hotspot     # one application comparison
     python -m repro verify-bench out/BENCH_results.json
     python -m repro verify-bench --golden --quick   # rows vs golden digests
     python -m repro lint examples              # static HIP API-misuse linter
@@ -21,9 +19,10 @@ thin shell over the engine:
 
 ``run`` executes each grid point on a freshly built simulated node,
 caches point results on disk (``--no-cache`` / ``--refresh`` control
-this), fans points out over ``--workers`` processes, and exits non-zero
-— after printing the failed point's parameters and traceback — when any
-point raises.
+this), fans points out over ``--workers`` processes, writes one JSON and
+one CSV per experiment with ``--out``, and exits non-zero — after
+printing the failed point's parameters and traceback — when any point
+raises.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 
 def _print_table(title: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -57,14 +56,13 @@ def _make_engine(args: argparse.Namespace):
     from .exp import Engine, ResultCache, default_cache_dir
 
     cache = None
-    if not getattr(args, "no_cache", False):
-        cache_dir = getattr(args, "cache_dir", None) or default_cache_dir()
-        cache = ResultCache(cache_dir)
+    if not args.no_cache:
+        cache = ResultCache(args.cache_dir or default_cache_dir())
     return Engine(
-        workers=getattr(args, "workers", 1),
+        workers=args.workers,
         cache=cache,
-        refresh=getattr(args, "refresh", False),
-        point_timeout_s=getattr(args, "timeout", None),
+        refresh=args.refresh,
+        point_timeout_s=args.timeout,
     )
 
 
@@ -85,7 +83,7 @@ def _report_failures(results) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     """Run experiments through the engine; write artifacts with --out."""
-    from .exp import experiment_names, write_artifacts
+    from .exp import experiment_names, get_spec, write_artifacts
 
     if args.all:
         names = experiment_names()
@@ -96,9 +94,20 @@ def cmd_run(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
 
+    only = None
+    if args.app:
+        valid = set()
+        for name in names:
+            valid.update(dict(get_spec(name).active_grid()).get("app", ()))
+        if args.app not in valid:
+            raise SystemExit(
+                f"unknown app {args.app!r}; choose from {sorted(valid)}"
+            )
+        only = {"app": args.app}
+
     engine = _make_engine(args)
     started = time.perf_counter()
-    results = engine.run_many(names, quick=args.quick)
+    results = engine.run_many(names, quick=args.quick, only=only)
     wall_s = time.perf_counter() - started
 
     for name in names:
@@ -123,27 +132,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     return _report_failures(results)
 
 
-def cmd_alias(args: argparse.Namespace) -> int:
-    """Legacy per-experiment subcommand: `repro fig9` == `repro run fig9`."""
-    engine = _make_engine(args)
-    only = {"app": args.app} if getattr(args, "app", None) else None
-    if only:
-        from .exp import get_spec
-
-        valid = dict(get_spec(args.experiment).active_grid()).get("app", ())
-        if args.app not in valid:
-            raise SystemExit(
-                f"unknown app {args.app!r}; choose from {sorted(valid)}"
-            )
-    result = engine.run(args.experiment, quick=args.quick, only=only)
-    _print_table(
-        f"{result.spec.title} ({result.spec.source})",
-        result.columns,
-        [[_fmt_cell(v) for v in row] for row in result.rows],
-    )
-    return _report_failures({args.experiment: result})
-
-
 def cmd_list(args: argparse.Namespace) -> int:
     """Print the experiment registry (what `run --all` will execute)."""
     from .exp import all_specs
@@ -162,20 +150,9 @@ def cmd_list(args: argparse.Namespace) -> int:
         ["experiment", "source", "points", "quick", "grid", "title"],
         rows,
     )
-    print("\nAlso available: export, lint, analyze, advise, verify-bench, "
-          "verify-sarif; 'repro run --all' executes every experiment above.")
-    return 0
-
-
-def cmd_export(args: argparse.Namespace) -> int:
-    """Export experiment results as CSV (to --out, default ./results)."""
-    from .report import export_all
-
-    out_dir = args.out or "results"
-    paths = export_all(out_dir, quick=args.quick)
-    print(f"wrote {len(paths)} CSV files to {out_dir}/:")
-    for path in paths:
-        print(f"  {path}")
+    print("\nSubcommands: run, list, lint, analyze, advise, chaos, "
+          "verify-bench, verify-sarif; 'repro run --all' executes every "
+          "experiment above.")
     return 0
 
 
@@ -385,34 +362,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 
 
-def _alias_names() -> List[str]:
-    from .exp import experiment_names
-
-    names = experiment_names()
-    names.append("fig11")  # alias of apps, kept for familiarity
-    return names
-
-
-def _add_engine_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="reduced problem sizes for a fast look",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="bypass the on-disk result cache",
-    )
-    parser.add_argument(
-        "--cache-dir", default=None,
-        help="result-cache directory (default: $REPRO_CACHE_DIR or "
-             "~/.cache/repro/exp)",
-    )
-    parser.add_argument(
-        "--refresh", action="store_true",
-        help="recompute every point, overwriting cache entries",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for tests)."""
     parser = argparse.ArgumentParser(
@@ -438,24 +387,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--out", default=None,
-        help="write per-experiment JSON + BENCH_results.json here",
+        help="write per-experiment JSON and CSV + BENCH_results.json here",
+    )
+    run.add_argument(
+        "--app", default=None,
+        help="run only this application's points (e.g. run apps --app "
+             "hotspot)",
     )
     run.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
         help="per-point wall-clock budget; an overrunning point is "
              "recorded as a failure instead of hanging the sweep",
     )
-    _add_engine_options(run)
+    run.add_argument(
+        "--quick", action="store_true",
+        help="reduced problem sizes for a fast look",
+    )
+    run.add_argument(
+        "--no-cache", action="store_true",
+        help="bypass the on-disk result cache",
+    )
+    run.add_argument(
+        "--cache-dir", default=None,
+        help="result-cache directory (default: $REPRO_CACHE_DIR or "
+             "~/.cache/repro/exp)",
+    )
+    run.add_argument(
+        "--refresh", action="store_true",
+        help="recompute every point, overwriting cache entries",
+    )
     run.set_defaults(func=cmd_run)
 
     lst = sub.add_parser("list", help="print the experiment registry")
     lst.set_defaults(func=cmd_list)
-
-    export = sub.add_parser("export", help="CSV export of the results")
-    export.add_argument("--out", default=None, help="output directory")
-    export.add_argument("--quick", action="store_true",
-                        help="reduced problem sizes")
-    export.set_defaults(func=cmd_export)
 
     verify = sub.add_parser(
         "verify-bench", help="validate a BENCH_results.json artifact"
@@ -544,17 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="reduced problem sizes")
     analyze.set_defaults(func=cmd_analyze)
 
-    for name in _alias_names():
-        experiment = "apps" if name == "fig11" else name
-        alias = sub.add_parser(
-            name, help=f"alias for 'run {experiment}'"
-        )
-        alias.set_defaults(func=cmd_alias, experiment=experiment, workers=1)
-        _add_engine_options(alias)
-        if experiment == "apps":
-            alias.add_argument(
-                "--app", default=None, help="run a single application"
-            )
     return parser
 
 

@@ -5,10 +5,11 @@
 * :mod:`repro.exp.spec` — declarative :class:`ExperimentSpec` (name,
   parameter grid, runtime kwargs, runner, output schema);
 * :mod:`repro.exp.registry` — the central registry every consumer
-  (CLI, report collectors, benchmark fixtures, CI) resolves against;
+  (CLI, benchmark fixtures, CI) resolves against;
 * :mod:`repro.exp.cache` — on-disk point-result cache keyed by
   code version + spec hash + point parameters;
 * :mod:`repro.exp.engine` — process-parallel execution and the
+  artifacts: per-experiment JSON and CSV plus the
   ``BENCH_results.json`` perf trajectory;
 * :mod:`repro.exp.experiments` — the registered experiments (every
   paper figure, the app study, the UVM extension, partitioning).

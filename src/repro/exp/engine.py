@@ -16,6 +16,7 @@ status by the CLI.
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
 import json
 import signal
@@ -369,9 +370,10 @@ class Engine:
 
         A worker that dies (OOM-killed, segfaulting extension, ...)
         breaks the whole ``ProcessPoolExecutor``: every outstanding
-        future raises ``BrokenProcessPool``.  Those points are requeued
-        onto a fresh pool — innocent points complete on the next round,
-        while a point that keeps killing its worker exhausts
+        future raises ``BrokenProcessPool``, and so does every later
+        ``submit``.  Those points, sent or not, are requeued onto a
+        fresh pool — innocent points complete on the next round, while
+        a point that keeps killing its worker exhausts
         ``max_point_retries`` and is recorded as a failure with its
         parameters, never aborting the sweep.
         """
@@ -381,41 +383,51 @@ class Engine:
         )
         crashes = [0] * len(pending)
         queue = list(range(len(pending)))
+        requeue: List[int] = []
+
+        def lost(idx: int, crash: BaseException) -> None:
+            crashes[idx] += 1
+            if crashes[idx] <= self.max_point_retries:
+                requeue.append(idx)
+                return
+            results[idx] = (
+                {
+                    "error": (
+                        "worker process crashed "
+                        f"({crash or 'pool broken'}); gave "
+                        f"up after {crashes[idx]} attempts"
+                    ),
+                    "params": dict(pending[idx][1].params),
+                },
+                0.0,
+            )
+
         while queue:
-            requeue: List[int] = []
             with ProcessPoolExecutor(
                 max_workers=min(self.workers, len(queue)), mp_context=context
             ) as pool:
-                futures = {
-                    idx: pool.submit(
-                        execute_point,
-                        pending[idx][0].name,
-                        pending[idx][1].params,
-                        self.point_timeout_s,
-                    )
-                    for idx in queue
-                }
+                futures = {}
+                for pos, idx in enumerate(queue):
+                    try:
+                        futures[idx] = pool.submit(
+                            execute_point,
+                            pending[idx][0].name,
+                            pending[idx][1].params,
+                            self.point_timeout_s,
+                        )
+                    except BrokenProcessPool as crash:
+                        # A worker died while points were still being
+                        # submitted: the rest never reached the pool.
+                        for unsent in queue[pos:]:
+                            lost(unsent, crash)
+                        break
                 for idx, future in futures.items():
                     try:
                         results[idx] = future.result()
                     except BrokenProcessPool as crash:
-                        crashes[idx] += 1
-                        if crashes[idx] > self.max_point_retries:
-                            _, point, _ = pending[idx]
-                            results[idx] = (
-                                {
-                                    "error": (
-                                        "worker process crashed "
-                                        f"({crash or 'pool broken'}); gave "
-                                        f"up after {crashes[idx]} attempts"
-                                    ),
-                                    "params": dict(point.params),
-                                },
-                                0.0,
-                            )
-                        else:
-                            requeue.append(idx)
-            queue = requeue
+                        lost(idx, crash)
+            queue = requeue[:]
+            requeue.clear()
         return [result for result in results if result is not None]
 
 
@@ -473,8 +485,10 @@ def write_artifacts(
     wall_s: float = 0.0,
     quick: bool = False,
 ) -> Path:
-    """Write per-experiment JSON files plus ``BENCH_results.json``.
+    """Write per-experiment JSON and CSV files plus ``BENCH_results.json``.
 
+    Each ``<name>.csv`` holds the experiment's columns as its header row,
+    then its rows: the plotting view of the same data as the JSON.
     Returns the path of the top-level BENCH artifact.
     """
     out = Path(out_dir)
@@ -483,6 +497,10 @@ def write_artifacts(
         (out / f"{name}.json").write_text(
             json.dumps(result.to_payload(), indent=2)
         )
+        with (out / f"{name}.csv").open("w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(result.columns)
+            writer.writerows(result.rows)
     bench = out / BENCH_FILENAME
     bench.write_text(
         json.dumps(bench_payload(results, workers, wall_s, quick), indent=2)

@@ -1,31 +1,22 @@
 """Profiling interfaces mirroring the paper's tooling (Table 2):
-rocprofv3 GPU counters, perf-stat CPU events, and libnuma usage sampling.
+rocprofv3 GPU counters, perf-stat CPU events, and libnuma usage sampling,
+plus the porting advisor over the runtime's traced event log.
 """
 
 from .memusage import MemoryUsageProfiler, UsageTimeline
 from .perfstat import PerfStat, PerfStatReport
 from .rocprof import COUNTER_MAP, ProfileRegion, RocProf
-from .tracer import (
-    AdvisorReport,
-    DuplicationFinding,
-    EventKind,
-    MemoryTracer,
-    PortingAdvisor,
-    TraceEvent,
-)
+from .tracer import AdvisorReport, DuplicationFinding, PortingAdvisor
 
 __all__ = [
     "AdvisorReport",
     "COUNTER_MAP",
     "DuplicationFinding",
-    "EventKind",
-    "MemoryTracer",
     "MemoryUsageProfiler",
     "PerfStat",
     "PerfStatReport",
     "PortingAdvisor",
     "ProfileRegion",
     "RocProf",
-    "TraceEvent",
     "UsageTimeline",
 ]

@@ -1,11 +1,12 @@
-"""Memory-event tracing and porting advisor.
+"""Trace-driven porting advisor.
 
 The paper's related work surveys GPU memory profilers (DrGPUM [25],
 Lotus [9]) that detect inefficient memory usage patterns without
 modifying the application.  This module brings that style of analysis
-to the simulator: a :class:`MemoryTracer` records allocation, copy,
-fault, and kernel events from a run, and the :class:`PortingAdvisor`
-mines the trace for exactly the inefficiencies the paper's porting
+to the simulator: the :class:`PortingAdvisor` reads the runtime's own
+event stream — the :class:`~repro.analyze.events.EventLog` that
+``make_runtime(..., trace=True)`` fills, with no hand instrumentation —
+and mines it for exactly the inefficiencies the paper's porting
 strategies (Section 3.3) eliminate:
 
 * **duplicated buffer pairs** — a host and a device allocation of equal
@@ -20,114 +21,10 @@ strategies (Section 3.3) eliminate:
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from ..core.allocators import Allocation, AllocatorKind
-
-
-class EventKind(enum.Enum):
-    """Trace event types."""
-
-    ALLOC = "alloc"
-    FREE = "free"
-    COPY = "copy"
-    KERNEL = "kernel"
-    CPU_PHASE = "cpu_phase"
-    FAULT_BURST = "fault_burst"
-
-
-@dataclass(frozen=True)
-class TraceEvent:
-    """One recorded event (timestamped in simulated ns)."""
-
-    kind: EventKind
-    time_ns: float
-    name: str
-    nbytes: int = 0
-    duration_ns: float = 0.0
-    src: Optional[str] = None
-    dst: Optional[str] = None
-    allocator: Optional[str] = None
-
-
-class MemoryTracer:
-    """Application-side event recorder.
-
-    The tracer is deliberately explicit (the harness calls ``record_*``
-    at the instrumentation points) rather than monkey-patching the
-    runtime — mirroring how DrGPUM instruments through API overloading
-    at well-defined call sites.
-    """
-
-    def __init__(self) -> None:
-        self.events: List[TraceEvent] = []
-        self._live: Dict[str, TraceEvent] = {}
-        self._accessed: set[str] = set()
-
-    # -- recording -----------------------------------------------------
-
-    def record_alloc(self, allocation: Allocation, time_ns: float) -> None:
-        """Record an allocation event."""
-        name = allocation.vma.name or f"buf@{allocation.address:#x}"
-        event = TraceEvent(
-            EventKind.ALLOC, time_ns, name,
-            nbytes=allocation.size_bytes,
-            allocator=allocation.kind.value,
-        )
-        self.events.append(event)
-        self._live[name] = event
-
-    def record_free(self, name: str, time_ns: float) -> None:
-        """Record a deallocation."""
-        self.events.append(TraceEvent(EventKind.FREE, time_ns, name))
-        self._live.pop(name, None)
-
-    def record_copy(
-        self, dst: str, src: str, nbytes: int, time_ns: float,
-        duration_ns: float,
-    ) -> None:
-        """Record one hipMemcpy."""
-        self.events.append(
-            TraceEvent(EventKind.COPY, time_ns, f"{src}->{dst}",
-                       nbytes=nbytes, duration_ns=duration_ns,
-                       src=src, dst=dst)
-        )
-        self._accessed.update((src, dst))
-
-    def record_kernel(
-        self, name: str, buffers: List[str], time_ns: float,
-        duration_ns: float, fault_ns: float = 0.0,
-    ) -> None:
-        """Record one kernel launch and the buffers it touched."""
-        self.events.append(
-            TraceEvent(EventKind.KERNEL, time_ns, name,
-                       duration_ns=duration_ns, nbytes=int(fault_ns))
-        )
-        self._accessed.update(buffers)
-
-    # -- queries ---------------------------------------------------------
-
-    def live_bytes(self) -> int:
-        """Bytes of currently live traced allocations."""
-        return sum(e.nbytes for e in self._live.values())
-
-    def allocations(self) -> List[TraceEvent]:
-        """All allocation events in order."""
-        return [e for e in self.events if e.kind is EventKind.ALLOC]
-
-    def copies(self) -> List[TraceEvent]:
-        """All copy events in order."""
-        return [e for e in self.events if e.kind is EventKind.COPY]
-
-    def kernels(self) -> List[TraceEvent]:
-        """All kernel events in order."""
-        return [e for e in self.events if e.kind is EventKind.KERNEL]
-
-    def accessed(self, name: str) -> bool:
-        """Whether a buffer was ever used by a copy or kernel."""
-        return name in self._accessed
+from ..core.allocators import AllocatorKind
 
 
 @dataclass(frozen=True)
@@ -183,69 +80,77 @@ _DEVICE_KINDS = {
 
 
 class PortingAdvisor:
-    """Mines a trace for explicit-model inefficiencies."""
+    """Mines a runtime event log for explicit-model inefficiencies.
 
-    def __init__(self, tracer: MemoryTracer) -> None:
-        self._tracer = tracer
+    *events* is an :class:`~repro.analyze.events.EventLog` or any
+    iterable of its ``RuntimeEvent`` records.  Buffer names, sizes and
+    allocator kinds come from ``alloc`` events; a buffer is accessed
+    when a ``memcpy`` reads or writes it or a ``kernel`` lists it.
+    Buffers are keyed by their log uid and reported by name.
+    """
+
+    def __init__(self, events: Optional[Iterable[Any]]) -> None:
+        if events is None:
+            raise ValueError(
+                "no event log: build the runtime with "
+                "make_runtime(..., trace=True)"
+            )
+        self._events = list(events)
 
     def analyse(self, fault_threshold: float = 0.5) -> AdvisorReport:
         """Produce the full advisor report.
 
-        *fault_threshold*: a kernel whose fault time exceeds this share
-        of its duration is flagged fault-dominated.
+        *fault_threshold*: a GPU kernel whose fault time exceeds this
+        share of its duration is flagged fault-dominated.
         """
         report = AdvisorReport()
-        report.duplicated_pairs = self._find_duplicated_pairs()
-        report.dead_allocations = self._find_dead_allocations()
-        report.copy_time_ns = sum(e.duration_ns for e in self._tracer.copies())
-        report.kernel_time_ns = sum(
-            e.duration_ns for e in self._tracer.kernels()
+        allocs: Dict[str, Dict[str, Any]] = {}
+        accessed: set = set()
+        pairs: Dict[Tuple[str, str], Tuple[int, float]] = {}
+        for event in self._events:
+            data = event.data
+            if event.kind == "alloc":
+                allocs[data["buffer"]] = data
+            elif event.kind == "memcpy":
+                accessed.update((data["src"], data["dst"]))
+                report.copy_time_ns += data["duration_ns"]
+                key = _host_device_pair(
+                    allocs.get(data["src"]), allocs.get(data["dst"])
+                )
+                if key is not None:
+                    count, time_ns = pairs.get(key, (0, 0.0))
+                    pairs[key] = (count + 1, time_ns + data["duration_ns"])
+            elif event.kind == "kernel":
+                accessed.update(a["buffer"] for a in data["accesses"])
+                if data["device"] != "gpu":
+                    continue
+                duration = data["end_ns"] - data["start_ns"]
+                report.kernel_time_ns += duration
+                if duration > 0 and (
+                    data["fault_ns"] / duration > fault_threshold
+                ):
+                    report.fault_dominated_kernels.append(data["name"])
+
+        def name(uid: str) -> str:
+            return allocs[uid]["name"] or uid
+
+        report.duplicated_pairs = sorted(
+            (
+                DuplicationFinding(
+                    host_buffer=name(host),
+                    device_buffer=name(device),
+                    nbytes=allocs[host]["size"],
+                    copies=count,
+                    copy_time_ns=time_ns,
+                )
+                for (host, device), (count, time_ns) in pairs.items()
+            ),
+            key=lambda f: (f.host_buffer, f.device_buffer),
         )
-        for kernel in self._tracer.kernels():
-            fault_ns = float(kernel.nbytes)  # stored in nbytes slot
-            if kernel.duration_ns > 0 and (
-                fault_ns / kernel.duration_ns > fault_threshold
-            ):
-                report.fault_dominated_kernels.append(kernel.name)
+        report.dead_allocations = [
+            name(uid) for uid in allocs if uid not in accessed
+        ]
         return report
-
-    def _find_duplicated_pairs(self) -> List[DuplicationFinding]:
-        allocations = {e.name: e for e in self._tracer.allocations()}
-        pair_stats: Dict[Tuple[str, str], Tuple[int, float]] = {}
-        for copy in self._tracer.copies():
-            if copy.src is None or copy.dst is None:
-                continue
-            src = allocations.get(copy.src)
-            dst = allocations.get(copy.dst)
-            if src is None or dst is None:
-                continue
-            host, device = None, None
-            if src.allocator in _HOST_KINDS and dst.allocator in _DEVICE_KINDS:
-                host, device = src, dst
-            elif src.allocator in _DEVICE_KINDS and dst.allocator in _HOST_KINDS:
-                host, device = dst, src
-            if host is None or host.nbytes != device.nbytes:
-                continue
-            key = (host.name, device.name)
-            count, time_ns = pair_stats.get(key, (0, 0.0))
-            pair_stats[key] = (count + 1, time_ns + copy.duration_ns)
-        return [
-            DuplicationFinding(
-                host_buffer=host,
-                device_buffer=device,
-                nbytes=allocations[host].nbytes,
-                copies=count,
-                copy_time_ns=time_ns,
-            )
-            for (host, device), (count, time_ns) in sorted(pair_stats.items())
-        ]
-
-    def _find_dead_allocations(self) -> List[str]:
-        return [
-            e.name
-            for e in self._tracer.allocations()
-            if not self._tracer.accessed(e.name)
-        ]
 
     def summarise(self, report: Optional[AdvisorReport] = None) -> str:
         """Human-readable advisor output (the DrGPUM-style report)."""
@@ -278,3 +183,17 @@ class PortingAdvisor:
         for name in report.dead_allocations:
             lines.append(f"  allocation {name!r} is never accessed")
         return "\n".join(lines)
+
+
+def _host_device_pair(
+    src: Optional[Dict[str, Any]], dst: Optional[Dict[str, Any]]
+) -> Optional[Tuple[str, str]]:
+    """``(host uid, device uid)`` when a copy joins a same-size
+    host/device allocation pair, else None."""
+    if src is None or dst is None or src["size"] != dst["size"]:
+        return None
+    if src["allocator"] in _HOST_KINDS and dst["allocator"] in _DEVICE_KINDS:
+        return src["buffer"], dst["buffer"]
+    if src["allocator"] in _DEVICE_KINDS and dst["allocator"] in _HOST_KINDS:
+        return dst["buffer"], src["buffer"]
+    return None

@@ -414,7 +414,7 @@ class HipRuntime:
         duration = self._copy_duration(dst_alloc, src_alloc, nbytes)
         self._emit_memcpy(
             dst_alloc, src_alloc, nbytes, dst_offset, src_offset,
-            is_async=False, stream=None,
+            is_async=False, stream=None, duration_ns=duration,
         )
         self.apu.clock.advance(duration)
         self._move_payload(dst, src, nbytes, dst_offset, src_offset)
@@ -438,7 +438,7 @@ class HipRuntime:
         resolved.enqueue(duration)
         self._emit_memcpy(
             dst_alloc, src_alloc, nbytes, dst_offset, src_offset,
-            is_async=True, stream=resolved,
+            is_async=True, stream=resolved, duration_ns=duration,
         )
         self._move_payload(dst, src, nbytes, dst_offset, src_offset)
 
@@ -451,6 +451,7 @@ class HipRuntime:
         src_offset: int,
         is_async: bool,
         stream: Optional[Stream],
+        duration_ns: float,
     ) -> None:
         trace = self.apu.trace
         if trace is None:
@@ -465,6 +466,7 @@ class HipRuntime:
             path=copy_path(dst, src, self.sdma_enabled),
             is_async=is_async,
             stream=stream.uid if stream is not None else None,
+            duration_ns=duration_ns,
         )
 
     def _resolve_copy_faults(
@@ -615,7 +617,8 @@ def make_runtime(
     """Build an APU and its HIP runtime in one call.
 
     With ``trace=True`` the APU records an event log for the hipsan
-    sanitizer (:func:`repro.analyze.analyze_runtime`).  *inject* attaches
+    sanitizer (:func:`repro.analyze.analyze_runtime`) and the porting
+    advisor (:class:`repro.profiling.PortingAdvisor`).  *inject* attaches
     an :class:`~repro.inject.InjectionPlan` to the APU's fault sites.
     """
     from .apu import make_apu

@@ -160,13 +160,14 @@ class KernelEngine:
 
         duration = fault_ns + max(memory_ns, spec.compute_ns)
         start, end = stream.enqueue(duration)
-        self._emit_kernel(spec, "gpu", stream.uid, start, end)
+        self._emit_kernel(spec, "gpu", stream.uid, start, end, fault_ns)
         return KernelResult(
             spec.name, start, end, fault_ns, memory_ns, spec.compute_ns, misses
         )
 
     def _emit_kernel(
-        self, spec: KernelSpec, device: str, stream_uid, start: float, end: float
+        self, spec: KernelSpec, device: str, stream_uid, start: float,
+        end: float, fault_ns: float,
     ) -> None:
         trace = self._apu.trace
         if trace is None:
@@ -178,6 +179,7 @@ class KernelEngine:
             stream=stream_uid,
             start_ns=start,
             end_ns=end,
+            fault_ns=fault_ns,
             accesses=[
                 {
                     "buffer": trace.buffer_uid(access.allocation),
@@ -257,7 +259,7 @@ class KernelEngine:
 
         duration = fault_ns + max(memory_ns, spec.compute_ns)
         apu.clock.advance(duration)
-        self._emit_kernel(spec, "cpu", None, start, start + duration)
+        self._emit_kernel(spec, "cpu", None, start, start + duration, fault_ns)
         return KernelResult(
             spec.name, start, start + duration, fault_ns, memory_ns,
             spec.compute_ns, 0,

@@ -2,7 +2,11 @@
 
 import ast
 import json
+import os
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +24,7 @@ from repro.analyze import (
 from repro.analyze.advise.cfg import build_cfg
 from repro.cli import main
 
+ROOT = Path(__file__).resolve().parents[1]
 
 def cfg_of(source):
     return build_cfg(ast.parse(textwrap.dedent(source)).body)
@@ -640,3 +645,23 @@ class TestAdviseCli:
         main(["advise", str(path), "--format", "json"])
         parsed = json.loads(capsys.readouterr().out)
         assert any(f["rule"] == "advise.redundant-copy" for f in parsed)
+
+
+class TestDeterminism:
+    def test_tlb_reach_finding_ignores_hash_seed(self):
+        """Set iteration order varies with PYTHONHASHSEED; the report
+        must not (quickstart's buffer aliases four allocator sites)."""
+        outputs = []
+        for seed in ("0", "2"):
+            env = dict(
+                os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(ROOT / "src")
+            )
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "advise",
+                 "examples/quickstart.py", "--format", "json"],
+                cwd=ROOT, env=env, capture_output=True, text=True,
+                timeout=120,
+            )
+            outputs.append(proc.stdout)
+        assert "advise.tlb-reach" in outputs[0]
+        assert outputs[0] == outputs[1]

@@ -1,5 +1,6 @@
 """Tests for the command-line interface (repro.cli)."""
 
+import argparse
 import json
 
 import pytest
@@ -21,24 +22,16 @@ class TestParser:
         assert args.quick and args.no_cache
         assert args.workers == 4
 
-    def test_alias_quick_flag(self):
-        args = build_parser().parse_args(["fig9", "--quick"])
-        assert args.quick
-        assert args.experiment == "fig9"
-
-    def test_fig11_aliases_apps(self):
-        args = build_parser().parse_args(["fig11", "--quick"])
-        assert args.experiment == "apps"
-
     def test_app_selector(self):
-        args = build_parser().parse_args(["apps", "--app", "hotspot"])
+        args = build_parser().parse_args(["run", "apps", "--app", "hotspot"])
+        assert args.experiments == ["apps"]
         assert args.app == "hotspot"
 
-    def test_every_experiment_has_an_alias_subcommand(self):
+    def test_legacy_alias_subcommands_are_gone(self):
         parser = build_parser()
         for name in experiment_names():
-            args = parser.parse_args([name, "--no-cache"])
-            assert args.experiment == name
+            with pytest.raises(SystemExit):
+                parser.parse_args([name, "--no-cache"])
 
 
 class TestMenu:
@@ -47,6 +40,9 @@ class TestMenu:
         out = capsys.readouterr().out
         assert "fig9" in out
         assert "uvm" in out
+        footer = out.strip().splitlines()[-1]
+        for name in _subcommand_names():
+            assert name in footer, name
 
     def test_list_shows_grid_and_point_counts(self, capsys):
         main(["list"])
@@ -73,7 +69,7 @@ class TestCommandsRun:
 
     @pytest.mark.parametrize("experiment", ["table1", "fig6", "fig7", "fig8"])
     def test_model_backed_commands(self, experiment, capsys):
-        assert main([experiment, "--no-cache"]) == 0
+        assert main(["run", experiment, "--no-cache"]) == 0
         out = capsys.readouterr().out
         assert "===" in out
 
@@ -84,31 +80,36 @@ class TestCommandsRun:
         assert "upm/MI300A" in out
 
     def test_fig9_quick(self, capsys):
-        assert main(["fig9", "--quick", "--no-cache"]) == 0
+        assert main(["run", "fig9", "--quick", "--no-cache"]) == 0
         out = capsys.readouterr().out
         assert "hipMalloc" in out
 
     def test_memcpy_quick(self, capsys):
-        assert main(["memcpy", "--quick", "--no-cache"]) == 0
+        assert main(["run", "memcpy", "--quick", "--no-cache"]) == 0
         out = capsys.readouterr().out
         assert "hipMemcpy" in out
 
     def test_uvm_quick(self, capsys):
-        assert main(["uvm", "--quick", "--no-cache"]) == 0
+        assert main(["run", "uvm", "--quick", "--no-cache"]) == 0
         out = capsys.readouterr().out
         assert "upm/MI300A" in out
 
     def test_apps_single_quick(self, capsys):
-        assert main(["apps", "--quick", "--no-cache", "--app", "srad_v1"]) == 0
+        assert main(
+            ["run", "apps", "--quick", "--no-cache", "--app", "srad_v1"]
+        ) == 0
         out = capsys.readouterr().out
         assert "srad_v1" in out
+        assert "hotspot" not in out
 
     def test_apps_unknown_app(self):
-        with pytest.raises(SystemExit):
-            main(["apps", "--no-cache", "--app", "lud"])
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "apps", "--no-cache", "--app", "lud"])
+        assert "lud" in str(excinfo.value.code)
+        assert "hotspot" in str(excinfo.value.code)
 
     def test_partition_quick(self, capsys):
-        assert main(["partition", "--quick", "--no-cache"]) == 0
+        assert main(["run", "partition", "--quick", "--no-cache"]) == 0
         out = capsys.readouterr().out
         for mode in ("SPX/NPS1", "TPX/NPS1", "CPX/NPS1", "CPX/NPS4"):
             assert mode in out
@@ -131,10 +132,10 @@ class TestArtifacts:
 
     def test_cache_dir_round_trip(self, tmp_path, capsys):
         cache = tmp_path / "cache"
-        assert main(["fig8", "--quick", "--cache-dir", str(cache)]) == 0
+        assert main(["run", "fig8", "--quick", "--cache-dir", str(cache)]) == 0
         capsys.readouterr()
         assert any(cache.rglob("*.json"))
-        assert main(["fig8", "--quick", "--cache-dir", str(cache)]) == 0
+        assert main(["run", "fig8", "--quick", "--cache-dir", str(cache)]) == 0
         assert "cpu" in capsys.readouterr().out
 
     def test_verify_bench_ok_and_missing(self, tmp_path, capsys):
@@ -155,7 +156,20 @@ class TestArtifacts:
 
 class TestExport:
     def test_export_writes_csvs(self, tmp_path, capsys):
-        assert main(["export", "--quick", "--out", str(tmp_path / "r")]) == 0
-        out = capsys.readouterr().out
-        assert "table1.csv" in out
-        assert (tmp_path / "r" / "fig7.csv").exists()
+        out_dir = tmp_path / "r"
+        assert main([
+            "run", "table1", "fig7", "--quick", "--no-cache",
+            "--out", str(out_dir),
+        ]) == 0
+        header = (out_dir / "fig7.csv").read_text().splitlines()[0]
+        assert header.split(",")[0] == "scenario"
+        assert (out_dir / "table1.csv").exists()
+
+
+def _subcommand_names():
+    parser = build_parser()
+    subparsers = next(
+        action for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return list(subparsers.choices)

@@ -4,6 +4,8 @@ artifacts (repro.exp.engine)."""
 import json
 import os
 import time
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -299,6 +301,41 @@ def always_crashing_runner(value):
     return [[value, value * 10]]
 
 
+class BreakingExecutor:
+    """In-process stand-in for ``ProcessPoolExecutor`` whose ``submit``
+    raises ``BrokenProcessPool`` on the calls numbered in ``broken``
+    (counted across every pool the engine builds)."""
+
+    broken = frozenset()
+    calls = 0
+
+    def __init__(self, max_workers=None, mp_context=None):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        BreakingExecutor.calls += 1
+        if BreakingExecutor.calls in self.broken:
+            raise BrokenProcessPool("worker died during submit")
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.fixture
+def breaking_executor(monkeypatch):
+    import repro.exp.engine as engine_module
+
+    monkeypatch.setattr(BreakingExecutor, "calls", 0)
+    monkeypatch.setattr(engine_module, "ProcessPoolExecutor", BreakingExecutor)
+    return BreakingExecutor
+
+
 class TestPointTimeout:
     def test_overrunning_point_is_recorded_not_hung(self):
         spec = make_spec(
@@ -371,6 +408,30 @@ class TestWorkerCrashes:
         assert len(result.failures) == 2
         for point in result.failures:
             assert "worker process crashed" in point.error
+
+    def test_submit_time_crash_requeues_unsent_points(
+        self, breaking_executor, monkeypatch
+    ):
+        monkeypatch.setattr(breaking_executor, "broken", frozenset({2}))
+        with temporarily_registered(SQUARES):
+            engine = Engine(workers=2, cache=None, max_point_retries=1)
+            result = engine.run("squares")
+        assert result.ok
+        assert result.rows == [[1, 2], [2, 8], [3, 18]]
+        # One submit failed, two points were resubmitted on a new pool.
+        assert breaking_executor.calls == 4
+
+    def test_submit_time_crash_respects_retry_budget(
+        self, breaking_executor, monkeypatch
+    ):
+        monkeypatch.setattr(breaking_executor, "broken", frozenset({2, 3}))
+        with temporarily_registered(SQUARES):
+            engine = Engine(workers=2, cache=None, max_point_retries=1)
+            result = engine.run("squares")
+        assert result.rows == [[1, 2]]
+        assert [p.point.params["value"] for p in result.failures] == [2, 3]
+        for point in result.failures:
+            assert "worker died during submit" in point.error
 
 
 class TestCacheIntegrity:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.hw.config import MiB
-from repro.profiling import MemoryTracer, PerfStat, PortingAdvisor, RocProf
+from repro.profiling import PerfStat, PortingAdvisor, RocProf
 from repro.profiling.memusage import MemoryUsageProfiler
 from repro.runtime import make_runtime
 from repro.runtime.kernels import BufferAccess, KernelSpec
@@ -42,35 +42,24 @@ def story():
     out["misses"] = misses
 
     # ---- Act 2: an explicit-model app, traced -------------------------
-    hip2 = make_runtime(memory_gib=4, xnack=True)
+    hip2 = make_runtime(memory_gib=4, xnack=True, trace=True)
     apu2 = hip2.apu
-    tracer = MemoryTracer()
     usage = MemoryUsageProfiler(apu2)
     h = hip2.array(16 << 20, np.float32, "malloc", name="h_data")
     d = hip2.array(16 << 20, np.float32, "hipMalloc", name="d_data")
-    tracer.record_alloc(h.allocation, 0.0)
-    tracer.record_alloc(d.allocation, 0.0)
     h.np[:] = 1.5
     apu2.touch(h.allocation, "cpu")
     usage.sample()
-    t0 = apu2.clock.now_ns
     hip2.hipMemcpy(d, h)
-    tracer.record_copy("d_data", "h_data", d.nbytes, t0,
-                       apu2.clock.now_ns - t0)
-    k = hip2.launchKernel(KernelSpec("square",
-                                     [BufferAccess(d.allocation, "readwrite")]))
+    hip2.launchKernel(KernelSpec("square",
+                                 [BufferAccess(d.allocation, "readwrite")]))
     hip2.hipDeviceSynchronize()
-    tracer.record_kernel("square", ["d_data"], k.start_ns, k.duration_ns,
-                         k.fault_ns)
     d.np[:] = d.np ** 2
-    t0 = apu2.clock.now_ns
     hip2.hipMemcpy(h, d)
-    tracer.record_copy("h_data", "d_data", d.nbytes, t0,
-                       apu2.clock.now_ns - t0)
     usage.sample()
     out["explicit_result"] = float(h.np.sum())
     out["explicit_peak"] = usage.peak_bytes
-    out["advice"] = PortingAdvisor(tracer).analyse()
+    out["advice"] = PortingAdvisor(apu2.trace).analyse()
     out["explicit_time"] = apu2.clock.now_ns
 
     # ---- Act 3: the unified port -------------------------------------
