@@ -1,8 +1,8 @@
 """Shared fixtures for the per-table/figure benchmark harness.
 
 Every module regenerates one table or figure of the paper through the
-:mod:`repro.exp` registry — the same specs `repro run` and the report
-collectors execute — then asserts the *shape* of the result: orderings,
+:mod:`repro.exp` registry — the same specs `repro run` and
+`repro verify-bench --golden` execute — then asserts the *shape* of the result: orderings,
 ratios, plateau positions, against the paper's findings.  Absolute
 agreement is recorded in EXPERIMENTS.md.
 
@@ -14,7 +14,7 @@ shared between the timing test and the assertion fixtures:
         return experiment("fig2")        # list of dict rows
 
 ``experiment_rows(name, fresh=True)`` forces a fresh engine run (used
-by the pytest-benchmark timing tests) and refreshes the memo, so each
+by the pytest-benchmark timing tests) and replaces the memo, so each
 sweep still executes exactly once per session.
 """
 
@@ -28,14 +28,14 @@ _RESULTS: Dict[Tuple[str, bool], object] = {}
 
 
 def run_experiment(name: str, quick: bool = False):
-    """One fresh, serial, uncached engine run of a registry experiment.
+    """One fresh, serial engine run of a registry experiment.
 
     Raises with the failed point's parameters and traceback if any grid
     point errors — benchmark modules never assert on partial tables.
     """
     from repro.exp import Engine
 
-    result = Engine(workers=1, cache=None).run(name, quick=quick)
+    result = Engine(workers=1).run(name, quick=quick)
     if not result.ok:
         failure = result.failures[0]
         raise AssertionError(

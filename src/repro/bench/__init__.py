@@ -7,6 +7,7 @@
 * :mod:`~repro.bench.histogram` — coherence/atomics (Figs. 4-5)
 * :mod:`~repro.bench.allocspeed` — allocation speed (Fig. 6)
 * :mod:`~repro.bench.pagefault` — page-fault overhead (Figs. 7-8)
+* :mod:`~repro.bench.allocators` — the allocator names the drivers share
 """
 
 from . import allocspeed, hipbandwidth, histogram, multichase, pagefault, stream

@@ -19,6 +19,7 @@ from typing import Callable, List, Optional, Sequence
 from ..core import allocators as alloc_costs
 from ..hw.config import GiB, MI300AConfig, default_config
 from ..runtime.apu import APU, make_apu
+from .allocators import allocate
 
 #: Fig. 6's size axis: 2 B to 1 GiB, powers of two (decimated for speed).
 DEFAULT_SIZES = [2 << i for i in range(0, 30, 2)] + [1 * GiB]
@@ -118,23 +119,11 @@ def timed_loop(
             needed_gib, xnack=allocator.endswith("(xnack=1)")
         )
     mem = apu.memory
-
-    def allocate():
-        if allocator == "malloc":
-            return mem.malloc(size_bytes)
-        if allocator == "hipMalloc":
-            return mem.hip_malloc(size_bytes)
-        if allocator == "hipHostMalloc":
-            return mem.hip_host_malloc(size_bytes)
-        if allocator.startswith("hipMallocManaged"):
-            return mem.hip_malloc_managed(size_bytes)
-        raise ValueError(f"unknown allocator {allocator!r}")
-
     for _ in range(warmup):
-        mem.free(allocate())
+        mem.free(allocate(apu, allocator, size_bytes))
 
     start = apu.clock.now_ns
-    chunks = [allocate() for _ in range(count)]
+    chunks = [allocate(apu, allocator, size_bytes) for _ in range(count)]
     alloc_ns = (apu.clock.now_ns - start) / count
 
     start = apu.clock.now_ns

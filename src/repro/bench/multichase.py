@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
 
-from ..core.allocators import Allocation
 from ..hw.config import GiB, KiB, MiB
 from ..perf.latency import chase_latency_ns
-from ..runtime.apu import APU, make_apu
+from ..runtime.apu import make_apu
+from .allocators import allocate, wants_xnack
 
 #: The buffer sizes of the paper's sweep (1 KiB to 4 GiB, semi-log).
 DEFAULT_SIZES = [
@@ -47,25 +47,6 @@ class LatencySample:
     latency_ns: float
 
 
-def _allocate(apu: APU, allocator: str, size: int) -> Allocation:
-    mem = apu.memory
-    if allocator == "malloc":
-        return mem.malloc(size)
-    if allocator == "malloc+register":
-        return mem.host_register(mem.malloc(size))
-    if allocator == "hipMalloc":
-        return mem.hip_malloc(size)
-    if allocator == "hipHostMalloc":
-        return mem.hip_host_malloc(size)
-    if allocator.startswith("hipMallocManaged"):
-        return mem.hip_malloc_managed(size)
-    raise ValueError(f"unknown allocator {allocator!r}")
-
-
-def _wants_xnack(allocator: str) -> bool:
-    return allocator.endswith("(xnack=1)") or allocator == "malloc"
-
-
 def chase_curve(
     allocator: str,
     device: str,
@@ -84,8 +65,8 @@ def chase_curve(
         # Pool must comfortably exceed the buffer so scattered draws
         # retain the free-list skew (see PolicyModel calibration note).
         memory_gib = max(16, (max_size >> 30) * 4)
-    apu = make_apu(memory_gib, xnack=_wants_xnack(allocator))
-    allocation = _allocate(apu, allocator, max_size)
+    apu = make_apu(memory_gib, xnack=wants_xnack(allocator))
+    allocation = allocate(apu, allocator, max_size)
     apu.touch(allocation, init_device)
 
     frames = allocation.vma.resident_frames()

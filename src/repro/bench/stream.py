@@ -19,6 +19,7 @@ from ..profiling.perfstat import PerfStat, PerfStatReport
 from ..profiling.rocprof import RocProf
 from ..runtime.apu import APU, make_apu
 from ..runtime.kernels import BufferAccess, KernelEngine, KernelSpec
+from .allocators import allocate, wants_xnack
 
 #: Array sizes from the paper's method section.
 GPU_ARRAY_BYTES = 256 * MiB
@@ -53,27 +54,9 @@ class StreamResult:
 
 
 def _make_apu_for(allocator: str, memory_gib: Optional[int]) -> APU:
-    xnack = allocator in ("malloc", "hipMallocManaged(xnack=1)")
     if memory_gib is None:
         memory_gib = 16
-    return make_apu(memory_gib, xnack=xnack)
-
-
-def _alloc(apu: APU, allocator: str, size: int):
-    mem = apu.memory
-    if allocator == "malloc":
-        return mem.malloc(size)
-    if allocator == "malloc+register":
-        return mem.host_register(mem.malloc(size))
-    if allocator == "hipMalloc":
-        return mem.hip_malloc(size)
-    if allocator == "hipHostMalloc":
-        return mem.hip_host_malloc(size)
-    if allocator.startswith("hipMallocManaged"):
-        return mem.hip_malloc_managed(size)
-    if allocator == "__managed__":
-        return mem.managed_static(size)
-    raise ValueError(f"unknown allocator {allocator!r}")
+    return make_apu(memory_gib, xnack=wants_xnack(allocator))
 
 
 def _triad_spec(a, b, c, passes: int) -> KernelSpec:
@@ -96,7 +79,7 @@ def gpu_triad(
 ) -> StreamResult:
     """GPU TRIAD bandwidth for one allocator/init combination."""
     apu = _make_apu_for(allocator, memory_gib)
-    arrays = [_alloc(apu, allocator, array_bytes) for _ in range(3)]
+    arrays = [allocate(apu, allocator, array_bytes) for _ in range(3)]
     for arr in arrays:
         apu.touch(arr, init_device)
 
@@ -133,7 +116,7 @@ def cpu_triad(
 ) -> StreamResult:
     """CPU TRIAD: sweeps thread counts and reports the best (Fig. 3)."""
     apu = _make_apu_for(allocator, memory_gib)
-    arrays = [_alloc(apu, allocator, array_bytes) for _ in range(3)]
+    arrays = [allocate(apu, allocator, array_bytes) for _ in range(3)]
     perf = PerfStat(apu)
     perf.start()
     for arr in arrays:
@@ -180,7 +163,7 @@ def cpu_fault_count(
     apu = make_apu(memory_gib, xnack=xnack)
     perf = PerfStat(apu)
     perf.start()
-    arrays = [_alloc(apu, allocator, array_bytes) for _ in range(3)]
+    arrays = [allocate(apu, allocator, array_bytes) for _ in range(3)]
     for arr in arrays:
         apu.touch(arr, init_device)
     engine = KernelEngine(apu)

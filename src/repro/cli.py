@@ -17,12 +17,10 @@ its one entry point; the CLI is a thin shell over the engine:
     python -m repro verify-sarif advise.sarif  # structural SARIF 2.1.0 check
     python -m repro chaos --campaign standard --quick   # fault injection
 
-``run`` executes each grid point on a freshly built simulated node,
-caches point results on disk (``--no-cache`` / ``--refresh`` control
-this), fans points out over ``--workers`` processes, writes one JSON and
-one CSV per experiment with ``--out``, and exits non-zero — after
-printing the failed point's parameters and traceback — when any point
-raises.
+``run`` executes every grid point on a freshly built simulated node,
+fans points out over ``--workers`` processes, writes one JSON and one
+CSV per experiment with ``--out``, and exits non-zero — after printing
+the failed point's parameters and traceback — when any point raises.
 """
 
 from __future__ import annotations
@@ -52,20 +50,6 @@ def _fmt_cell(value: object) -> object:
 # ----------------------------------------------------------------------
 
 
-def _make_engine(args: argparse.Namespace):
-    from .exp import Engine, ResultCache, default_cache_dir
-
-    cache = None
-    if not args.no_cache:
-        cache = ResultCache(args.cache_dir or default_cache_dir())
-    return Engine(
-        workers=args.workers,
-        cache=cache,
-        refresh=args.refresh,
-        point_timeout_s=args.timeout,
-    )
-
-
 def _report_failures(results) -> int:
     """Print every failed point's params + traceback; non-zero if any."""
     failed = 0
@@ -83,7 +67,7 @@ def _report_failures(results) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     """Run experiments through the engine; write artifacts with --out."""
-    from .exp import experiment_names, get_spec, write_artifacts
+    from .exp import Engine, experiment_names, get_spec, write_artifacts
 
     if args.all:
         names = experiment_names()
@@ -105,7 +89,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             )
         only = {"app": args.app}
 
-    engine = _make_engine(args)
+    engine = Engine(workers=args.workers, point_timeout_s=args.timeout)
     started = time.perf_counter()
     results = engine.run_many(names, quick=args.quick, only=only)
     wall_s = time.perf_counter() - started
@@ -119,8 +103,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         )
     print(
         f"\n{len(names)} experiment(s), "
-        f"{engine.executed_points} point(s) executed, "
-        f"{engine.cached_points} served from cache, "
+        f"{sum(len(r.points) for r in results.values())} point(s) executed, "
         f"{wall_s:.2f}s wall-clock"
     )
     if args.out:
@@ -402,19 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--quick", action="store_true",
         help="reduced problem sizes for a fast look",
-    )
-    run.add_argument(
-        "--no-cache", action="store_true",
-        help="bypass the on-disk result cache",
-    )
-    run.add_argument(
-        "--cache-dir", default=None,
-        help="result-cache directory (default: $REPRO_CACHE_DIR or "
-             "~/.cache/repro/exp)",
-    )
-    run.add_argument(
-        "--refresh", action="store_true",
-        help="recompute every point, overwriting cache entries",
     )
     run.set_defaults(func=cmd_run)
 

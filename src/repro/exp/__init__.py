@@ -6,8 +6,6 @@
   parameter grid, runtime kwargs, runner, output schema);
 * :mod:`repro.exp.registry` — the central registry every consumer
   (CLI, benchmark fixtures, CI) resolves against;
-* :mod:`repro.exp.cache` — on-disk point-result cache keyed by
-  code version + spec hash + point parameters;
 * :mod:`repro.exp.engine` — process-parallel execution and the
   artifacts: per-experiment JSON and CSV plus the
   ``BENCH_results.json`` perf trajectory;
@@ -24,7 +22,6 @@ Typical use::
         print(row)
 """
 
-from .cache import ResultCache, code_version, default_cache_dir
 from .engine import (
     BENCH_FILENAME,
     GOLDEN_PATH,
@@ -35,6 +32,7 @@ from .engine import (
     PointTimeoutError,
     bench_payload,
     check_golden,
+    code_version,
     execute_point,
     update_golden,
     utc_timestamp,
@@ -65,14 +63,12 @@ __all__ = [
     "PointResult",
     "PointTimeoutError",
     "REGISTRY",
-    "ResultCache",
     "SCHEMA_VERSION",
     "UnknownExperimentError",
     "all_specs",
     "bench_payload",
     "check_golden",
     "code_version",
-    "default_cache_dir",
     "execute_point",
     "experiment_names",
     "get_spec",

@@ -1,11 +1,11 @@
 """Experiment execution engine.
 
 The engine owns the loop every per-figure driver used to hand-roll:
-expand a spec's grid into points, skip points already in the result
-cache, execute the rest — in-process for ``workers <= 1``, through a
-``ProcessPoolExecutor`` otherwise (every point builds its own simulated
-node, so sweeps parallelise trivially) — and assemble per-experiment
-results plus the top-level ``BENCH_results.json`` perf trajectory.
+expand a spec's grid into points, execute every point — in-process for
+``workers <= 1``, through a ``ProcessPoolExecutor`` otherwise (every
+point builds its own simulated node, so sweeps parallelise trivially) —
+and assemble per-experiment results plus the top-level
+``BENCH_results.json`` perf trajectory.
 
 Failures never abort a sweep: a raising point is captured with its
 parameters and traceback in :attr:`PointResult.error`, surfaced through
@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import hashlib
 import json
 import signal
+import subprocess
 import threading
 import time
 import traceback
@@ -32,13 +34,12 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cache import ResultCache, code_version
 from .registry import get_spec
 from .spec import ExperimentSpec, Point, canonical_json
 
 #: Version of the artifact schema (per-experiment JSON and
 #: BENCH_results.json).  Bump on any incompatible layout change.
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 #: Name of the top-level perf-trajectory artifact.
 BENCH_FILENAME = "BENCH_results.json"
@@ -46,6 +47,28 @@ BENCH_FILENAME = "BENCH_results.json"
 #: Golden row digests (repository root) and the numpy series they need.
 GOLDEN_PATH = Path(__file__).resolve().parents[3] / "golden_rows.json"
 NUMPY_SERIES = ".".join(np.__version__.split(".")[:2])
+
+
+@functools.lru_cache(maxsize=None)
+def code_version() -> str:
+    """Artifact provenance: the git commit SHA when running from a
+    checkout, else the package version."""
+    try:
+        sha = subprocess.run(
+            ["git", "-C", str(Path(__file__).resolve().parent),
+             "rev-parse", "HEAD"],
+            capture_output=True, text=True, timeout=10,
+        )
+        if sha.returncode == 0 and sha.stdout.strip():
+            return sha.stdout.strip()
+    except (OSError, subprocess.SubprocessError):
+        pass
+    try:
+        from importlib.metadata import version
+
+        return f"repro-{version('repro')}"
+    except Exception:
+        return "repro-unknown"
 
 
 def utc_timestamp() -> str:
@@ -56,8 +79,9 @@ def utc_timestamp() -> str:
 def _normalize_payload(raw: Any) -> Dict[str, Any]:
     """Coerce a runner's return value into the canonical payload.
 
-    The payload is round-tripped through JSON immediately so a cold
-    result is bit-identical to the same result served warm from disk.
+    The payload is round-tripped through JSON immediately, so numpy
+    scalars and tuples become plain JSON values: serial and pool rows
+    compare equal, and their golden digests are stable.
     """
     if isinstance(raw, Mapping):
         rows = raw.get("rows", [])
@@ -131,13 +155,12 @@ def execute_point(
 
 @dataclass
 class PointResult:
-    """Outcome of one executed (or cache-served) point."""
+    """Outcome of one executed point."""
 
     point: Point
     rows: List[List[Any]] = field(default_factory=list)
     sim_time_ns: float = 0.0
     wall_s: float = 0.0
-    cached: bool = False
     error: Optional[str] = None
 
     @property
@@ -184,10 +207,6 @@ class ExperimentResult:
         return not self.failures
 
     @property
-    def cached_points(self) -> int:
-        return sum(1 for p in self.points if p.cached)
-
-    @property
     def sim_time_ns(self) -> float:
         return sum(p.sim_time_ns for p in self.points)
 
@@ -205,7 +224,6 @@ class ExperimentResult:
             "columns": self.columns,
             "rows": self.rows,
             "points": len(self.points),
-            "cached_points": self.cached_points,
             "failed_points": len(self.failures),
             "failures": [
                 {"params": p.point.params, "traceback": p.error}
@@ -217,19 +235,13 @@ class ExperimentResult:
 
 
 class Engine:
-    """Runs registered experiments: grid -> cache -> pool -> results.
+    """Runs registered experiments: grid -> points -> results.
 
     Parameters
     ----------
     workers:
         ``<= 1`` runs points in-process (deterministic, debuggable);
         ``N > 1`` fans points out over N worker processes.
-    cache:
-        Optional :class:`ResultCache`; None disables caching entirely.
-    refresh:
-        Recompute every point and overwrite cache entries.
-    version:
-        Code-version string for cache keys (defaults to the git SHA).
     point_timeout_s:
         Optional wall-clock budget per point; an overrunning point is
         recorded as a failure (``PointTimeoutError`` traceback) instead
@@ -242,22 +254,16 @@ class Engine:
     def __init__(
         self,
         workers: int = 1,
-        cache: Optional[ResultCache] = None,
-        refresh: bool = False,
-        version: Optional[str] = None,
+        *,
         point_timeout_s: Optional[float] = None,
         max_point_retries: int = 2,
+        # Ignored: only perfbench/run.py still passes cache= and version=.
+        cache: Any = None,
+        version: Any = None,
     ):
         self.workers = max(1, int(workers))
-        self.cache = cache
-        self.refresh = refresh
-        self.version = version or code_version()
         self.point_timeout_s = point_timeout_s
         self.max_point_retries = max(0, int(max_point_retries))
-        #: points actually computed (cache misses) across this engine's life
-        self.executed_points = 0
-        #: points served from the cache across this engine's life
-        self.cached_points = 0
 
     # -- public API -----------------------------------------------------
 
@@ -277,7 +283,7 @@ class Engine:
         only: Optional[Mapping[str, Any]] = None,
     ) -> Dict[str, ExperimentResult]:
         """Run several experiments as one load-balanced point pool."""
-        specs = [get_spec(name) for name in names]
+        specs = [get_spec(name) for name in dict.fromkeys(names)]
         plan: List[Tuple[ExperimentSpec, Point]] = []
         for spec in specs:
             for point in spec.points(quick):
@@ -288,83 +294,46 @@ class Engine:
                     continue
                 plan.append((spec, point))
 
-        results: Dict[Tuple[str, int], PointResult] = {}
-        pending: List[Tuple[ExperimentSpec, Point, Optional[str]]] = []
-
-        for spec, point in plan:
-            key = self._cache_key(spec, point)
-            payload = None
-            if key is not None and not self.refresh and self.cache is not None:
-                payload = self.cache.get(key)
-            if payload is not None:
-                self.cached_points += 1
-                results[(spec.name, point.index)] = self._to_point_result(
-                    point, payload, wall_s=0.0, cached=True
-                )
-            else:
-                pending.append((spec, point, key))
-
-        for (spec, point, key), (payload, wall_s) in zip(
-            pending, self._execute(pending)
-        ):
-            self.executed_points += 1
-            if key is not None and self.cache is not None and "error" not in payload:
-                self.cache.put(key, payload)
-            results[(spec.name, point.index)] = self._to_point_result(
-                point, payload, wall_s=wall_s, cached=False
+        by_name: Dict[str, List[PointResult]] = {s.name: [] for s in specs}
+        for (spec, point), (payload, wall_s) in zip(plan, self._execute(plan)):
+            by_name[spec.name].append(
+                self._to_point_result(point, payload, wall_s)
             )
-
-        out: Dict[str, ExperimentResult] = {}
-        for spec in specs:
-            point_results = [
-                results[key]
-                for key in sorted(results)
-                if key[0] == spec.name
-            ]
-            wall = sum(p.wall_s for p in point_results)
-            out[spec.name] = ExperimentResult(
-                spec=spec, quick=quick, points=point_results, wall_s=wall
+        return {
+            spec.name: ExperimentResult(
+                spec=spec, quick=quick, points=by_name[spec.name],
+                wall_s=sum(p.wall_s for p in by_name[spec.name]),
             )
-        return out
+            for spec in specs
+        }
 
     # -- internals ------------------------------------------------------
 
-    def _cache_key(self, spec: ExperimentSpec, point: Point) -> Optional[str]:
-        if self.cache is None:
-            return None
-        return ResultCache.key(self.version, spec.spec_hash(), point.params)
-
     @staticmethod
     def _to_point_result(
-        point: Point, payload: Dict[str, Any], wall_s: float, cached: bool
+        point: Point, payload: Dict[str, Any], wall_s: float
     ) -> PointResult:
         if "error" in payload:
-            return PointResult(
-                point=point, wall_s=wall_s, cached=cached,
-                error=payload["error"],
-            )
+            return PointResult(point=point, wall_s=wall_s, error=payload["error"])
         return PointResult(
             point=point,
             rows=payload.get("rows", []),
             sim_time_ns=float(payload.get("sim_time_ns", 0.0)),
             wall_s=wall_s,
-            cached=cached,
         )
 
     def _execute(
-        self, pending: Sequence[Tuple[ExperimentSpec, Point, Optional[str]]]
+        self, pending: Sequence[Tuple[ExperimentSpec, Point]]
     ) -> Iterable[Tuple[Dict[str, Any], float]]:
-        if not pending:
-            return []
-        if self.workers <= 1 or len(pending) == 1:
+        if self.workers <= 1 or len(pending) <= 1:
             return [
                 execute_point(spec.name, point.params, self.point_timeout_s)
-                for spec, point, _ in pending
+                for spec, point in pending
             ]
         return self._execute_pool(pending)
 
     def _execute_pool(
-        self, pending: Sequence[Tuple[ExperimentSpec, Point, Optional[str]]]
+        self, pending: Sequence[Tuple[ExperimentSpec, Point]]
     ) -> List[Tuple[Dict[str, Any], float]]:
         """Pool execution with crash containment.
 
@@ -459,7 +428,6 @@ def bench_payload(
             "title": result.spec.title,
             "source": result.spec.source,
             "points": len(result.points),
-            "cached_points": result.cached_points,
             "failed_points": len(result.failures),
             "rows": len(result.rows),
             "wall_s": round(result.wall_s, 6),

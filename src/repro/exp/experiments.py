@@ -10,8 +10,8 @@ same ``repro.bench`` / ``repro.apps`` / ``repro.uvm`` /
 grid point at a time, on a freshly built simulated node.
 
 All runners are deterministic (the simulator seeds every RNG), so a
-point's rows are a pure function of its parameters and the code
-version — the property the result cache relies on.
+point's rows are a pure function of its parameters and the code — the
+property the golden row digests check.
 """
 
 from __future__ import annotations

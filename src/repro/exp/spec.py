@@ -15,9 +15,8 @@ partition sweep — as data instead of code:
 Both the grid and the fixed kwargs have a ``--quick`` variant so one
 spec serves the full paper-scale sweep and the fast smoke sweep.
 
-Specs hash to a stable :meth:`ExperimentSpec.spec_hash`; together with
-the code version and the point parameters this keys the on-disk result
-cache (see :mod:`repro.exp.cache`).
+Specs hash to a stable :meth:`ExperimentSpec.spec_hash`, recorded in
+every per-experiment artifact.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ Runner = Callable[..., RunnerResult]
 
 
 def canonical_json(value: Any) -> str:
-    """Deterministic JSON encoding used for hashing and cache keys."""
+    """Deterministic JSON encoding used for hashing."""
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
@@ -149,7 +148,7 @@ class ExperimentSpec:
         """Stable digest of every declarative field of the spec.
 
         Any change to the grid, fixed kwargs, columns, or runner identity
-        produces a new hash, invalidating cached point results.
+        produces a new hash, so an artifact names the spec it came from.
         """
         payload = {
             "name": self.name,

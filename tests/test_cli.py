@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, list_experiments, main
-from repro.exp import experiment_names
+from repro.exp import SCHEMA_VERSION, experiment_names
 
 
 class TestParser:
@@ -16,10 +16,10 @@ class TestParser:
 
     def test_run_collects_names_and_engine_flags(self):
         args = build_parser().parse_args(
-            ["run", "fig2", "fig9", "--quick", "--workers", "4", "--no-cache"]
+            ["run", "fig2", "fig9", "--quick", "--workers", "4"]
         )
         assert args.experiments == ["fig2", "fig9"]
-        assert args.quick and args.no_cache
+        assert args.quick
         assert args.workers == 4
 
     def test_app_selector(self):
@@ -31,7 +31,16 @@ class TestParser:
         parser = build_parser()
         for name in experiment_names():
             with pytest.raises(SystemExit):
-                parser.parse_args([name, "--no-cache"])
+                parser.parse_args([name, "--quick"])
+
+    @pytest.mark.parametrize(
+        "flag", [["--no-cache"], ["--refresh"], ["--cache-dir", "X"]]
+    )
+    def test_result_cache_flags_are_gone(self, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "fig8", "--quick", *flag])
+        assert excinfo.value.code == 2
+        assert flag[0] in capsys.readouterr().err
 
 
 class TestMenu:
@@ -56,11 +65,11 @@ class TestMenu:
             assert name in rows
 
     def test_unknown_experiment_errors(self, capsys):
-        assert main(["run", "fig99", "--no-cache"]) == 2
+        assert main(["run", "fig99"]) == 2
         assert "unknown" in capsys.readouterr().err
 
     def test_run_without_names_errors(self, capsys):
-        assert main(["run", "--no-cache"]) == 2
+        assert main(["run"]) == 2
         assert "--all" in capsys.readouterr().err
 
 
@@ -69,34 +78,34 @@ class TestCommandsRun:
 
     @pytest.mark.parametrize("experiment", ["table1", "fig6", "fig7", "fig8"])
     def test_model_backed_commands(self, experiment, capsys):
-        assert main(["run", experiment, "--no-cache"]) == 0
+        assert main(["run", experiment]) == 0
         out = capsys.readouterr().out
         assert "===" in out
 
     def test_run_subcommand_multiple(self, capsys):
-        assert main(["run", "fig8", "uvm", "--quick", "--no-cache"]) == 0
+        assert main(["run", "fig8", "uvm", "--quick"]) == 0
         out = capsys.readouterr().out
         assert "2 experiment(s)" in out
         assert "upm/MI300A" in out
 
     def test_fig9_quick(self, capsys):
-        assert main(["run", "fig9", "--quick", "--no-cache"]) == 0
+        assert main(["run", "fig9", "--quick"]) == 0
         out = capsys.readouterr().out
         assert "hipMalloc" in out
 
     def test_memcpy_quick(self, capsys):
-        assert main(["run", "memcpy", "--quick", "--no-cache"]) == 0
+        assert main(["run", "memcpy", "--quick"]) == 0
         out = capsys.readouterr().out
         assert "hipMemcpy" in out
 
     def test_uvm_quick(self, capsys):
-        assert main(["run", "uvm", "--quick", "--no-cache"]) == 0
+        assert main(["run", "uvm", "--quick"]) == 0
         out = capsys.readouterr().out
         assert "upm/MI300A" in out
 
     def test_apps_single_quick(self, capsys):
         assert main(
-            ["run", "apps", "--quick", "--no-cache", "--app", "srad_v1"]
+            ["run", "apps", "--quick", "--app", "srad_v1"]
         ) == 0
         out = capsys.readouterr().out
         assert "srad_v1" in out
@@ -104,12 +113,12 @@ class TestCommandsRun:
 
     def test_apps_unknown_app(self):
         with pytest.raises(SystemExit) as excinfo:
-            main(["run", "apps", "--no-cache", "--app", "lud"])
+            main(["run", "apps", "--app", "lud"])
         assert "lud" in str(excinfo.value.code)
         assert "hotspot" in str(excinfo.value.code)
 
     def test_partition_quick(self, capsys):
-        assert main(["run", "partition", "--quick", "--no-cache"]) == 0
+        assert main(["run", "partition", "--quick"]) == 0
         out = capsys.readouterr().out
         for mode in ("SPX/NPS1", "TPX/NPS1", "CPX/NPS1", "CPX/NPS4"):
             assert mode in out
@@ -120,30 +129,18 @@ class TestArtifacts:
         out_dir = tmp_path / "out"
         code = main([
             "run", "fig8", "uvm", "--quick", "--out", str(out_dir),
-            "--cache-dir", str(tmp_path / "cache"),
         ])
         assert code == 0
         bench = json.loads((out_dir / "BENCH_results.json").read_text())
-        assert bench["schema_version"] == "1"
+        assert bench["schema_version"] == SCHEMA_VERSION
         assert set(bench["experiments"]) == {"fig8", "uvm"}
         fig8 = json.loads((out_dir / "fig8.json").read_text())
         assert fig8["columns"] == ["fault_type", "mean_us", "p50_us", "p95_us"]
         assert fig8["git_sha"] and fig8["timestamp"]
 
-    def test_cache_dir_round_trip(self, tmp_path, capsys):
-        cache = tmp_path / "cache"
-        assert main(["run", "fig8", "--quick", "--cache-dir", str(cache)]) == 0
-        capsys.readouterr()
-        assert any(cache.rglob("*.json"))
-        assert main(["run", "fig8", "--quick", "--cache-dir", str(cache)]) == 0
-        assert "cpu" in capsys.readouterr().out
-
     def test_verify_bench_ok_and_missing(self, tmp_path, capsys):
         out_dir = tmp_path / "out"
-        main([
-            "run", "--all", "--quick", "--out", str(out_dir),
-            "--cache-dir", str(tmp_path / "cache"),
-        ])
+        main(["run", "--all", "--quick", "--out", str(out_dir)])
         capsys.readouterr()
         assert main(["verify-bench", str(out_dir / "BENCH_results.json")]) == 0
         payload = json.loads((out_dir / "BENCH_results.json").read_text())
@@ -158,7 +155,7 @@ class TestExport:
     def test_export_writes_csvs(self, tmp_path, capsys):
         out_dir = tmp_path / "r"
         assert main([
-            "run", "table1", "fig7", "--quick", "--no-cache",
+            "run", "table1", "fig7", "--quick",
             "--out", str(out_dir),
         ]) == 0
         header = (out_dir / "fig7.csv").read_text().splitlines()[0]

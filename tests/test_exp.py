@@ -1,4 +1,4 @@
-"""Tests for the declarative experiment layer (repro.exp spec/registry/cache)."""
+"""Tests for the declarative experiment layer (repro.exp spec/registry)."""
 
 import json
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro.exp import (
     ExperimentSpec,
-    ResultCache,
     UnknownExperimentError,
     all_specs,
     code_version,
@@ -121,44 +120,6 @@ class TestRegistry:
         assert get_spec("fig8") is original
 
 
-class TestResultCache:
-    def test_round_trip(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        key = ResultCache.key("v1", "spec", {"a": 1})
-        payload = {"rows": [[1, 2]], "sim_time_ns": 5.0}
-        cache.put(key, payload)
-        assert key in cache
-        assert cache.get(key) == payload
-        assert cache.hits == 1
-
-    def test_miss_returns_none(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        assert cache.get("0" * 64) is None
-        assert cache.misses == 1
-
-    def test_corrupt_entry_is_a_miss(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        key = ResultCache.key("v1", "spec", {"a": 1})
-        path = cache.put(key, {"rows": []})
-        path.write_text("{not json")
-        assert cache.get(key) is None
-
-    def test_key_sensitivity(self):
-        base = ResultCache.key("v1", "spec", {"a": 1})
-        assert ResultCache.key("v2", "spec", {"a": 1}) != base
-        assert ResultCache.key("v1", "other", {"a": 1}) != base
-        assert ResultCache.key("v1", "spec", {"a": 2}) != base
-
-    def test_key_param_order_independent(self):
-        assert ResultCache.key("v", "s", {"a": 1, "b": 2}) == \
-            ResultCache.key("v", "s", {"b": 2, "a": 1})
-
-
 class TestCodeVersion:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CODE_VERSION", "pinned-version")
-        assert code_version() == "pinned-version"
-
-    def test_detected_version_is_nonempty(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CODE_VERSION", raising=False)
+    def test_detected_version_is_nonempty(self):
         assert code_version()

@@ -1,4 +1,4 @@
-"""Tests for the experiment engine: caching, parallelism, failures,
+"""Tests for the experiment engine: execution, parallelism, failures,
 artifacts (repro.exp.engine)."""
 
 import json
@@ -13,8 +13,8 @@ import pytest
 from repro.cli import main
 from repro.exp import (
     Engine,
+    SCHEMA_VERSION,
     ExperimentSpec,
-    ResultCache,
     bench_payload,
     execute_point,
     temporarily_registered,
@@ -45,6 +45,14 @@ def flaky_runner(value):
     if value == 2:
         raise ValueError("boom on 2")
     return [[value, value * 10]]
+
+
+EDITED_VALUE = "before-edit"
+
+
+def edited_runner(value):
+    """Reads a module global, standing in for an uncommitted code edit."""
+    return [[value, EDITED_VALUE]]
 
 
 def sim_time_runner(value):
@@ -89,14 +97,14 @@ class TestExecutePoint:
 class TestEngineBasics:
     def test_serial_run_collects_rows_in_point_order(self):
         with temporarily_registered(SQUARES):
-            result = Engine(workers=1, cache=None).run("squares")
+            result = Engine(workers=1).run("squares")
         assert result.ok
         assert result.rows == [[1, 2], [2, 8], [3, 18]]
         assert result.dicts()[0] == {"k": 1, "v": 2}
 
     def test_only_filter(self):
         with temporarily_registered(SQUARES):
-            result = Engine(workers=1, cache=None).run(
+            result = Engine(workers=1).run(
                 "squares", only={"value": 2}
             )
         assert result.rows == [[2, 8]]
@@ -104,69 +112,25 @@ class TestEngineBasics:
     def test_sim_time_aggregates(self):
         spec = make_spec("simt", sim_time_runner, {"value": [1, 2]})
         with temporarily_registered(spec):
-            result = Engine(workers=1, cache=None).run("simt")
+            result = Engine(workers=1).run("simt")
         assert result.sim_time_ns == pytest.approx(3.0e9)
 
 
-class TestCache:
-    def test_warm_rerun_recomputes_nothing_and_matches_exactly(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        with temporarily_registered(SQUARES):
-            cold_engine = Engine(cache=cache, version="v1")
-            cold = cold_engine.run("squares")
-            assert cold_engine.executed_points == 3
-            assert cold_engine.cached_points == 0
-
-            warm_engine = Engine(cache=ResultCache(tmp_path), version="v1")
-            warm = warm_engine.run("squares")
-            assert warm_engine.executed_points == 0
-            assert warm_engine.cached_points == 3
-        assert warm.rows == cold.rows
-        # Bit-identical, not merely approximately equal.
-        assert json.dumps(warm.rows) == json.dumps(cold.rows)
-        assert all(p.cached for p in warm.points)
-
-    def test_spec_change_invalidates(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        with temporarily_registered(SQUARES):
-            Engine(cache=cache, version="v1").run("squares")
-        changed = make_spec(
-            "squares", square_runner, {"value": [1, 2, 3]}, {"scale": 5}
-        )
-        assert changed.spec_hash() != SQUARES.spec_hash()
-        with temporarily_registered(changed):
-            engine = Engine(cache=cache, version="v1")
-            result = engine.run("squares")
-        assert engine.executed_points == 3
-        assert result.rows == [[1, 5], [2, 20], [3, 45]]
-
-    def test_code_version_change_invalidates(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        with temporarily_registered(SQUARES):
-            Engine(cache=cache, version="v1").run("squares")
-            engine = Engine(cache=cache, version="v2")
-            engine.run("squares")
-        assert engine.executed_points == 3
-
-    def test_refresh_recomputes_and_overwrites(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        with temporarily_registered(SQUARES):
-            Engine(cache=cache, version="v1").run("squares")
-            engine = Engine(cache=cache, version="v1", refresh=True)
-            engine.run("squares")
-        assert engine.executed_points == 3
-        assert engine.cached_points == 0
-
-    def test_failed_points_are_never_cached(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        with temporarily_registered(FLAKY):
-            Engine(cache=cache, version="v1").run("flaky")
-            retry = Engine(cache=cache, version="v1")
-            result = retry.run("flaky")
-        # Only the failing point recomputes; the good ones come warm.
-        assert retry.cached_points == 2
-        assert retry.executed_points == 1
-        assert len(result.failures) == 1
+class TestNoStaleRows:
+    def test_rerun_shows_an_uncommitted_edit(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """A second run reflects the code as it is now, even when the
+        edit is not committed (nothing is served from an earlier run)."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        spec = make_spec("edited", edited_runner, {"value": [1]})
+        with temporarily_registered(spec):
+            assert main(["run", "edited"]) == 0
+            assert "before-edit" in capsys.readouterr().out
+            monkeypatch.setitem(globals(), "EDITED_VALUE", "after-edit")
+            assert main(["run", "edited"]) == 0
+        out = capsys.readouterr().out
+        assert "after-edit" in out and "before-edit" not in out
 
 
 class TestParallel:
@@ -179,11 +143,11 @@ class TestParallel:
         )
         with temporarily_registered(spec):
             start = time.perf_counter()
-            serial = Engine(workers=1, cache=None).run("naps")
+            serial = Engine(workers=1).run("naps")
             serial_s = time.perf_counter() - start
 
             start = time.perf_counter()
-            parallel = Engine(workers=4, cache=None).run("naps")
+            parallel = Engine(workers=4).run("naps")
             parallel_s = time.perf_counter() - start
         assert serial.rows == parallel.rows == [[0], [1], [2], [3]]
         assert serial_s / parallel_s >= 2.0, (serial_s, parallel_s)
@@ -194,7 +158,7 @@ class TestParallel:
             {"log_dir": str(tmp_path)},
         )
         with temporarily_registered(spec):
-            result = Engine(workers=3, cache=None).run("logged")
+            result = Engine(workers=3).run("logged")
         assert result.ok
         logs = sorted(p.name for p in tmp_path.glob("*.log"))
         assert logs == ["0.log", "1.log", "2.log", "3.log", "4.log"]
@@ -202,7 +166,7 @@ class TestParallel:
 
     def test_parallel_failure_reaches_parent(self):
         with temporarily_registered(FLAKY):
-            result = Engine(workers=2, cache=None).run("flaky")
+            result = Engine(workers=2).run("flaky")
         (failure,) = result.failures
         assert failure.point.params["value"] == 2
         assert "boom on 2" in failure.error
@@ -211,7 +175,7 @@ class TestParallel:
 class TestFailureReporting:
     def test_cli_exits_nonzero_with_params_and_traceback(self, capsys):
         with temporarily_registered(FLAKY):
-            code = main(["run", "flaky", "--no-cache"])
+            code = main(["run", "flaky"])
         captured = capsys.readouterr()
         assert code == 1
         assert "FAILED point flaky[value=2]" in captured.err
@@ -222,7 +186,7 @@ class TestFailureReporting:
 
     def test_ok_points_survive_a_failing_sibling(self):
         with temporarily_registered(FLAKY):
-            result = Engine(workers=1, cache=None).run("flaky")
+            result = Engine(workers=1).run("flaky")
         assert result.rows == [[1, 10], [3, 30]]
         assert not result.ok
 
@@ -230,7 +194,7 @@ class TestFailureReporting:
 class TestArtifacts:
     def _results(self):
         with temporarily_registered(SQUARES):
-            engine = Engine(workers=1, cache=None)
+            engine = Engine(workers=1)
             return engine.run_many(["squares"])
 
     def test_write_artifacts_layout_and_provenance(self, tmp_path):
@@ -240,7 +204,7 @@ class TestArtifacts:
         )
         assert bench_path == tmp_path / "BENCH_results.json"
         per_exp = json.loads((tmp_path / "squares.json").read_text())
-        assert per_exp["schema_version"] == "1"
+        assert per_exp["schema_version"] == SCHEMA_VERSION
         assert per_exp["git_sha"] and per_exp["timestamp"]
         assert per_exp["rows"] == [[1, 2], [2, 8], [3, 18]]
         bench = json.loads(bench_path.read_text())
@@ -264,7 +228,7 @@ class TestArtifacts:
 
     def test_verify_bench_flags_failures_and_bad_schema(self):
         with temporarily_registered(FLAKY):
-            results = Engine(workers=1, cache=None).run_many(["flaky"])
+            results = Engine(workers=1).run_many(["flaky"])
         payload = bench_payload(results, workers=1, wall_s=0.1, quick=False)
         problems = verify_bench(payload, expected=["flaky"])
         assert any("failure" in p for p in problems)
@@ -278,7 +242,7 @@ class TestArtifacts:
 
 
 # ----------------------------------------------------------------------
-# Hardening: timeouts, interrupts, worker crashes, cache integrity
+# Hardening: timeouts, interrupts, worker crashes
 # ----------------------------------------------------------------------
 
 
@@ -342,7 +306,7 @@ class TestPointTimeout:
             "sleepy", sleeping_runner, {"value": [1]}, {"delay": 5.0}
         )
         with temporarily_registered(spec):
-            engine = Engine(workers=1, cache=None, point_timeout_s=0.2)
+            engine = Engine(workers=1, point_timeout_s=0.2)
             started = time.perf_counter()
             result = engine.run("sleepy")
         assert time.perf_counter() - started < 4.0
@@ -351,7 +315,7 @@ class TestPointTimeout:
 
     def test_fast_point_is_untouched_by_the_budget(self):
         with temporarily_registered(SQUARES):
-            engine = Engine(workers=1, cache=None, point_timeout_s=30.0)
+            engine = Engine(workers=1, point_timeout_s=30.0)
             result = engine.run("squares")
         assert result.ok
 
@@ -360,8 +324,7 @@ class TestPointTimeout:
             "sleepy_cli", sleeping_runner, {"value": [1]}, {"delay": 5.0}
         )
         with temporarily_registered(spec):
-            code = main(["run", "sleepy_cli", "--no-cache",
-                         "--timeout", "0.2"])
+            code = main(["run", "sleepy_cli", "--timeout", "0.2"])
         assert code == 1
         assert "PointTimeoutError" in capsys.readouterr().err
 
@@ -381,7 +344,7 @@ class TestInterruptsAndParams:
 
     def test_failure_artifact_records_params(self):
         with temporarily_registered(FLAKY):
-            result = Engine(workers=1, cache=None).run("flaky")
+            result = Engine(workers=1).run("flaky")
         failures = result.to_payload()["failures"]
         assert failures[0]["params"] == {"value": 2}
 
@@ -393,7 +356,7 @@ class TestWorkerCrashes:
             {"flag_dir": str(tmp_path)},
         )
         with temporarily_registered(spec):
-            engine = Engine(workers=2, cache=None, max_point_retries=3)
+            engine = Engine(workers=2, max_point_retries=3)
             result = engine.run("crash_once")
         assert result.ok
         assert sorted(row[0] for row in result.rows) == [1, 2, 3]
@@ -403,7 +366,7 @@ class TestWorkerCrashes:
             "crash_always", always_crashing_runner, {"value": [2, 4]}
         )
         with temporarily_registered(spec):
-            engine = Engine(workers=2, cache=None, max_point_retries=1)
+            engine = Engine(workers=2, max_point_retries=1)
             result = engine.run("crash_always")
         assert len(result.failures) == 2
         for point in result.failures:
@@ -414,7 +377,7 @@ class TestWorkerCrashes:
     ):
         monkeypatch.setattr(breaking_executor, "broken", frozenset({2}))
         with temporarily_registered(SQUARES):
-            engine = Engine(workers=2, cache=None, max_point_retries=1)
+            engine = Engine(workers=2, max_point_retries=1)
             result = engine.run("squares")
         assert result.ok
         assert result.rows == [[1, 2], [2, 8], [3, 18]]
@@ -426,49 +389,9 @@ class TestWorkerCrashes:
     ):
         monkeypatch.setattr(breaking_executor, "broken", frozenset({2, 3}))
         with temporarily_registered(SQUARES):
-            engine = Engine(workers=2, cache=None, max_point_retries=1)
+            engine = Engine(workers=2, max_point_retries=1)
             result = engine.run("squares")
         assert result.rows == [[1, 2]]
         assert [p.point.params["value"] for p in result.failures] == [2, 3]
         for point in result.failures:
             assert "worker died during submit" in point.error
-
-
-class TestCacheIntegrity:
-    KEY = "ab" + "0" * 62
-
-    def test_corrupt_entry_is_quarantined(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        path = cache.put(self.KEY, {"rows": [[1, 2]], "sim_time_ns": 0.0})
-        path.write_text(path.read_text().replace('"rows"', '"cows"'))
-        assert cache.get(self.KEY) is None
-        assert cache.quarantined == 1
-        assert not path.exists()
-        assert (tmp_path / "quarantine" / path.name).exists()
-        assert cache.get(self.KEY) is None  # stays a miss afterwards
-
-    def test_unparseable_entry_is_quarantined(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        path = cache.put(self.KEY, {"rows": []})
-        path.write_text("{ not json")
-        assert cache.get(self.KEY) is None
-        assert cache.quarantined == 1
-        assert (tmp_path / "quarantine" / path.name).exists()
-
-    def test_intact_entry_round_trips_through_the_checksum(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        payload = {"rows": [[1, 2]], "sim_time_ns": 1.5}
-        path = cache.put(self.KEY, payload)
-        doc = json.loads(path.read_text())
-        assert set(doc) == {"sha256", "payload"}
-        assert cache.get(self.KEY) == payload
-        assert cache.quarantined == 0
-
-    def test_pre_checksum_entries_are_still_served(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        legacy = {"rows": [[3, 4]], "sim_time_ns": 0.0}
-        path = cache._path(self.KEY)
-        path.parent.mkdir(parents=True)
-        path.write_text(json.dumps(legacy, sort_keys=True))
-        assert cache.get(self.KEY) == legacy
-        assert cache.quarantined == 0

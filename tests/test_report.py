@@ -13,12 +13,12 @@ CSV_SET = ["table1", "fig4", "fig6", "fig7", "fig8", "uvm"]
 
 
 def _run(name, quick=False):
-    return Engine(workers=1, cache=None).run(name, quick=quick)
+    return Engine(workers=1).run(name, quick=quick)
 
 
 @pytest.fixture(scope="module")
 def quick_results():
-    return Engine(workers=1, cache=None).run_many(CSV_SET, quick=True)
+    return Engine(workers=1).run_many(CSV_SET, quick=True)
 
 
 class TestExperimentReport:
