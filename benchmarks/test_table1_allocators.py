@@ -8,8 +8,7 @@ behaviour in both XNACK modes.
 
 import pytest
 
-from conftest import print_table
-from repro.core.allocators import allocator_table
+from conftest import experiment_rows, print_table
 from repro.core.faults import GPUMemoryAccessError
 from repro.hw.config import MiB
 from repro.runtime.apu import make_apu
@@ -68,10 +67,9 @@ def test_table1_capability_matrix(benchmark):
 
 
 def test_table1_static_matches_probed():
-    """The documented table agrees with the probed behaviour."""
-    for xnack in (False, True):
-        static = {r["allocator"]: r for r in allocator_table(xnack)}
-        probed = {r[0]: r for r in probe_matrix() if r[1] == xnack}
-        for name, row in static.items():
-            assert probed[name][2] == row["gpu_access"], (name, xnack)
-            assert probed[name][4] == row["physical_allocation"], (name, xnack)
+    """The registered ``table1`` experiment agrees with the probed behaviour."""
+    probed = {(r[0], r[1]): r for r in probe_matrix()}
+    for row in experiment_rows("table1"):
+        key = (row["allocator"], row["xnack"])
+        assert probed[key][2] == row["gpu_access"], key
+        assert probed[key][4] == row["physical"], key

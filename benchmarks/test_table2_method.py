@@ -3,7 +3,8 @@
 Regenerates the methodology inventory: every benchmark, profiling tool,
 and HPC workload of the paper, mapped to the module in this repository
 that implements it.  The assertions verify the inventory is *live* —
-each entry imports and exposes its expected entry points.
+each benchmark module imports and backs a registered experiment, and
+each tool and workload exposes its expected entry point.
 """
 
 import importlib
@@ -11,15 +12,15 @@ import importlib
 import pytest
 
 from conftest import print_table
+from repro.exp import get_spec
 
 BENCHMARKS = [
-    ("Memory latency", "multichase", "repro.bench.multichase", "full_sweep"),
-    ("Memory bandwidth", "STREAM", "repro.bench.stream", "gpu_triad"),
-    ("Legacy transfer", "hip-bandwidth", "repro.bench.hipbandwidth", "full_sweep"),
-    ("Coherence overhead", "custom", "repro.bench.histogram", "hybrid_grid"),
-    ("Allocation speed", "custom", "repro.bench.allocspeed", "full_cost_sweep"),
-    ("Page fault overhead", "custom", "repro.bench.pagefault",
-     "full_throughput_sweep"),
+    ("Memory latency", "multichase", "repro.bench.multichase", "fig2"),
+    ("Memory bandwidth", "STREAM", "repro.bench.stream", "fig3"),
+    ("Legacy transfer", "hip-bandwidth", "repro.bench.hipbandwidth", "memcpy"),
+    ("Coherence overhead", "custom", "repro.bench.histogram", "fig5"),
+    ("Allocation speed", "custom", "repro.bench.allocspeed", "fig6"),
+    ("Page fault overhead", "custom", "repro.bench.pagefault", "fig7"),
 ]
 
 PROFILING = [
@@ -41,9 +42,9 @@ WORKLOADS = [
 
 def build_inventory():
     rows = []
-    for purpose, tool, module_name, attr in BENCHMARKS:
-        module = importlib.import_module(module_name)
-        assert hasattr(module, attr), (module_name, attr)
+    for purpose, tool, module_name, experiment in BENCHMARKS:
+        importlib.import_module(module_name)
+        assert get_spec(experiment).point_count() > 0, (module_name, experiment)
         rows.append(("benchmark", purpose, tool, module_name))
     for purpose, tool, module_name, attr in PROFILING:
         module = importlib.import_module(module_name)

@@ -21,7 +21,7 @@ def main() -> None:
     # One APU, 8 GiB pool for speed, XNACK on so malloc is GPU-accessible.
     hip = make_runtime(memory_gib=8, xnack=True)
     apu = hip.apu
-    print(f"Simulated system: {apu.topology.describe()}")
+    print(f"Simulated system: {apu.config.describe()}")
     print(f"XNACK enabled: {apu.xnack}\n")
 
     size = 256 << 20  # one 256 MiB buffer per allocator

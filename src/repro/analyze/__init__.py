@@ -56,7 +56,6 @@ from .findings import (
     all_rules,
     has_errors,
     make_finding,
-    max_severity,
     render_json,
     render_text,
     rule_spec,
@@ -97,7 +96,6 @@ __all__ = [
     "lint_source",
     "load_baseline",
     "make_finding",
-    "max_severity",
     "new_findings",
     "ordered_before",
     "port_is_clean",

@@ -262,12 +262,3 @@ def render_json(findings: Iterable[Finding]) -> str:
 def has_errors(findings: Iterable[Finding]) -> bool:
     """True when at least one finding is ERROR severity (the CI gate)."""
     return any(f.severity >= Severity.ERROR for f in findings)
-
-
-def max_severity(findings: Iterable[Finding]) -> Optional[Severity]:
-    """The worst severity present, or None for an empty report."""
-    worst: Optional[Severity] = None
-    for f in findings:
-        if worst is None or f.severity > worst:
-            worst = f.severity
-    return worst

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..profiling.memusage import MemoryUsageProfiler
 from ..runtime.apu import APU
@@ -194,20 +194,3 @@ class RodiniaApp(abc.ABC):
             peak_memory_bytes=profiler.peak_bytes,
             checksum=float(checksum),
         )
-
-    def compare_variants(
-        self,
-        variants: Optional[Iterable[str]] = None,
-        memory_gib: Optional[int] = 16,
-        params: Optional[Dict[str, int]] = None,
-    ) -> Dict[str, Comparison]:
-        """Run the explicit baseline plus *variants*; return Fig. 11 rows."""
-        baseline = self.run("explicit", memory_gib=memory_gib, params=params)
-        chosen = list(variants) if variants is not None else [
-            v for v in self.variants if v != "explicit"
-        ]
-        out: Dict[str, Comparison] = {}
-        for variant in chosen:
-            result = self.run(variant, memory_gib=memory_gib, params=params)
-            out[variant] = compare(baseline, result)
-        return out

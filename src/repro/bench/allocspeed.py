@@ -24,14 +24,6 @@ from .allocators import allocate
 #: Fig. 6's size axis: 2 B to 1 GiB, powers of two (decimated for speed).
 DEFAULT_SIZES = [2 << i for i in range(0, 30, 2)] + [1 * GiB]
 
-ALLOCATORS = [
-    "malloc",
-    "hipMalloc",
-    "hipHostMalloc",
-    "hipMallocManaged(xnack=0)",
-    "hipMallocManaged(xnack=1)",
-]
-
 
 @dataclass(frozen=True)
 class AllocSample:
@@ -87,17 +79,6 @@ def cost_sweep(
         AllocSample(allocator, size, alloc_fn(size), free_fn(size))
         for size in (sizes if sizes is not None else DEFAULT_SIZES)
     ]
-
-
-def full_cost_sweep(
-    sizes: Optional[Sequence[int]] = None,
-    config: Optional[MI300AConfig] = None,
-) -> List[AllocSample]:
-    """All allocators' Fig. 6 curves."""
-    out: List[AllocSample] = []
-    for allocator in ALLOCATORS:
-        out.extend(cost_sweep(allocator, sizes, config))
-    return out
 
 
 def timed_loop(

@@ -8,8 +8,7 @@ numbers isolate the copy path, as the original benchmark's warmup does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from ..hw.config import MiB
 from ..runtime.apu import make_apu
@@ -23,16 +22,6 @@ COMBINATIONS = [
     ("hipHostMalloc -> hipMalloc", "hipHostMalloc", "hipMalloc"),
     ("hipMalloc -> hipMalloc", "hipMalloc", "hipMalloc"),
 ]
-
-
-@dataclass(frozen=True)
-class MemcpyResult:
-    """One measured transfer configuration."""
-
-    label: str
-    sdma_enabled: bool
-    copy_bytes: int
-    bandwidth_bytes_per_s: float
 
 
 def _alloc(runtime: HipRuntime, allocator: str, size: int):
@@ -68,19 +57,3 @@ def measure_memcpy(
         runtime.hipMemcpy(dst, src, copy_bytes)
     elapsed_s = (apu.clock.now_ns - start) / 1e9
     return copy_bytes * iterations / elapsed_s
-
-
-def full_sweep(
-    copy_bytes: int = DEFAULT_COPY_BYTES,
-    memory_gib: Optional[int] = None,
-) -> List[MemcpyResult]:
-    """All paper combinations, with SDMA on and off."""
-    out: List[MemcpyResult] = []
-    for label, src, dst in COMBINATIONS:
-        for sdma in (True, False):
-            bandwidth = measure_memcpy(
-                src, dst, sdma_enabled=sdma, copy_bytes=copy_bytes,
-                memory_gib=memory_gib,
-            )
-            out.append(MemcpyResult(label, sdma, copy_bytes, bandwidth))
-    return out

@@ -11,7 +11,7 @@ frame prefix — exactly the state the latency model consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..hw.config import GiB, KiB, MiB
 from ..perf.latency import chase_latency_ns
@@ -23,17 +23,6 @@ DEFAULT_SIZES = [
     1 * KiB, 4 * KiB, 32 * KiB, 256 * KiB,
     1 * MiB, 8 * MiB, 32 * MiB, 96 * MiB, 128 * MiB,
     256 * MiB, 512 * MiB, 1 * GiB, 2 * GiB, 4 * GiB,
-]
-
-#: Allocator names accepted by the sweep (managed allocators are tagged
-#: with the XNACK mode they imply).
-ALLOCATORS = [
-    "malloc",
-    "malloc+register",
-    "hipMalloc",
-    "hipHostMalloc",
-    "hipMallocManaged(xnack=0)",
-    "hipMallocManaged(xnack=1)",
 ]
 
 
@@ -83,30 +72,3 @@ def chase_curve(
         )
         samples.append(LatencySample(allocator, device, size, latency))
     return samples
-
-
-def full_sweep(
-    sizes: Optional[Sequence[int]] = None,
-    allocators: Optional[Iterable[str]] = None,
-    devices: Sequence[str] = ("cpu", "gpu"),
-    memory_gib: Optional[int] = None,
-) -> List[LatencySample]:
-    """The complete Fig. 2 grid: allocator x device x size."""
-    out: List[LatencySample] = []
-    for allocator in allocators if allocators is not None else ALLOCATORS:
-        for device in devices:
-            out.extend(
-                chase_curve(allocator, device, sizes, memory_gib=memory_gib)
-            )
-    return out
-
-
-def format_table(samples: Sequence[LatencySample]) -> str:
-    """Render samples as the rows the paper's figure plots."""
-    lines = [f"{'allocator':28s} {'dev':4s} {'size':>12s} {'latency_ns':>11s}"]
-    for s in samples:
-        lines.append(
-            f"{s.allocator:28s} {s.device:4s} {s.size_bytes:>12,} "
-            f"{s.latency_ns:>11.1f}"
-        )
-    return "\n".join(lines)

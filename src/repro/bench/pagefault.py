@@ -31,8 +31,6 @@ from ..runtime.apu import APU, make_apu
 #: Page counts swept in Fig. 7 (1 to 10 M pages; 10 M pages = 40 GiB).
 DEFAULT_PAGE_COUNTS = [1, 10, 100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000]
 
-SCENARIOS: List[Scenario] = ["gpu_major", "gpu_minor", "cpu", "cpu12"]
-
 
 @dataclass(frozen=True)
 class ThroughputSample:
@@ -57,17 +55,6 @@ def throughput_curve(
         )
         for n in counts
     ]
-
-
-def full_throughput_sweep(
-    page_counts: Optional[Sequence[int]] = None,
-    config: Optional[MI300AConfig] = None,
-) -> List[ThroughputSample]:
-    """All four Fig. 7 curves."""
-    out: List[ThroughputSample] = []
-    for scenario in SCENARIOS:
-        out.extend(throughput_curve(scenario, page_counts, config))
-    return out
 
 
 def measured_throughput(

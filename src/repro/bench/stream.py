@@ -11,7 +11,7 @@ as side effects and can be sampled with the profiling interfaces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 
 from ..hw.config import MiB
@@ -169,23 +169,3 @@ def cpu_fault_count(
     engine = KernelEngine(apu)
     engine.run_cpu(_triad_spec(*arrays, passes=ntimes), threads=apu.cpu.cores)
     return perf.stop()
-
-
-def gpu_tlb_miss_table(
-    allocators: Optional[Sequence[str]] = None,
-    array_bytes: int = GPU_ARRAY_BYTES,
-    ntimes: int = NTIMES,
-    memory_gib: Optional[int] = None,
-) -> List[StreamResult]:
-    """Fig. 9: GPU TLB misses in TRIAD for each allocator."""
-    chosen = (
-        list(allocators)
-        if allocators is not None
-        else ["malloc", "malloc+register", "hipMalloc", "hipHostMalloc",
-              "hipMallocManaged(xnack=0)"]
-    )
-    return [
-        gpu_triad(a, array_bytes=array_bytes, ntimes=ntimes,
-                  memory_gib=memory_gib)
-        for a in chosen
-    ]

@@ -1,11 +1,11 @@
 """Hardware substrate for the simulated MI300A APU.
 
 Exports the configuration dataclasses, the simulated clock, the HBM
-channel-mapping model, the Infinity Cache model, the cache-hierarchy
-latency model, and the chiplet topology.
+channel-mapping model, the Infinity Cache model, and the cache-hierarchy
+latency model.
 """
 
-from .caches import CacheHierarchy, HierarchyLevel, cpu_hierarchy, gpu_hierarchy
+from .caches import CacheHierarchy, HierarchyLevel, gpu_hierarchy
 from .clock import SimClock, Stopwatch
 from .config import (
     GiB,
@@ -20,12 +20,9 @@ from .config import (
 )
 from .hbm import HBMSubsystem, channel_balance, effective_slice_hit_fraction
 from .infinity_cache import ICResidency, InfinityCache
-from .topology import APUTopology, Chiplet, link_pairs
 
 __all__ = [
-    "APUTopology",
     "CacheHierarchy",
-    "Chiplet",
     "GiB",
     "HBMSubsystem",
     "HierarchyLevel",
@@ -40,10 +37,8 @@ __all__ = [
     "Stopwatch",
     "TiB",
     "channel_balance",
-    "cpu_hierarchy",
     "default_config",
     "effective_slice_hit_fraction",
     "gpu_hierarchy",
-    "link_pairs",
     "small_config",
 ]

@@ -1,4 +1,4 @@
-"""CPU and GPU cache-hierarchy capacity/latency model.
+"""Cache-hierarchy capacity/latency model (the GPU side of Fig. 2).
 
 The paper's latency study (Fig. 2) walks a pointer chain over buffers from
 1 KiB to 4 GiB and reads off plateaus at each cache level.  For a random
@@ -6,7 +6,9 @@ pointer chase the level that serves an access is essentially determined by
 whether the working set fits in that level, with smooth transitions as the
 working set straddles a capacity boundary.  This module models exactly
 that: a stack of levels, each with a capacity and a load-to-use latency,
-plus a capacity-weighted blending rule at the boundaries.
+plus a capacity-weighted blending rule at the boundaries.  The CPU side,
+whose Infinity Cache share depends on the buffer's physical frames, is
+:func:`repro.perf.latency.cpu_chase_latency_ns`.
 """
 
 from __future__ import annotations
@@ -110,29 +112,6 @@ def gpu_hierarchy(
         _level(config.gpu_l2),
         HierarchyLevel("infinity_cache", max(ic_capacity, 1), config.gpu_ic_latency_ns),
         HierarchyLevel("hbm", None, config.gpu_hbm_latency_ns),
-    ]
-    return CacheHierarchy(levels)
-
-
-def cpu_hierarchy(
-    config: MI300AConfig, ic_hit_fraction: float = 1.0
-) -> CacheHierarchy:
-    """Build the CPU-side hierarchy: L1, L2, L3, Infinity Cache, HBM.
-
-    The CPU L3 is 96 MiB; past it, accesses may still hit the memory-side
-    Infinity Cache.  The usable IC capacity is scaled by
-    *ic_hit_fraction*: a malloc'd buffer with biased channel mapping sees
-    a smaller effective IC and therefore reaches the 240 ns HBM plateau
-    earlier than hipMalloc'd memory (paper Fig. 2 and Section 5.4).
-    """
-    ic_capacity = int(config.infinity_cache.capacity_bytes * ic_hit_fraction)
-    ic_capacity = max(ic_capacity, config.cpu_l3.capacity_bytes + 1)
-    levels = [
-        _level(config.cpu_l1),
-        _level(config.cpu_l2),
-        _level(config.cpu_l3),
-        HierarchyLevel("infinity_cache", ic_capacity, config.cpu_ic_latency_ns),
-        HierarchyLevel("hbm", None, config.cpu_hbm_latency_ns),
     ]
     return CacheHierarchy(levels)
 

@@ -413,6 +413,15 @@ class MI300AConfig:
         """Number of base (4 KiB) pages in physical memory."""
         return self.memory_capacity_bytes // PAGE_SIZE
 
+    def describe(self) -> str:
+        """Human-readable one-line summary of the package."""
+        return (
+            f"{self.name}: {self.xcd_count} XCD ({self.gpu_compute_units} CUs), "
+            f"{self.ccd_count} CCD ({self.cpu_cores} cores), "
+            f"{self.iod_count} IOD, {self.hbm.stacks}x"
+            f"{self.hbm.stack_capacity_bytes // GiB} GiB HBM3"
+        )
+
 
 def default_config() -> MI300AConfig:
     """Return the paper-calibrated MI300A configuration."""
@@ -422,7 +431,7 @@ def default_config() -> MI300AConfig:
 def small_config(memory_bytes: int = 2 * GiB) -> MI300AConfig:
     """Return a down-scaled config for fast tests.
 
-    The topology and policies are identical to :func:`default_config`;
+    The chiplet counts and policies are identical to :func:`default_config`;
     only the HBM capacity is reduced so the physical allocator's frame
     bookkeeping stays small.
     """

@@ -48,7 +48,7 @@ class HBMSubsystem:
             NPS4).  Domain *d* owns the contiguous frame range
             ``[d * frames_per_domain, (d+1) * frames_per_domain)`` and
             interleaves it across the stacks ``d, d + numa_domains, ...``
-            — the stacks hosted by IOD *d* in the package topology.
+            — the stacks whose HBM PHYs sit on IOD *d*.
     """
 
     def __init__(self, geometry: HBMGeometry, numa_domains: int = 1) -> None:

@@ -96,7 +96,7 @@ def enumerate_logical_devices(
     devices = []
     for index in range(partition.device_count):
         xcds = partition.xcds_of_device(index, config.xcd_count)
-        # Two XCDs per IOD, as in APUTopology: XCD i sits on IOD i // 2.
+        # Two XCDs per IOD: XCD i sits on IOD i // 2.
         iods = tuple(sorted({x // 2 for x in xcds}))
         compute_units = config.gpu_compute_units * len(xcds) // config.xcd_count
         if partition.memory is MemoryPartition.NPS1:

@@ -23,7 +23,6 @@ from ..hw.clock import SimClock
 from ..hw.config import MI300AConfig, default_config
 from ..hw.hbm import HBMSubsystem, channel_balance
 from ..hw.infinity_cache import InfinityCache
-from ..hw.topology import APUTopology
 from ..partition import PartitionConfig, PartitionPlacement
 from ..perf.bandwidth import BufferTraits
 from .device import CPUComplex, GPUDevice
@@ -93,7 +92,6 @@ class APU:
             self.config.hbm, numa_domains=self.partition.numa_domains
         )
         self.infinity_cache = InfinityCache(self.config.infinity_cache, self.hbm_map)
-        self.topology = APUTopology(self.config)
         self.placement = PartitionPlacement(
             self.config, self.partition, self.physical, self.hbm_map
         )

@@ -148,6 +148,8 @@ class TestParameterHandling:
 
     def test_compare_variants_helper(self):
         app = SradV1()
-        out = app.compare_variants(memory_gib=4, params=SMALL["srad_v1"])
-        assert "unified" in out
-        assert out["unified"].app == "srad_v1"
+        out = compare(
+            app.run("explicit", memory_gib=4, params=SMALL["srad_v1"]),
+            app.run("unified", memory_gib=4, params=SMALL["srad_v1"]),
+        )
+        assert out.app == "srad_v1"

@@ -14,6 +14,7 @@ from repro.bench import (
     pagefault,
     stream,
 )
+from repro.exp import get_spec
 from repro.hw.config import KiB, MiB
 
 
@@ -49,14 +50,6 @@ class TestMultichase:
         with pytest.raises(ValueError):
             multichase.chase_curve("cudaMalloc", "cpu", sizes=[1 * KiB])
 
-    def test_format_table(self):
-        samples = multichase.chase_curve(
-            "hipMalloc", "gpu", sizes=[1 * KiB], memory_gib=2
-        )
-        text = multichase.format_table(samples)
-        assert "hipMalloc" in text
-        assert "latency_ns" in text
-
 
 class TestStream:
     def test_gpu_tiers(self):
@@ -90,13 +83,11 @@ class TestStream:
         assert malloc_faults > 50 * hip_faults
 
     def test_tlb_miss_gap(self):
-        rows = stream.gpu_tlb_miss_table(
-            allocators=["malloc", "hipMalloc"],
-            array_bytes=64 * MiB,
-            memory_gib=2,
+        malloc, hip = (
+            stream.gpu_triad(a, array_bytes=64 * MiB, memory_gib=2)
+            for a in ("malloc", "hipMalloc")
         )
-        by_name = {r.allocator: r.gpu_tlb_misses for r in rows}
-        assert by_name["malloc"] > 5 * by_name["hipMalloc"]
+        assert malloc.gpu_tlb_misses > 5 * hip.gpu_tlb_misses
 
 
 class TestHipBandwidth:
@@ -162,7 +153,7 @@ class TestAllocSpeedBench:
     def test_malloc_fastest_small(self):
         rows = {
             a: allocspeed.cost_sweep(a, sizes=[32])[0].alloc_ns
-            for a in allocspeed.ALLOCATORS
+            for a in dict(get_spec("fig6").grid)["allocator"]
         }
         assert min(rows, key=rows.get) == "malloc"
 
@@ -172,16 +163,8 @@ class TestAllocSpeedBench:
         )
         assert len({r.alloc_ns for r in rows}) == 1
 
-    def test_full_sweep_covers_allocators(self):
-        rows = allocspeed.full_cost_sweep(sizes=[4096])
-        assert {r.allocator for r in rows} == set(allocspeed.ALLOCATORS)
-
 
 class TestPageFaultBench:
-    def test_throughput_curves(self):
-        samples = pagefault.full_throughput_sweep(page_counts=[100, 10_000])
-        assert len(samples) == 8
-
     def test_measured_close_to_model_at_plateau(self):
         measured = pagefault.measured_throughput("cpu", 20_000)
         assert measured == pytest.approx(872e3, rel=0.25)

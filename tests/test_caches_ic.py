@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.hw.caches import (
-    CacheHierarchy,
-    HierarchyLevel,
-    cpu_hierarchy,
-    gpu_hierarchy,
-)
+from repro.hw.caches import CacheHierarchy, HierarchyLevel, gpu_hierarchy
 from repro.hw.config import (
     InfinityCacheGeometry,
     KiB,
@@ -18,6 +13,7 @@ from repro.hw.config import (
 )
 from repro.hw.hbm import HBMSubsystem
 from repro.hw.infinity_cache import InfinityCache
+from repro.perf.latency import cpu_chase_latency_ns
 
 
 @pytest.fixture
@@ -82,7 +78,7 @@ class TestCacheHierarchy:
 
 
 class TestPaperLatencyAnchors:
-    """Fig. 2's plateau values, straight from the hierarchy builders."""
+    """Fig. 2's plateau values, straight from the latency models."""
 
     def test_gpu_l1_at_1kib(self, cfg):
         assert gpu_hierarchy(cfg).average_latency_ns(1 * KiB) == pytest.approx(57.0)
@@ -100,22 +96,28 @@ class TestPaperLatencyAnchors:
         assert 333 <= lat <= 350
 
     def test_cpu_l1_at_1kib(self, cfg):
-        assert cpu_hierarchy(cfg).average_latency_ns(1 * KiB) == pytest.approx(1.0)
+        assert cpu_chase_latency_ns(cfg, 1 * KiB) == pytest.approx(1.0)
 
     def test_cpu_hbm_at_4gib(self, cfg):
-        lat = cpu_hierarchy(cfg).average_latency_ns(4 * GiB)
+        lat = cpu_chase_latency_ns(cfg, 4 * GiB)
         assert 228 <= lat <= 241
 
     def test_cpu_faster_than_gpu_everywhere(self, cfg):
-        cpu, gpu = cpu_hierarchy(cfg), gpu_hierarchy(cfg)
+        gpu = gpu_hierarchy(cfg)
         for size in (1 * KiB, 1 * MiB, 64 * MiB, 1 * GiB, 4 * GiB):
-            assert cpu.average_latency_ns(size) < gpu.average_latency_ns(size)
+            assert cpu_chase_latency_ns(cfg, size) < gpu.average_latency_ns(size)
 
     def test_reduced_ic_fraction_raises_cpu_latency(self, cfg):
-        full = cpu_hierarchy(cfg, ic_hit_fraction=1.0)
-        biased = cpu_hierarchy(cfg, ic_hit_fraction=0.1)
+        ic = InfinityCache(cfg.infinity_cache, HBMSubsystem(cfg.hbm))
         ws = 512 * MiB
-        assert biased.average_latency_ns(ws) > full.average_latency_ns(ws)
+        npages = ws // 4096
+        # All pages on eight channels: frames congruent mod 128.
+        skewed = np.concatenate(
+            [np.arange(c, c + 128 * (npages // 8), 128) for c in range(8)]
+        )
+        full = cpu_chase_latency_ns(cfg, ws)
+        biased = cpu_chase_latency_ns(cfg, ws, ic=ic, frames=skewed)
+        assert biased > full
 
 
 class TestInfinityCache:

@@ -90,6 +90,12 @@ class TestDefaultConfig:
         assert other.cpu_cores == 48
         assert cfg.cpu_cores == 24
 
+    def test_describe_mentions_parts(self):
+        text = default_config().describe()
+        assert "6 XCD" in text
+        assert "3 CCD" in text
+        assert "228" in text
+
 
 class TestSmallConfig:
     def test_scales_memory_only(self):

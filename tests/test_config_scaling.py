@@ -13,14 +13,12 @@ from repro.hw.config import (
     GiB,
     HBMGeometry,
     InfinityCacheGeometry,
-    MI300AConfig,
     MiB,
     default_config,
     small_config,
 )
 from repro.hw.hbm import HBMSubsystem
 from repro.hw.infinity_cache import InfinityCache
-from repro.hw.topology import APUTopology
 from repro.perf.atomics import gpu_atomic_throughput
 from repro.perf.bandwidth import BufferTraits, cpu_stream_bandwidth
 from repro.perf.latency import cpu_chase_latency_ns
@@ -91,21 +89,6 @@ class TestHBMGeometryVariants:
         geo = HBMGeometry(stacks=4, channels_per_stack=8)
         ic_geo = InfinityCacheGeometry(slices=32)
         InfinityCache(ic_geo, HBMSubsystem(geo))  # matches: fine
-
-
-class TestTopologyVariants:
-    def test_smaller_apu_topology(self):
-        cfg = MI300AConfig(xcd_count=4, ccd_count=2, iod_count=3)
-        topo = APUTopology(cfg)
-        assert len(topo.chiplets("xcd")) == 4
-        assert len(topo.chiplets("ccd")) == 2
-        assert topo.memory_reachable_from_all()
-
-    def test_memory_unification_is_structural(self):
-        # Any chiplet mix keeps the UPM property under this fabric.
-        for xcds, ccds in ((2, 1), (6, 3), (8, 4)):
-            cfg = MI300AConfig(xcd_count=xcds, ccd_count=ccds)
-            assert APUTopology(cfg).memory_reachable_from_all()
 
 
 class TestPolicyKnobs:

@@ -2,8 +2,7 @@
 
 Covers the mode compatibility matrix, logical-device enumeration, the
 NPS4 frame mapping and domain-confined placement, the partition-aware
-Infinity Cache view, the HIP device-management surface, and the
-amd-smi-style repartitioning at node level.
+Infinity Cache view, and the HIP device-management surface.
 """
 
 import numpy as np
@@ -12,8 +11,6 @@ import pytest
 from repro.core.meminfo import hip_mem_get_info_device
 from repro.hw.config import GiB, MiB, PAGE_SIZE, small_config
 from repro.hw.hbm import HBMSubsystem
-from repro.hw.node import MI300ANode
-from repro.hw.topology import APUTopology
 from repro.partition import (
     ComputePartition,
     InvalidPartitionError,
@@ -95,22 +92,6 @@ class TestModes:
             assert seen == list(range(6))
         with pytest.raises(IndexError):
             TPX_NPS1.xcds_of_device(3)
-
-
-class TestTopologyHelpers:
-    def test_iod_of_xcd(self, config):
-        topo = APUTopology(config)
-        assert [topo.iod_of_xcd(x) for x in range(6)] == [0, 0, 1, 1, 2, 2]
-        with pytest.raises(IndexError):
-            topo.iod_of_xcd(6)
-
-    def test_xcds_and_stacks_of_iod(self, config):
-        topo = APUTopology(config)
-        assert topo.xcds_of_iod(0) == [0, 1]
-        assert topo.xcds_of_iod(2) == [4, 5]
-        # hbm s -> iod s % 4: IOD i hosts stacks {i, i+4}.
-        assert topo.stacks_of_iod(0) == [0, 4]
-        assert topo.stacks_of_iod(3) == [3, 7]
 
 
 class TestLogicalDevices:
@@ -417,36 +398,3 @@ class TestHipDeviceManagement:
         runtime = make_runtime(1, partition=CPX_NPS1)
         assert runtime.hipGetDeviceCount() == 6
         assert runtime.apu.hbm_map.numa_domains == 1
-
-
-class TestNodeRepartitioning:
-    def test_default_partition_applied_to_all_apus(self):
-        node = MI300ANode(apu_memory_gib=1, partition=CPX_NPS4)
-        assert node.apu(0).partition is CPX_NPS4
-        assert len(node.apu(1).logical_devices) == 6
-
-    def test_set_partition_rebuilds_apu(self):
-        node = MI300ANode(apu_memory_gib=1)
-        apu_before = node.apu(2)
-        apu_before.memory.hip_malloc(4 * MiB)
-        node.set_partition(2, CPX_NPS4)
-        apu_after = node.apu(2)
-        assert apu_after is not apu_before
-        assert apu_after.partition is CPX_NPS4
-        assert apu_after.physical.used_bytes == 0  # idle-reset semantics
-        assert node.partition_of(2) is CPX_NPS4
-        assert node.partition_of(0) is None
-
-    def test_bind_logical(self):
-        node = MI300ANode(apu_memory_gib=1, partition=CPX_NPS4)
-        apu, device = node.bind_logical(1, 3)
-        assert device.index == 3 and device.numa_domain == 1
-        with pytest.raises(PermissionError):
-            node.apu(0)
-        node.unbind()
-
-    def test_seed_default_partition_unchanged(self):
-        node = MI300ANode(apu_memory_gib=1)
-        apu = node.apu(0)
-        assert apu.partition.describe() == "SPX/NPS1"
-        assert len(apu.logical_devices) == 1

@@ -1,5 +1,10 @@
 """Tests for the runtime layer: streams, SDMA, arrays, APU helpers."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -315,3 +320,16 @@ class TestAPUHelpers:
         buf = apu.memory.malloc(1 * MiB)
         report = apu.prefault_cpu(buf)
         assert report.cpu_faulted_pages == 256
+
+
+def test_runtime_imports_without_networkx():
+    """``repro`` and the APU it wires together need numpy alone."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import repro, repro.runtime.apu, sys; "
+         "assert 'networkx' not in sys.modules"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
