@@ -19,7 +19,7 @@ import numpy as np
 from ..runtime.arrays import DeviceArray
 from ..runtime.hip import HipRuntime
 from ..runtime.kernels import BufferAccess, KernelSpec
-from .common import RodiniaApp
+from .common import RodiniaApp, simulate_io
 
 #: Hidden-layer width (fixed at 16 in the Rodinia code).
 HIDDEN = 16
@@ -55,8 +55,6 @@ class Backprop(RodiniaApp):
 
     def _generate(self, runtime: HipRuntime, n: int, allocator: str):
         """Setup phase: read the face dataset, allocate and initialise."""
-        from .common import simulate_io
-
         rng = np.random.default_rng(7)
         x = runtime.array(n, np.float32, allocator, name="input")
         w1 = runtime.array((n, HIDDEN), np.float32, allocator, name="w1")
@@ -112,7 +110,9 @@ class Backprop(RodiniaApp):
         delta_out = output * (1.0 - output) * (target - output)
         delta_hidden = hidden * (1.0 - hidden) * (w2 * delta_out)
         w2 += ETA * delta_out * hidden
-        w1 += ETA * np.outer(x, delta_hidden).astype(np.float32)
+        step = np.outer(x, delta_hidden)
+        step *= ETA
+        w1 += step
         return w1, w2, float(output)
 
     # ------------------------------------------------------------------
@@ -148,8 +148,6 @@ class Backprop(RodiniaApp):
     @staticmethod
     def _write_output(runtime: HipRuntime, weights: DeviceArray) -> None:
         """facetrain's output phase: dump the trained network to disk."""
-        from .common import simulate_io
-
         simulate_io(runtime.apu, weights.nbytes)
 
     def _run_unified(self, runtime: HipRuntime, profiler, params):

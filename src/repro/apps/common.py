@@ -21,12 +21,17 @@ import abc
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+import numpy as np
+
 from ..profiling.memusage import MemoryUsageProfiler
 from ..runtime.apu import APU
 from ..runtime.hip import HipRuntime, make_runtime
 
 #: Simulated filesystem streaming bandwidth for I/O phases (bytes/s).
 IO_BANDWIDTH = 2.0e9
+
+#: Bytes per row strip of the blocked stencil kernels.
+STRIP_BYTES = 256 << 10
 
 
 @dataclass(frozen=True)
@@ -76,6 +81,36 @@ def simulate_io(apu: APU, nbytes: int) -> None:
     if nbytes < 0:
         raise ValueError(f"negative I/O size {nbytes}")
     apu.clock.advance(nbytes / IO_BANDWIDTH * 1e9)
+
+
+def edge_padded(grid: np.ndarray) -> np.ndarray:
+    """*grid* with one edge-replicated cell on every side, (h+2, w+2)."""
+    pad = np.empty((grid.shape[0] + 2, grid.shape[1] + 2), grid.dtype)
+    pad[1:-1, 1:-1] = grid
+    pad[0, 1:-1] = grid[0]
+    pad[-1, 1:-1] = grid[-1]
+    pad[:, 0] = pad[:, 1]
+    pad[:, -1] = pad[:, -2]
+    return pad
+
+
+def stencil_strips(grid: np.ndarray, buffers: int):
+    """Walk 2-D *grid* in row strips of about :data:`STRIP_BYTES`, so a
+    stencil's element-wise passes work on data still in cache.  Yields
+    per strip: its row slice; the centre cells and their north, south,
+    east and west neighbours (views of one :func:`edge_padded` copy);
+    and *buffers* strip-sized scratch arrays reused across strips."""
+    pad = edge_padded(grid)
+    rows = min(len(grid), max(1, STRIP_BYTES // grid[0].nbytes))
+    scratch = np.empty((buffers, rows, grid.shape[1]), grid.dtype)
+    for start in range(0, len(grid), rows):
+        stop = min(start + rows, len(grid))
+        mid = pad[start + 1 : stop + 1]
+        yield (
+            slice(start, stop), mid[:, 1:-1], pad[start:stop, 1:-1],
+            pad[start + 2 : stop + 2, 1:-1], mid[:, 2:], mid[:, :-2],
+            *scratch[:, : stop - start],
+        )
 
 
 class RodiniaApp(abc.ABC):

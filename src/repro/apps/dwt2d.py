@@ -30,24 +30,28 @@ PIXEL_NS = 0.018
 CHUNK_BYTES = 16 << 20
 
 
-def _haar_level(image: np.ndarray) -> np.ndarray:
-    """One in-place-style 2D Haar decomposition level (numerically real)."""
-    rows = image.reshape(image.shape[0], -1, 2)
-    low = (rows[:, :, 0] + rows[:, :, 1]) / 2.0
-    high = (rows[:, :, 0] - rows[:, :, 1]) / 2.0
-    horiz = np.hstack([low, high])
-    cols = horiz.reshape(-1, 2, horiz.shape[1])
-    low2 = (cols[:, 0, :] + cols[:, 1, :]) / 2.0
-    high2 = (cols[:, 0, :] - cols[:, 1, :]) / 2.0
-    return np.vstack([low2, high2])
+def _haar_level(quad: np.ndarray, scratch: np.ndarray) -> None:
+    """One 2D Haar level of *quad*, in place (numerically real): the row
+    pass writes [low | high] into *scratch* (same shape), the column pass
+    writes [low; high] back into *quad*."""
+    half_h, half_w = quad.shape[0] // 2, quad.shape[1] // 2
+    for src, lo, hi in (
+        (quad, scratch[:, :half_w], scratch[:, half_w:]),
+        (scratch.T, quad[:half_h].T, quad[half_h:].T),  # columns as rows
+    ):
+        np.add(src[:, 0::2], src[:, 1::2], out=lo)
+        lo /= 2.0
+        np.subtract(src[:, 0::2], src[:, 1::2], out=hi)
+        hi /= 2.0
 
 
 def dwt_forward(image: np.ndarray, levels: int) -> np.ndarray:
     """Multi-level forward DWT: each level transforms the LL quadrant."""
-    out = image.astype(np.float32).copy()
+    out = image.astype(np.float32)
+    scratch = np.empty(out.size, out.dtype)
     h, w = out.shape
     for _ in range(levels):
-        out[:h, :w] = _haar_level(out[:h, :w])
+        _haar_level(out[:h, :w], scratch[: h * w].reshape(h, w))
         h, w = h // 2, w // 2
         if h < 2 or w < 2:
             break
@@ -88,7 +92,7 @@ class Dwt2d(RodiniaApp):
         apu.touch(raw, "cpu")
         for plane in planes:
             apu.touch(plane, "cpu")
-        image.np[:] = rng.integers(0, 256, size=(dim, dim)).astype(np.float32)
+        image.np[:] = rng.integers(0, 256, size=(dim, dim), dtype=np.int32)
         simulate_io(apu, raw.size_bytes)  # read the bitmap file
         init = KernelSpec(
             "bmp_decode", [BufferAccess(image.allocation, "write")]

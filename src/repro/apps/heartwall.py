@@ -48,23 +48,28 @@ PREP_NS = 0.25
 def _preprocess_frame(rng: np.random.Generator, shape) -> np.ndarray:
     """Generate + filter one ultrasound frame (numerically real)."""
     frame = rng.random(shape, dtype=np.float32)
-    # Cheap separable smoothing, standing in for the SRAD pre-filter.
-    frame = (frame + np.roll(frame, 1, axis=0) + np.roll(frame, 1, axis=1)) / 3.0
-    return frame
+    # Cheap separable smoothing, standing in for the SRAD pre-filter:
+    # (frame + roll(frame, 1, axis=0) + roll(frame, 1, axis=1)) / 3.
+    out = np.empty_like(frame)
+    np.add(frame[1:], frame[:-1], out=out[1:])
+    np.add(frame[0], frame[-1], out=out[0])
+    out[:, 1:] += frame[:, :-1]
+    out[:, 0] += frame[:, -1]
+    out /= 3.0
+    return out
 
 
 def _track(frame: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Move each tracked point toward its patch's brightest pixel."""
     h, w = frame.shape
-    out = points.copy()
-    for i, (y, x) in enumerate(points):
-        y0, y1 = max(0, int(y) - TEMPLATE), min(h, int(y) + TEMPLATE + 1)
-        x0, x1 = max(0, int(x) - TEMPLATE), min(w, int(x) + TEMPLATE + 1)
-        patch = frame[y0:y1, x0:x1]
-        dy, dx = np.unravel_index(int(patch.argmax()), patch.shape)
-        out[i, 0] = np.clip(y0 + dy, TEMPLATE, h - TEMPLATE - 1)
-        out[i, 1] = np.clip(x0 + dx, TEMPLATE, w - TEMPLATE - 1)
-    return out
+    out = []
+    for y, x in points.tolist():
+        y0, y1 = max(0, y - TEMPLATE), min(h, y + TEMPLATE + 1)
+        x0, x1 = max(0, x - TEMPLATE), min(w, x + TEMPLATE + 1)
+        dy, dx = divmod(int(frame[y0:y1, x0:x1].argmax()), x1 - x0)
+        out.append((min(max(y0 + dy, TEMPLATE), h - TEMPLATE - 1),
+                    min(max(x0 + dx, TEMPLATE), w - TEMPLATE - 1)))
+    return np.array(out, dtype=points.dtype).reshape(points.shape)
 
 
 class Heartwall(RodiniaApp):

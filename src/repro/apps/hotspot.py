@@ -18,7 +18,7 @@ import numpy as np
 
 from ..runtime.hip import HipRuntime
 from ..runtime.kernels import BufferAccess, KernelSpec
-from .common import RodiniaApp, simulate_io
+from .common import RodiniaApp, simulate_io, stencil_strips
 
 #: Physical constants of the Rodinia implementation (scaled).
 CAP, RX, RY, RZ = 0.5, 1.0, 1.0, 4.75
@@ -29,18 +29,23 @@ CELL_NS = 0.02
 
 
 def _stencil_step(temp: np.ndarray, power: np.ndarray) -> np.ndarray:
-    """One numerically real hotspot update (edge cells clamp outward)."""
-    north = np.vstack([temp[:1], temp[:-1]])
-    south = np.vstack([temp[1:], temp[-1:]])
-    west = np.hstack([temp[:, :1], temp[:, :-1]])
-    east = np.hstack([temp[:, 1:], temp[:, -1:]])
-    delta = (CAP) * (
-        power
-        + (south + north - 2.0 * temp) / RY
-        + (east + west - 2.0 * temp) / RX
-        + (AMB_TEMP - temp) / RZ
-    )
-    return temp + delta * 0.001
+    """One numerically real hotspot update (edge cells clamp outward),
+    strip by strip in exactly this order of operations: ``t + CAP * (power
+    + ((s+n) - 2t)/RY + ((e+w) - 2t)/RX + (AMB_TEMP - t)/RZ) * 0.001``."""
+    out = np.empty_like(temp)
+    for rows, t, n, s, e, w, a, b, acc in stencil_strips(temp, 3):
+        np.multiply(t, 2.0, out=acc)
+        np.subtract(np.add(s, n, out=a), acc, out=a)
+        a /= RY
+        np.subtract(np.add(e, w, out=b), acc, out=b)
+        b /= RX
+        np.add(power[rows], a, out=acc)
+        acc += b
+        acc += np.divide(np.subtract(AMB_TEMP, t, out=a), RZ, out=a)
+        acc *= CAP
+        acc *= 0.001
+        np.add(t, acc, out=out[rows])
+    return out
 
 
 class Hotspot(RodiniaApp):

@@ -55,8 +55,6 @@ class NearestNeighbor(RodiniaApp):
 
     def _run(self, variant, runtime, profiler, params):
         records, k = params["records"], params["k"]
-        apu = runtime.apu
-
         vector_allocator = "hipMalloc" if variant == "unified-hipalloc" else "malloc"
         vector = self._build_records(runtime, records, vector_allocator)
         profiler.sample()

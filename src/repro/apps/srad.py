@@ -20,7 +20,7 @@ import numpy as np
 from ..porting.strategies import StackFlag
 from ..runtime.hip import HipRuntime
 from ..runtime.kernels import BufferAccess, KernelSpec
-from .common import RodiniaApp, simulate_io
+from .common import RodiniaApp, simulate_io, stencil_strips
 
 #: Diffusion coefficient scale of the Rodinia code.
 LAMBDA = 0.5
@@ -31,26 +31,39 @@ PIXEL_NS = 0.15
 
 
 def _srad_iteration(image: np.ndarray) -> np.ndarray:
-    """One numerically real SRAD update (reflecting boundaries)."""
-    north = np.vstack([image[:1], image[:-1]])
-    south = np.vstack([image[1:], image[-1:]])
-    west = np.hstack([image[:, :1], image[:, :-1]])
-    east = np.hstack([image[:, 1:], image[:, -1:]])
-
+    """One numerically real SRAD update (reflecting boundaries): image
+    statistics over the whole image, the rest strip by strip in the
+    whole-array expressions' exact order, ``(0.5*num)/denom`` included."""
     mean = image.mean()
     var = image.var()
     q0_sq = var / (mean * mean + 1e-12)
-
-    grad = north + south + east + west - 4.0 * image
-    num = (north - image) ** 2 + (south - image) ** 2
-    num += (east - image) ** 2 + (west - image) ** 2
-    denom = image * image + 1e-12
-    q_sq = (0.5 * num / denom - (0.0625 * (grad / image) ** 2)) / (
-        (1.0 + 0.25 * grad / image) ** 2 + 1e-12
-    )
-    coeff = 1.0 / (1.0 + (q_sq - q0_sq) / (q0_sq * (1.0 + q0_sq) + 1e-12))
-    coeff = np.clip(coeff, 0.0, 1.0)
-    return image + (LAMBDA / 4.0) * coeff * grad
+    scale = q0_sq * (1.0 + q0_sq) + 1e-12
+    out = np.empty_like(image)
+    for rows, c, n, s, e, w, grad, num, t, u in stencil_strips(image, 4):
+        np.add(n, s, out=grad)  # grad = n + s + e + w - 4c
+        grad += e
+        grad += w
+        grad -= np.multiply(c, 4.0, out=t)
+        for acc, p, q in ((num, n, s), (t, e, w)):  # squared differences
+            np.square(np.subtract(p, c, out=acc), out=acc)
+            acc += np.square(np.subtract(q, c, out=u), out=u)
+        num += t
+        num *= 0.5
+        num /= np.add(np.multiply(c, c, out=t), 1e-12, out=t)
+        np.square(np.divide(grad, c, out=t), out=t)
+        t *= 0.0625
+        num -= t  # numerator of q_sq
+        np.divide(np.multiply(grad, 0.25, out=t), c, out=t)
+        t += 1.0
+        num /= np.add(np.square(t, out=t), 1e-12, out=t)  # q_sq
+        num -= q0_sq
+        num /= scale
+        num += 1.0
+        np.clip(np.divide(1.0, num, out=num), 0.0, 1.0, out=num)  # coeff
+        num *= LAMBDA / 4.0
+        num *= grad
+        np.add(c, num, out=out[rows])
+    return out
 
 
 class SradV1(RodiniaApp):
@@ -148,7 +161,7 @@ class SradV1(RodiniaApp):
                 i = 0
                 while continue_flag.read() and i < iterations:
                     runtime.launchKernel(prepare)
-                    kernel = runtime.launchKernel(update)
+                    runtime.launchKernel(update)
                     result = _srad_iteration(result)
                     i += 1
                     continue_flag.gpu_write(

@@ -8,11 +8,23 @@ tolerance, which a drift shared by both variants would pass; this file
 pins every variant's checksum, total and compute time (as
 ``float.hex()``) and peak memory exactly, at a tiny size and at the
 quick size the ``apps`` experiment and the host-time benchmark use.
+
+The second half checks the blocked kernels against the straightforward
+whole-array versions they replaced, kept here as references, byte for
+byte over chained steps and awkward shapes.
 """
 
-import pytest
+from unittest import mock
 
-from repro.apps import ALL_APPS
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.apps import ALL_APPS, common
+from repro.apps.dwt2d import _haar_level, dwt_forward
+from repro.apps.heartwall import TEMPLATE, _preprocess_frame, _track
+from repro.apps.hotspot import AMB_TEMP, CAP, RX, RY, RZ, _stencil_step
+from repro.apps.srad import LAMBDA, _srad_iteration
 from repro.exp.experiments import APP_QUICK_PARAMS
 
 TINY = {
@@ -162,3 +174,230 @@ def test_output_is_bit_identical(size, app, variant):
     assert result.total_time_s.hex() == total
     assert result.compute_time_s.hex() == compute
     assert result.peak_memory_bytes == peak
+
+
+# ----------------------------------------------------------------------
+# Reference kernels: whole-array numpy, one temporary per operation
+# ----------------------------------------------------------------------
+
+
+def ref_stencil_step(temp, power):
+    north = np.vstack([temp[:1], temp[:-1]])
+    south = np.vstack([temp[1:], temp[-1:]])
+    west = np.hstack([temp[:, :1], temp[:, :-1]])
+    east = np.hstack([temp[:, 1:], temp[:, -1:]])
+    delta = (CAP) * (
+        power
+        + (south + north - 2.0 * temp) / RY
+        + (east + west - 2.0 * temp) / RX
+        + (AMB_TEMP - temp) / RZ
+    )
+    return temp + delta * 0.001
+
+
+def ref_srad_iteration(image):
+    north = np.vstack([image[:1], image[:-1]])
+    south = np.vstack([image[1:], image[-1:]])
+    west = np.hstack([image[:, :1], image[:, :-1]])
+    east = np.hstack([image[:, 1:], image[:, -1:]])
+
+    mean = image.mean()
+    var = image.var()
+    q0_sq = var / (mean * mean + 1e-12)
+
+    grad = north + south + east + west - 4.0 * image
+    num = (north - image) ** 2 + (south - image) ** 2
+    num += (east - image) ** 2 + (west - image) ** 2
+    denom = image * image + 1e-12
+    q_sq = (0.5 * num / denom - (0.0625 * (grad / image) ** 2)) / (
+        (1.0 + 0.25 * grad / image) ** 2 + 1e-12
+    )
+    coeff = 1.0 / (1.0 + (q_sq - q0_sq) / (q0_sq * (1.0 + q0_sq) + 1e-12))
+    coeff = np.clip(coeff, 0.0, 1.0)
+    return image + (LAMBDA / 4.0) * coeff * grad
+
+
+def ref_haar_level(image):
+    rows = image.reshape(image.shape[0], -1, 2)
+    low = (rows[:, :, 0] + rows[:, :, 1]) / 2.0
+    high = (rows[:, :, 0] - rows[:, :, 1]) / 2.0
+    horiz = np.hstack([low, high])
+    cols = horiz.reshape(-1, 2, horiz.shape[1])
+    low2 = (cols[:, 0, :] + cols[:, 1, :]) / 2.0
+    high2 = (cols[:, 0, :] - cols[:, 1, :]) / 2.0
+    return np.vstack([low2, high2])
+
+
+def ref_dwt_forward(image, levels):
+    out = image.astype(np.float32).copy()
+    h, w = out.shape
+    for _ in range(levels):
+        out[:h, :w] = ref_haar_level(out[:h, :w])
+        h, w = h // 2, w // 2
+        if h < 2 or w < 2:
+            break
+    return out
+
+
+def ref_preprocess_frame(rng, shape):
+    frame = rng.random(shape, dtype=np.float32)
+    frame = (frame + np.roll(frame, 1, axis=0) + np.roll(frame, 1, axis=1)) / 3.0
+    return frame
+
+
+def ref_track(frame, points):
+    h, w = frame.shape
+    out = points.copy()
+    for i, (y, x) in enumerate(points):
+        y0, y1 = max(0, int(y) - TEMPLATE), min(h, int(y) + TEMPLATE + 1)
+        x0, x1 = max(0, int(x) - TEMPLATE), min(w, int(x) + TEMPLATE + 1)
+        patch = frame[y0:y1, x0:x1]
+        dy, dx = np.unravel_index(int(patch.argmax()), patch.shape)
+        out[i, 0] = np.clip(y0 + dy, TEMPLATE, h - TEMPLATE - 1)
+        out[i, 1] = np.clip(x0 + dx, TEMPLATE, w - TEMPLATE - 1)
+    return out
+
+
+# ----------------------------------------------------------------------
+# Differential tests
+# ----------------------------------------------------------------------
+
+#: 1xN, Nx1 and 1x1 grids are among the drawn shapes.
+dims = st.integers(1, 40)
+#: Tiny strips make most grids span many strips, with a ragged last
+#: one; the module's own size keeps these grids in one strip.
+strip_bytes = st.sampled_from([1, 8, 24, 100, common.STRIP_BYTES])
+
+
+def assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(h=dims, w=dims, strip=strip_bytes, steps=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_stencil_step_matches_reference(h, w, strip, steps, seed):
+    rng = np.random.default_rng(seed)
+    temp = 320.0 + 10.0 * rng.random((h, w), dtype=np.float32)
+    power = rng.random((h, w), dtype=np.float32)
+    got, want = temp, temp
+    with mock.patch.object(common, "STRIP_BYTES", strip):
+        for _ in range(steps):
+            got = _stencil_step(got, power)
+            want = ref_stencil_step(want, power)
+            assert_same_bytes(got, want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(h=dims, w=dims, strip=strip_bytes, steps=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_srad_iteration_matches_reference(h, w, strip, steps, seed):
+    rng = np.random.default_rng(seed)
+    image = np.exp(rng.random((h, w), dtype=np.float32)).astype(np.float64)
+    got, want = image, image
+    with mock.patch.object(common, "STRIP_BYTES", strip):
+        for _ in range(steps):
+            got = _srad_iteration(got)
+            want = ref_srad_iteration(want)
+            assert_same_bytes(got, want)
+
+
+@pytest.mark.parametrize("kernel,reference,dtype", [
+    (_stencil_step, ref_stencil_step, np.float32),
+    (_srad_iteration, ref_srad_iteration, np.float64),
+])
+def test_kernels_match_reference_across_real_strips(kernel, reference, dtype):
+    # Taller than two strips of the module's size, not a multiple of it.
+    width = 64
+    rows = common.STRIP_BYTES // (width * np.dtype(dtype).itemsize)
+    rng = np.random.default_rng(5)
+    grid = np.exp(rng.random((2 * rows + 7, width))).astype(dtype)
+    power = rng.random(grid.shape).astype(dtype)
+    extra = (power,) if kernel is _stencil_step else ()
+    assert len(list(common.stencil_strips(grid, 0))) == 3
+    got, want = grid, grid
+    for _ in range(3):
+        got, want = kernel(got, *extra), reference(want, *extra)
+        assert_same_bytes(got, want)
+
+
+def _dwt_levels_valid(h, w, levels):
+    """Whether the reference transform accepts (h, w) for *levels*."""
+    for _ in range(levels):
+        if h % 2 or w % 2:
+            return False
+        h, w = h // 2, w // 2
+        if h < 2 or w < 2:
+            return True
+    return True
+
+
+@settings(max_examples=80, deadline=None)
+@given(scale=st.integers(1, 5), mh=st.integers(1, 5), mw=st.integers(1, 5),
+       levels=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_dwt_forward_matches_reference(scale, mh, mw, levels, seed):
+    h, w = mh << scale, mw << scale
+    if not _dwt_levels_valid(h, w, levels):
+        levels = scale  # every level the shape halves evenly through
+    image = np.random.default_rng(seed).integers(0, 256, size=(h, w))
+    image = image.astype(np.float32)
+    assert_same_bytes(dwt_forward(image, levels), ref_dwt_forward(image, levels))
+
+
+def test_dwt_levels_past_exhaustion_stop_at_the_last_quadrant():
+    image = np.random.default_rng(3).random((4, 16), dtype=np.float32)
+    # 4x16 -> 2x8 -> 1x4: the third and later levels never run.
+    assert_same_bytes(dwt_forward(image, 9), ref_dwt_forward(image, 2))
+
+
+def test_haar_level_writes_only_its_quadrant():
+    image = np.random.default_rng(4).random((8, 12), dtype=np.float32)
+    out = image.copy()
+    _haar_level(out[:4, :6], np.empty((4, 6), np.float32))
+    want = image.copy()
+    want[:4, :6] = ref_haar_level(image[:4, :6])
+    assert_same_bytes(out, want)
+
+
+def test_int32_pixel_draw_is_the_default_draw():
+    # dwt2d draws its bitmap as int32 straight into a float32 image;
+    # the values and the generator state after the draw must match the
+    # default int64 draw cast to float32.
+    for shape in ((1, 1), (3, 5), (64, 64), (257, 129)):
+        a, b = np.random.default_rng(23), np.random.default_rng(23)
+        image = np.empty(shape, np.float32)
+        image[:] = a.integers(0, 256, size=shape, dtype=np.int32)
+        want = b.integers(0, 256, size=shape).astype(np.float32)
+        assert_same_bytes(image, want)
+        assert a.bit_generator.state == b.bit_generator.state
+
+
+@settings(max_examples=60, deadline=None)
+@given(h=dims, w=dims, frames=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_preprocess_frame_matches_reference(h, w, frames, seed):
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(frames):
+        assert_same_bytes(_preprocess_frame(a, (h, w)),
+                          ref_preprocess_frame(b, (h, w)))
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), h=st.integers(1, 48), w=st.integers(1, 48),
+       frames=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_track_matches_reference(data, h, w, frames, seed):
+    coord = st.tuples(
+        st.sampled_from([0, h - 1]) | st.integers(0, h - 1),
+        st.sampled_from([0, w - 1]) | st.integers(0, w - 1),
+    )
+    points = np.array(
+        data.draw(st.lists(coord, max_size=12)), dtype=np.int64
+    ).reshape(-1, 2)
+    rng = np.random.default_rng(seed)
+    got, want = points, points
+    for _ in range(frames):
+        frame = rng.random((h, w), dtype=np.float32)
+        got, want = _track(frame, got), ref_track(frame, want)
+        assert_same_bytes(got, want)
