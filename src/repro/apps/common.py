@@ -30,7 +30,8 @@ from ..runtime.hip import HipRuntime, make_runtime
 #: Simulated filesystem streaming bandwidth for I/O phases (bytes/s).
 IO_BANDWIDTH = 2.0e9
 
-#: Bytes per row strip of the blocked stencil kernels.
+#: Bytes per row strip of the blocked stencil kernels: a strip and its
+#: few scratch buffers fit a typical per-core L2 cache.
 STRIP_BYTES = 256 << 10
 
 
