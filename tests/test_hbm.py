@@ -1,9 +1,12 @@
 """Unit tests for HBM channel mapping and balance metrics (repro.hw.hbm)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.hw.config import HBMGeometry, PAGE_SIZE, default_config
+from repro.hw.config import GiB, HBMGeometry, PAGE_SIZE, default_config, small_config
 from repro.hw.hbm import (
     HBMSubsystem,
     channel_balance,
@@ -14,6 +17,105 @@ from repro.hw.hbm import (
 @pytest.fixture
 def hbm():
     return HBMSubsystem(default_config().hbm)
+
+
+def reference_channels(hbm, frames):
+    """The interleave formula (paper Section 5.4), evaluated per frame.
+
+    A domain's interleave units rotate across its stacks, and within a
+    stack consecutive units rotate across that stack's channels.
+    """
+    geo = hbm.geometry
+    arr = np.asarray(frames, dtype=np.int64)
+    pages_per_unit = geo.interleave_bytes // PAGE_SIZE
+    domains = hbm.numa_domains
+    stacks_per_domain = geo.stacks // domains
+    fpd = hbm.frames_per_domain
+    domain = arr // fpd
+    unit = (arr % fpd) // pages_per_unit
+    stack = domain + domains * (unit % stacks_per_domain)
+    lane = (unit // stacks_per_domain) % geo.channels_per_stack
+    return stack * geo.channels_per_stack + lane
+
+
+def reference_histogram(hbm, frames):
+    channels = reference_channels(hbm, frames)
+    return np.bincount(channels, minlength=hbm.geometry.channels) * PAGE_SIZE
+
+
+#: (NUMA domains, pages per interleave unit) of every layout checked.
+LAYOUTS = [(d, p) for d in (1, 4) for p in (1, 2, 4)]
+
+
+def layout_hbm(numa_domains, interleave_pages, capacity=1 * GiB):
+    geo = dataclasses.replace(
+        small_config(capacity).hbm, interleave_bytes=interleave_pages * PAGE_SIZE
+    )
+    return HBMSubsystem(geo, numa_domains=numa_domains)
+
+
+def assert_same_array(got, expected):
+    assert got.dtype == expected.dtype
+    assert got.shape == expected.shape
+    assert np.array_equal(got, expected)
+
+
+class TestChannelMapMatchesFormula:
+    """``channels_of_frames``/``channel_histogram`` equal the formula."""
+
+    @pytest.mark.parametrize("numa_domains,interleave_pages", LAYOUTS)
+    def test_whole_domains(self, numa_domains, interleave_pages):
+        hbm = layout_hbm(numa_domains, interleave_pages)
+        for domain in range(numa_domains):
+            frames = np.arange(*hbm.domain_frame_range(domain))
+            assert_same_array(
+                hbm.channels_of_frames(frames), reference_channels(hbm, frames)
+            )
+            assert_same_array(
+                hbm.channel_histogram(frames), reference_histogram(hbm, frames)
+            )
+
+    @pytest.mark.parametrize("numa_domains,interleave_pages", LAYOUTS)
+    def test_whole_pool_shuffled(self, numa_domains, interleave_pages):
+        hbm = layout_hbm(numa_domains, interleave_pages, capacity=64 << 20)
+        frames = np.random.default_rng(5).permutation(
+            hbm.capacity_bytes // PAGE_SIZE
+        )
+        assert_same_array(
+            hbm.channels_of_frames(frames), reference_channels(hbm, frames)
+        )
+        assert_same_array(
+            hbm.channel_histogram(frames), reference_histogram(hbm, frames)
+        )
+
+    @given(
+        layout=st.sampled_from(LAYOUTS),
+        raw_frames=st.lists(st.integers(0, 1 << 60), max_size=300),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_frame_lists(self, layout, raw_frames):
+        hbm = layout_hbm(*layout)
+        frames = [raw % (hbm.capacity_bytes // PAGE_SIZE) for raw in raw_frames]
+        expected = reference_channels(hbm, frames)
+        assert_same_array(hbm.channels_of_frames(frames), expected)
+        assert_same_array(
+            hbm.channels_of_frames(np.array(frames, dtype=np.int64)), expected
+        )
+        assert_same_array(
+            hbm.channel_histogram(frames), reference_histogram(hbm, frames)
+        )
+
+    @given(raw_frames=st.lists(st.integers(0, 1 << 60), max_size=300))
+    @settings(max_examples=20, deadline=None)
+    def test_default_config(self, raw_frames):
+        hbm = HBMSubsystem(default_config().hbm)
+        frames = np.array(raw_frames, dtype=np.int64) % (128 << 18)
+        assert_same_array(
+            hbm.channels_of_frames(frames), reference_channels(hbm, frames)
+        )
+        assert_same_array(
+            hbm.channel_histogram(frames), reference_histogram(hbm, frames)
+        )
 
 
 class TestChannelMapping:

@@ -1,5 +1,8 @@
 """Unit tests for the physical frame allocator (repro.core.physical)."""
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -137,6 +140,47 @@ class TestScatteredAllocation:
     def test_exhaustion_raises(self, phys):
         with pytest.raises(OutOfMemoryError):
             phys.alloc_scattered(phys.total_frames + 1)
+
+
+def scattered_digest(skew, seed):
+    """Digest of a sequence of scattered allocations plus the final
+    generator state, on the 1 GiB pool with the given free-list skew."""
+    cfg = small_config(1 << 30)
+    cfg = cfg.replace(
+        policy=dataclasses.replace(cfg.policy, free_list_channel_skew=skew)
+    )
+    phys = PhysicalMemory(cfg, seed=seed)
+    lo, hi = phys.total_frames // 4, phys.total_frames // 2
+    digest = hashlib.sha256()
+    for npages, pair_fraction, frame_range in [
+        (1, 0.0, None),
+        (33, 0.0, None),
+        (6000, None, None),
+        (5000, 0.5, (lo, hi)),
+        (40_000, None, (lo, hi)),  # crowds the window: cap and sweep
+    ]:
+        frames = phys.alloc_scattered(npages, pair_fraction, frame_range)
+        digest.update(frames.tobytes())
+    return digest.hexdigest()[:16], phys._rng.bit_generator.state["state"]["state"]
+
+
+class TestScatteredDrawsPinned:
+    """The scattered allocator's frames and random draws, bit for bit.
+
+    Pinned from the ``Generator.choice`` channel draw: any faster draw
+    must return the same frames and leave the generator in the same
+    state.
+    """
+
+    @pytest.mark.parametrize("skew,expected", [
+        (0.0, ("383ad2c23d660536", 163291464446290276402092388348307407176)),
+        (0.05, ("debde9d6acdf4426", 195200864975779450158605353798801674718)),
+        (0.5, ("112b53d3c40514fa", 263455809095644229729897003685994127768)),
+        (1.1, ("4acf99103f903017", 10849113576021834781658149915800704206)),
+        (2.0, ("34f04968ada8caff", 115385977936246062135911345349665457703)),
+    ])
+    def test_digest(self, skew, expected):
+        assert scattered_digest(skew, seed=3) == expected
 
 
 class TestChannelWeights:
