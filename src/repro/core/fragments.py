@@ -45,10 +45,11 @@ def _floor_log2(values: np.ndarray) -> np.ndarray:
 
 def _run_bounds(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Start index and length of each maximal physically contiguous run."""
-    is_start = np.ones(len(frames), dtype=bool)
-    np.not_equal(np.diff(frames), 1, out=is_start[1:])
-    starts = np.flatnonzero(is_start)
-    return starts, np.diff(starts, append=len(frames))
+    is_bound = np.empty(len(frames) + 1, dtype=bool)  # run starts, then the end
+    is_bound[[0, -1]] = True
+    np.not_equal(frames[1:] - frames[:-1], 1, out=is_bound[1:-1])
+    bounds = np.flatnonzero(is_bound)
+    return bounds[:-1], bounds[1:] - bounds[:-1]
 
 
 def contiguous_runs(frames: np.ndarray) -> list[tuple[int, int]]:

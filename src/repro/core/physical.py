@@ -29,6 +29,10 @@ import numpy as np
 from ..hw.config import MI300AConfig, PAGE_SIZE
 
 
+#: Buckets of the guide table over the channel draw's CDF.
+GUIDE_BUCKETS = 4096
+
+
 class OutOfMemoryError(MemoryError):
     """Raised when the physical pool cannot satisfy a request."""
 
@@ -61,8 +65,26 @@ def _disjoint_runs(starts: np.ndarray, run: int) -> np.ndarray:
     starts = np.sort(starts)
     keep = np.empty(starts.size, dtype=bool)
     keep[:1] = True
-    keep[1:] = np.diff(starts) >= run
+    np.greater_equal(starts[1:] - starts[:-1], run, out=keep[1:])
     return starts[keep]
+
+
+def _guide_table(cdf: np.ndarray) -> np.ndarray:
+    """Per bucket, ``cdf.searchsorted(u, "right")`` for all its u, or -1.
+
+    For u in bucket b (``b <= u * B < b + 1``, B = :data:`GUIDE_BUCKETS`)
+    the search returns between ``#{cdf <= b / B}`` and
+    ``#{cdf < (b + 1) / B}``; the bucket gets that count where the two
+    agree and -1 where a cdf value falls inside it.  Scaling by the power
+    of two B is exact, so these count ``ceil(cdf * B) <= b`` and
+    ``floor(cdf * B) <= b``.
+    """
+    at_start, below_end = (
+        np.bincount(bound(cdf * GUIDE_BUCKETS).astype(np.intp),
+                    minlength=GUIDE_BUCKETS + 1).cumsum()[:GUIDE_BUCKETS]
+        for bound in (np.ceil, np.floor)
+    )
+    return np.where(at_start == below_end, at_start, -1)
 
 
 class PhysicalMemory:
@@ -86,6 +108,11 @@ class PhysicalMemory:
         else:
             raw = np.ones(channels)
         self._channel_weights = raw / raw.sum()
+        # The channel draw is Generator.choice(p=weights), made faster by
+        # a guide table over the same CDF (see _draw_channels).
+        self._cdf = self._channel_weights.cumsum()
+        self._cdf /= self._cdf[-1]
+        self._guide = _guide_table(self._cdf)
         # With one page per interleave unit, the frames of channel
         # (stack s, lane l) form the residue class  s + stacks*l  mod
         # (stacks * lanes); precompute residue per channel index.
@@ -214,6 +241,20 @@ class PhysicalMemory:
     # Scattered (on-demand) allocation
     # ------------------------------------------------------------------
 
+    def _draw_channels(self, n: int) -> np.ndarray:
+        """*n* channels drawn by the free-list weights.
+
+        Returns ``rng.choice(channels, size=n, p=weights)``, which is
+        ``cdf.searchsorted(rng.random(n), "right")``: the same uniform
+        doubles, so the draws and the generator state match it.  Only the
+        draws that land in a bucket the guide cannot resolve are searched.
+        """
+        u = self._rng.random(n)
+        channels = self._guide[(u * GUIDE_BUCKETS).astype(np.intp)]
+        inexact = np.flatnonzero(channels < 0)
+        channels[inexact] = self._cdf.searchsorted(u[inexact], "right")
+        return channels
+
     def alloc_scattered(
         self,
         npages: int,
@@ -275,15 +316,12 @@ class PhysicalMemory:
         out = np.empty(total, dtype=np.int64)
         filled = 0
         attempts = 0
-        rng = self._rng
         while filled < total and attempts < 64:
             need_runs = (total - filled + run - 1) // run
             # Oversample to absorb rejections.
             n = max(int(need_runs * 1.6) + 16, 32)
-            channels = rng.choice(
-                len(self._channel_weights), size=n, p=self._channel_weights
-            )
-            ks = rng.integers(k_lo, max(k_hi - 1, k_lo + 1), size=n)
+            channels = self._draw_channels(n)
+            ks = self._rng.integers(k_lo, max(k_hi - 1, k_lo + 1), size=n)
             starts = self._channel_residue[channels] + ks * mod
             if run > 1:
                 # Buddy order-(run) blocks are naturally aligned; keep the
@@ -294,7 +332,7 @@ class PhysicalMemory:
             for extra in range(1, run):
                 ok &= self._free[starts + extra]
             starts = _disjoint_runs(starts[ok], run)[:need_runs]
-            frames = (starts[:, None] + np.arange(run)).ravel()
+            frames = starts if run == 1 else (starts[:, None] + np.arange(run)).ravel()
             self._claim(frames)
             out[filled : filled + len(frames)] = frames
             filled += len(frames)

@@ -9,17 +9,19 @@ The subsystem also models the NPS memory-partitioning modes of the
 Instinct partitioning guide (SNIPPETS.md §1): in NPS1 (the default, and
 the paper's testbed) the whole physical range interleaves across all
 eight stacks; in NPS4 the range splits into four equal NUMA domains, one
-per IOD, each interleaving only across that IOD's two stacks.  The
-frame→(stack, channel) mapping stays a pure function of the frame number
-in every mode.
+per IOD, each interleaving only across that IOD's two stacks.
 
-This module provides that mapping plus per-channel traffic accounting used
-by the Infinity Cache balance model.
+The interleave formula makes a frame's channel depend only on its NUMA
+domain and on its interleave unit modulo the domain's rotation period
+(``stacks_per_domain * channels_per_stack`` units).  The subsystem
+evaluates the formula once per (domain, residue) pair into a table that
+every mapping then reads; this needs each domain to hold whole rotations,
+i.e. ``frames_per_domain`` a multiple of ``pages_per_unit * period``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -40,7 +42,7 @@ class UncorrectableECCError(RuntimeError):
 
 
 class HBMSubsystem:
-    """Maps physical frames to stacks/channels and tracks traffic.
+    """Maps physical frames to NUMA domains, stacks and channels.
 
     Args:
         geometry: the HBM organisation to model.
@@ -66,7 +68,11 @@ class HBMSubsystem:
         self._numa_domains = numa_domains
         self._frames_per_domain = total_frames // numa_domains
         self._stacks_per_domain = geometry.stacks // numa_domains
-        self._channel_bytes = np.zeros(geometry.channels, dtype=np.int64)
+        self._pages_per_unit = geometry.interleave_bytes // PAGE_SIZE
+        self._period = self._stacks_per_domain * geometry.channels_per_stack
+        if self._frames_per_domain % (self._pages_per_unit * self._period):
+            raise ValueError("each domain must hold whole interleave rotations")
+        self._channel_of_key = self._channel_table()
         # RAS counters (the `amd-smi metric --ecc` view) + fault injection.
         self.inject = None
         self.correctable_errors = 0
@@ -92,37 +98,11 @@ class HBMSubsystem:
         """Frames in each NUMA domain's contiguous physical range."""
         return self._frames_per_domain
 
-    def domain_of_frame(self, frame: int) -> int:
-        """NUMA domain owning physical frame number *frame*."""
-        return frame // self._frames_per_domain
-
     def domain_frame_range(self, domain: int) -> Tuple[int, int]:
         """Half-open frame range ``[lo, hi)`` of one NUMA domain."""
         self._check_domain(domain)
         lo = domain * self._frames_per_domain
         return lo, lo + self._frames_per_domain
-
-    def stacks_of_domain(self, domain: int) -> List[int]:
-        """Stack indices a NUMA domain interleaves over.
-
-        Domain *d* owns the stacks hosted by IOD *d* (stack indices
-        congruent to *d* modulo the domain count); in NPS1 the single
-        domain owns every stack.
-        """
-        self._check_domain(domain)
-        return [
-            s for s in range(self._geometry.stacks)
-            if s % self._numa_domains == domain
-        ]
-
-    def channels_of_domain(self, domain: int) -> List[int]:
-        """Memory-channel indices served by a NUMA domain's stacks."""
-        lanes = self._geometry.channels_per_stack
-        return [
-            s * lanes + lane
-            for s in self.stacks_of_domain(domain)
-            for lane in range(lanes)
-        ]
 
     def _check_domain(self, domain: int) -> None:
         if not 0 <= domain < self._numa_domains:
@@ -130,46 +110,37 @@ class HBMSubsystem:
                 f"domain {domain} out of range [0, {self._numa_domains})"
             )
 
-    def stack_of_frame(self, frame: int) -> int:
-        """Stack index serving physical frame number *frame*.
+    def _channel_table(self) -> np.ndarray:
+        """The interleave formula on one frame per (domain, residue) key.
 
-        Frames are interleaved round-robin at the interleave granularity
-        (one 4 KiB page per stack by default) across the owning domain's
-        stacks — all of them in NPS1, the local IOD's two in NPS4.
-        """
-        pages_per_unit = self._geometry.interleave_bytes // PAGE_SIZE
-        domain = frame // self._frames_per_domain
-        local_unit = (frame % self._frames_per_domain) // pages_per_unit
-        return domain + self._numa_domains * (local_unit % self._stacks_per_domain)
-
-    def channel_of_frame(self, frame: int) -> int:
-        """Memory channel index serving physical frame number *frame*.
-
-        Within a stack, consecutive interleave units rotate across that
-        stack's channels, so a long contiguous physical range touches every
-        channel of its domain evenly — this is why up-front contiguous
-        allocations achieve balanced Infinity Cache slice utilisation
-        (paper Section 5.4); in NPS4 the rotation covers only the local
-        domain's 32 channels.
+        Units rotate across the domain's stacks — every stack in NPS1, the
+        local IOD's two in NPS4 — and a stack's consecutive units across
+        its channels, so a contiguous range spreads evenly over the
+        domain's channels (paper Section 5.4).  The table is a
+        permutation of the channels.
         """
         geo = self._geometry
-        pages_per_unit = geo.interleave_bytes // PAGE_SIZE
-        domain = frame // self._frames_per_domain
-        unit = (frame % self._frames_per_domain) // pages_per_unit
+        fpd, ppu = self._frames_per_domain, self._pages_per_unit
+        keys = np.arange(self._numa_domains * self._period)
+        frames = keys // self._period * fpd + keys % self._period * ppu
+        domain = frames // fpd
+        unit = (frames % fpd) // ppu
         stack = domain + self._numa_domains * (unit % self._stacks_per_domain)
         lane = (unit // self._stacks_per_domain) % geo.channels_per_stack
         return stack * geo.channels_per_stack + lane
+
+    def _keys(self, frames: Sequence[int]) -> np.ndarray:
+        """Each frame's table key, ``domain * period + unit % period``."""
+        arr = np.asarray(frames, dtype=np.int64)
+        unit = arr if self._pages_per_unit == 1 else arr // self._pages_per_unit
+        keys = unit - unit // self._period * self._period
+        if self._numa_domains > 1:
+            keys += arr // self._frames_per_domain * self._period
+        return keys
 
     def channels_of_frames(self, frames: Sequence[int]) -> np.ndarray:
-        """Vectorised :meth:`channel_of_frame` over an array of frames."""
-        geo = self._geometry
-        arr = np.asarray(frames, dtype=np.int64)
-        pages_per_unit = geo.interleave_bytes // PAGE_SIZE
-        domain = arr // self._frames_per_domain
-        unit = (arr % self._frames_per_domain) // pages_per_unit
-        stack = domain + self._numa_domains * (unit % self._stacks_per_domain)
-        lane = (unit // self._stacks_per_domain) % geo.channels_per_stack
-        return stack * geo.channels_per_stack + lane
+        """Memory channel index serving each physical frame."""
+        return self._channel_of_key[self._keys(frames)]
 
     def local_fraction(self, frames: Sequence[int], domain: int) -> float:
         """Fraction of *frames* resident in *domain* (1.0 for empty sets)."""
@@ -181,22 +152,10 @@ class HBMSubsystem:
 
     def channel_histogram(self, frames: Sequence[int]) -> np.ndarray:
         """Bytes-per-channel histogram for a set of resident frames."""
-        channels = self.channels_of_frames(frames)
-        counts = np.bincount(channels, minlength=self._geometry.channels)
-        return counts * PAGE_SIZE
-
-    def record_traffic(self, frames: Iterable[int], bytes_per_frame: int) -> None:
-        """Account *bytes_per_frame* of traffic to each frame's channel."""
-        for frame in frames:
-            self._channel_bytes[self.channel_of_frame(frame)] += bytes_per_frame
-
-    def traffic_bytes(self) -> np.ndarray:
-        """A copy of cumulative per-channel traffic counters."""
-        return self._channel_bytes.copy()
-
-    def reset_traffic(self) -> None:
-        """Zero all per-channel traffic counters."""
-        self._channel_bytes[:] = 0
+        counts = np.bincount(self._keys(frames), minlength=self._channel_of_key.size)
+        histogram = np.empty_like(counts)
+        histogram[self._channel_of_key] = counts * PAGE_SIZE
+        return histogram
 
     def ecc_check(self, nbytes: int) -> float:
         """Consult the injection plan for frame errors on one access.

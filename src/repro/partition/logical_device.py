@@ -87,8 +87,8 @@ def enumerate_logical_devices(
 
     CU counts split the package's 228 CUs evenly by XCD share; stack and
     slice visibility follows the memory mode (everything in NPS1, the
-    local IOD's quadrant in NPS4, matching
-    :meth:`repro.hw.hbm.HBMSubsystem.stacks_of_domain`).
+    local IOD's quadrant in NPS4, matching the stacks
+    :class:`repro.hw.hbm.HBMSubsystem` maps that domain's frames to).
     """
     geo = config.hbm
     lanes = geo.channels_per_stack

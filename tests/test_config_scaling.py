@@ -82,8 +82,9 @@ class TestHBMGeometryVariants:
         geo = HBMGeometry(stacks=4, channels_per_stack=8)
         hbm = HBMSubsystem(geo)
         # Channel period = stacks * lanes.
-        assert hbm.channel_of_frame(0) == hbm.channel_of_frame(32)
-        assert hbm.channel_of_frame(1) != hbm.channel_of_frame(0)
+        channel = hbm.channels_of_frames([0, 1, 32])
+        assert channel[0] == channel[2]
+        assert channel[1] != channel[0]
 
     def test_ic_requires_matching_slices(self):
         geo = HBMGeometry(stacks=4, channels_per_stack=8)

@@ -121,8 +121,9 @@ class TestChannelMapMatchesFormula:
 class TestChannelMapping:
     def test_stack_interleaves_per_page(self, hbm):
         # One 4 KiB page per stack, round robin.
-        for frame in range(16):
-            assert hbm.stack_of_frame(frame) == frame % 8
+        frames = np.arange(16)
+        stacks = hbm.channels_of_frames(frames) // hbm.geometry.channels_per_stack
+        assert list(stacks) == list(frames % 8)
 
     def test_channel_in_range(self, hbm):
         frames = np.arange(4096)
@@ -138,36 +139,46 @@ class TestChannelMapping:
     def test_channel_is_periodic_in_frame(self, hbm):
         # With one page per interleave unit, channel(frame) has period
         # stacks * lanes = 128.
-        for frame in (0, 5, 77):
-            assert hbm.channel_of_frame(frame) == hbm.channel_of_frame(frame + 128)
+        frames = np.array([0, 5, 77])
+        assert list(hbm.channels_of_frames(frames)) == list(
+            hbm.channels_of_frames(frames + 128)
+        )
 
     def test_vectorised_matches_scalar(self, hbm):
         frames = np.array([0, 1, 7, 8, 129, 1000, 65535])
         vec = hbm.channels_of_frames(frames)
-        scalar = [hbm.channel_of_frame(int(f)) for f in frames]
+        scalar = [int(hbm.channels_of_frames([int(f)])[0]) for f in frames]
         assert list(vec) == scalar
 
     def test_capacity(self, hbm):
         assert hbm.capacity_bytes == 128 << 30
 
+    def test_domains_must_hold_whole_rotations(self):
+        # 16,384 frames cannot hold one rotation of 128 x 256-page units.
+        geo = dataclasses.replace(
+            small_config(64 << 20).hbm, interleave_bytes=256 * PAGE_SIZE
+        )
+        with pytest.raises(ValueError, match="whole interleave rotations"):
+            HBMSubsystem(geo)
+        HBMSubsystem(dataclasses.replace(geo, interleave_bytes=128 * PAGE_SIZE))
+
+    @pytest.mark.parametrize("numa_domains,interleave_pages", LAYOUTS)
+    def test_whole_rotation_covers_each_channel_once(
+        self, numa_domains, interleave_pages
+    ):
+        hbm = layout_hbm(numa_domains, interleave_pages)
+        period = hbm.geometry.channels // numa_domains
+        firsts = np.concatenate([
+            np.arange(period) * interleave_pages + hbm.domain_frame_range(d)[0]
+            for d in range(numa_domains)
+        ])
+        channels = hbm.channels_of_frames(firsts)
+        assert sorted(channels) == list(range(hbm.geometry.channels))
+
     def test_interleave_must_be_page_multiple(self):
         geo = HBMGeometry(interleave_bytes=1000)
         with pytest.raises(ValueError):
             HBMSubsystem(geo)
-
-
-class TestTraffic:
-    def test_record_and_reset(self, hbm):
-        hbm.record_traffic([0, 1, 2], 100)
-        assert hbm.traffic_bytes().sum() == 300
-        hbm.reset_traffic()
-        assert hbm.traffic_bytes().sum() == 0
-
-    def test_traffic_lands_on_mapped_channel(self, hbm):
-        hbm.record_traffic([0], 64)
-        traffic = hbm.traffic_bytes()
-        assert traffic[hbm.channel_of_frame(0)] == 64
-        assert traffic.sum() == 64
 
 
 class TestBalanceMetrics:

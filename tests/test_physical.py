@@ -8,7 +8,7 @@ import pytest
 
 from repro.hw.config import PAGE_SIZE, small_config
 from repro.hw.hbm import HBMSubsystem, channel_balance
-from repro.core.physical import OutOfMemoryError, PhysicalMemory
+from repro.core.physical import GUIDE_BUCKETS, OutOfMemoryError, PhysicalMemory
 
 
 @pytest.fixture
@@ -142,14 +142,17 @@ class TestScatteredAllocation:
             phys.alloc_scattered(phys.total_frames + 1)
 
 
+def skewed_config(skew):
+    cfg = small_config(1 << 30)
+    return cfg.replace(
+        policy=dataclasses.replace(cfg.policy, free_list_channel_skew=skew)
+    )
+
+
 def scattered_digest(skew, seed):
     """Digest of a sequence of scattered allocations plus the final
     generator state, on the 1 GiB pool with the given free-list skew."""
-    cfg = small_config(1 << 30)
-    cfg = cfg.replace(
-        policy=dataclasses.replace(cfg.policy, free_list_channel_skew=skew)
-    )
-    phys = PhysicalMemory(cfg, seed=seed)
+    phys = PhysicalMemory(skewed_config(skew), seed=seed)
     lo, hi = phys.total_frames // 4, phys.total_frames // 2
     digest = hashlib.sha256()
     for npages, pair_fraction, frame_range in [
@@ -181,6 +184,36 @@ class TestScatteredDrawsPinned:
     ])
     def test_digest(self, skew, expected):
         assert scattered_digest(skew, seed=3) == expected
+
+
+class TestChannelDrawMatchesChoice:
+    """The guide-table channel draw is ``Generator.choice(p=weights)``."""
+
+    @pytest.mark.parametrize("skew", [0.0, 0.05, 0.5, 1.1, 2.0])
+    def test_guide_matches_its_searchsorted_definition(self, skew):
+        phys = PhysicalMemory(skewed_config(skew))
+        cdf = phys.channel_weights().cumsum()
+        cdf /= cdf[-1]
+        edges = np.arange(GUIDE_BUCKETS + 1) / GUIDE_BUCKETS
+        lo = cdf.searchsorted(edges[:-1], "right")
+        hi = cdf.searchsorted(edges[1:], "left")
+        assert np.array_equal(phys._guide, np.where(lo == hi, lo, -1))
+
+    # Skew 0 gives uniform weights, whose CDF values all sit on bucket
+    # edges; the larger skews leave some buckets straddling a CDF value.
+    @pytest.mark.parametrize("skew", [0.0, 0.05, 0.5, 2.0])
+    @pytest.mark.parametrize("n", [1, 33, 5000, 20_000])
+    def test_draws_and_generator_state(self, skew, n):
+        for seed in range(3):
+            phys = PhysicalMemory(skewed_config(skew), seed=seed)
+            weights = phys.channel_weights()
+            reference = np.random.default_rng()
+            reference.bit_generator.state = phys._rng.bit_generator.state
+            expected = reference.choice(len(weights), size=n, p=weights)
+            got = phys._draw_channels(n)
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
+            assert phys._rng.bit_generator.state == reference.bit_generator.state
 
 
 class TestChannelWeights:

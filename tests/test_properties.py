@@ -234,10 +234,9 @@ class TestHBMProperties:
         ppu = interleave_pages
         for raw in raw_frames:
             frame = raw % total
-            channel = hbm.channel_of_frame(frame)
+            channel = int(hbm.channels_of_frames([frame])[0])
             stack, lane = channel // lanes, channel % lanes
-            domain = hbm.domain_of_frame(frame)
-            assert stack == hbm.stack_of_frame(frame)
+            domain = frame // fpd
             assert stack % numa_domains == domain
             # Invert the mapping: reconstruct the frame from its
             # (domain, stack, lane, rotation, unit offset) coordinates.
@@ -253,8 +252,8 @@ class TestHBMProperties:
             assert frame_back == frame
             # Interleave granularity: the whole unit shares the channel.
             unit_start = frame - (frame % fpd) % ppu
-            for offset in range(ppu):
-                assert hbm.channel_of_frame(unit_start + offset) == channel
+            unit_frames = unit_start + np.arange(ppu)
+            assert (hbm.channels_of_frames(unit_frames) == channel).all()
 
     @given(numa_domains=st.sampled_from([1, 4]))
     @settings(max_examples=8, deadline=None)
@@ -263,8 +262,9 @@ class TestHBMProperties:
         for domain in range(numa_domains):
             lo, hi = hbm.domain_frame_range(domain)
             hist = hbm.channel_histogram(np.arange(lo, hi))
-            visible = np.zeros(SMALL_CFG.hbm.channels, dtype=bool)
-            visible[hbm.channels_of_domain(domain)] = True
+            lanes = SMALL_CFG.hbm.channels_per_stack
+            stacks = np.arange(SMALL_CFG.hbm.channels) // lanes
+            visible = stacks % numa_domains == domain
             assert (hist[~visible] == 0).all()
             assert len(np.unique(hist[visible])) == 1  # perfectly even
 
