@@ -69,24 +69,6 @@ def _disjoint_runs(starts: np.ndarray, run: int) -> np.ndarray:
     return starts[keep]
 
 
-def _guide_table(cdf: np.ndarray) -> np.ndarray:
-    """Per bucket, ``cdf.searchsorted(u, "right")`` for all its u, or -1.
-
-    For u in bucket b (``b <= u * B < b + 1``, B = :data:`GUIDE_BUCKETS`)
-    the search returns between ``#{cdf <= b / B}`` and
-    ``#{cdf < (b + 1) / B}``; the bucket gets that count where the two
-    agree and -1 where a cdf value falls inside it.  Scaling by the power
-    of two B is exact, so these count ``ceil(cdf * B) <= b`` and
-    ``floor(cdf * B) <= b``.
-    """
-    at_start, below_end = (
-        np.bincount(bound(cdf * GUIDE_BUCKETS).astype(np.intp),
-                    minlength=GUIDE_BUCKETS + 1).cumsum()[:GUIDE_BUCKETS]
-        for bound in (np.ceil, np.floor)
-    )
-    return np.where(at_start == below_end, at_start, -1)
-
-
 class PhysicalMemory:
     """Frame allocator over the APU's unified physical pool."""
 
@@ -109,10 +91,19 @@ class PhysicalMemory:
             raw = np.ones(channels)
         self._channel_weights = raw / raw.sum()
         # The channel draw is Generator.choice(p=weights), made faster by
-        # a guide table over the same CDF (see _draw_channels).
+        # a guide table over the same CDF (see _draw_channels).  For u in
+        # bucket b (b <= u * B < b + 1, B = GUIDE_BUCKETS) the CDF search
+        # returns between #{cdf <= b / B} and #{cdf < (b + 1) / B}; the
+        # guide holds that count where the two agree and -1 where a CDF
+        # value falls inside the bucket.  Scaling by the power of two B is
+        # exact, so the counts are of ceil(cdf * B) <= b, floor(cdf * B) <= b.
         self._cdf = self._channel_weights.cumsum()
         self._cdf /= self._cdf[-1]
-        self._guide = _guide_table(self._cdf)
+        scaled, edges = self._cdf * GUIDE_BUCKETS, GUIDE_BUCKETS + 1
+        at_start = np.bincount(np.ceil(scaled).astype(np.intp), minlength=edges)
+        below_end = np.bincount(np.floor(scaled).astype(np.intp), minlength=edges)
+        at_start, below_end = at_start.cumsum(), below_end.cumsum()
+        self._guide = np.where(at_start == below_end, at_start, -1)[:GUIDE_BUCKETS]
         # With one page per interleave unit, the frames of channel
         # (stack s, lane l) form the residue class  s + stacks*l  mod
         # (stacks * lanes); precompute residue per channel index.
