@@ -15,8 +15,10 @@ The interleave formula makes a frame's channel depend only on its NUMA
 domain and on its interleave unit modulo the domain's rotation period
 (``stacks_per_domain * channels_per_stack`` units).  The subsystem
 evaluates the formula once per (domain, residue) pair into a table that
-every mapping then reads; this needs each domain to hold whole rotations,
-i.e. ``frames_per_domain`` a multiple of ``pages_per_unit * period``.
+every mapping then reads.  Like hardware interleaving, which selects the
+channel by address bits, this needs the unit (``pages_per_unit``) and the
+period to be powers of two, and each domain to hold whole rotations:
+``frames_per_domain`` a multiple of ``pages_per_unit * period``.
 """
 
 from __future__ import annotations
@@ -70,8 +72,11 @@ class HBMSubsystem:
         self._stacks_per_domain = geometry.stacks // numa_domains
         self._pages_per_unit = geometry.interleave_bytes // PAGE_SIZE
         self._period = self._stacks_per_domain * geometry.channels_per_stack
+        if any(n & (n - 1) for n in (self._pages_per_unit, self._period)):
+            raise ValueError("interleave unit and period must be powers of two")
         if self._frames_per_domain % (self._pages_per_unit * self._period):
             raise ValueError("each domain must hold whole interleave rotations")
+        self._unit_shift = self._pages_per_unit.bit_length() - 1
         self._channel_of_key = self._channel_table()
         # RAS counters (the `amd-smi metric --ecc` view) + fault injection.
         self.inject = None
@@ -132,8 +137,9 @@ class HBMSubsystem:
     def _keys(self, frames: Sequence[int]) -> np.ndarray:
         """Each frame's table key, ``domain * period + unit % period``."""
         arr = np.asarray(frames, dtype=np.int64)
-        unit = arr if self._pages_per_unit == 1 else arr // self._pages_per_unit
-        keys = unit - unit // self._period * self._period
+        keys = arr & ((self._period << self._unit_shift) - 1)
+        if self._unit_shift:
+            keys >>= self._unit_shift
         if self._numa_domains > 1:
             keys += arr // self._frames_per_domain * self._period
         return keys

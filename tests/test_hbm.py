@@ -162,6 +162,15 @@ class TestChannelMapping:
             HBMSubsystem(geo)
         HBMSubsystem(dataclasses.replace(geo, interleave_bytes=128 * PAGE_SIZE))
 
+    @pytest.mark.parametrize("geo", [
+        HBMGeometry(stacks=6),  # a 96-channel rotation
+        HBMGeometry(channels_per_stack=12),
+        HBMGeometry(interleave_bytes=3 * PAGE_SIZE),
+    ])
+    def test_unit_and_period_must_be_powers_of_two(self, geo):
+        with pytest.raises(ValueError, match="powers of two"):
+            HBMSubsystem(geo)
+
     @pytest.mark.parametrize("numa_domains,interleave_pages", LAYOUTS)
     def test_whole_rotation_covers_each_channel_once(
         self, numa_domains, interleave_pages
