@@ -41,22 +41,15 @@ def _aggregate_stream(partition, remote=False):
     aggregate, locals_ = 0.0, []
     n = len(apu.logical_devices)
     for device in apu.logical_devices:
-        if remote:
-            # Worst-case placement: the buffer sits entirely in another
-            # device's quadrant (device i allocates from device i+2's).
-            frames = apu.placement.alloc_chunks(
-                (device.index + 2) % n, ARRAY_BYTES // 4096, 16
-            )
-            local = apu.placement.local_fraction(frames, device.index)
-            traits = apu.buffer_traits(
-                hip.hipMalloc(1 * MiB)  # traits proxy: up-front contiguous
-            )
-        else:
-            hip.hipSetDevice(device.index)
-            buf = hip.hipMalloc(ARRAY_BYTES)
-            frames = buf.vma.resident_frames()
-            local = apu.placement.local_fraction(frames, device.index)
-            traits = apu.buffer_traits(buf)
+        # Worst-case placement allocates the buffer on device i+2, so it
+        # sits entirely in another device's quadrant.
+        home = (device.index + 2) % n if remote else device.index
+        hip.hipSetDevice(home)
+        buf = hip.hipMalloc(ARRAY_BYTES)
+        local = apu.placement.local_fraction(
+            buf.vma.resident_frames(), device.index
+        )
+        traits = apu.buffer_traits(buf)
         locals_.append(local)
         aggregate += device_stream_bandwidth(apu.config, device, traits, local)
     return aggregate, min(locals_)

@@ -217,10 +217,9 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
     paths = args.paths or ["examples", "src/repro/apps"]
     findings = lint_paths(paths, exclude=tuple(args.exclude or ()))
-    fmt = "json" if args.json else (args.format or "text")
-    if fmt == "json":
+    if args.format == "json":
         print(render_json(findings))
-    elif fmt == "sarif":
+    elif args.format == "sarif":
         print(render_sarif(findings, tool="repro-lint"))
     else:
         print(render_text(findings))
@@ -406,10 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="files or directories to lint")
     lint.add_argument("--exclude", action="append", default=None,
                       help="path suffix to skip; repeatable")
-    lint.add_argument("--json", action="store_true",
-                      help="emit findings as JSON (same as --format json)")
     lint.add_argument("--format", choices=("text", "json", "sarif"),
-                      default=None, help="report format (default text)")
+                      default="text", help="report format (default text)")
     lint.set_defaults(func=cmd_lint)
 
     advise = sub.add_parser(

@@ -12,7 +12,6 @@ from .address_space import (
     GPU_ACCESS_ALWAYS,
     GPU_ACCESS_NEVER,
     GPU_ACCESS_XNACK,
-    SegmentationFault,
     VMA,
 )
 from .allocators import (
@@ -52,7 +51,7 @@ from .meminfo import (
     snapshot,
     vm_rss,
 )
-from .page import NO_FRAME, PTE, page_number, page_offset, pages_spanned
+from .page import NO_FRAME
 from .page_table import GPUPageTable, HMMMirror, PageTableStats, SystemPageTable
 from .physical import OutOfMemoryError, PhysicalMemory
 from .tlb import TLB, TLBStats, streaming_tlb_misses
@@ -73,11 +72,9 @@ __all__ = [
     "MemoryManager",
     "NO_FRAME",
     "OutOfMemoryError",
-    "PTE",
     "PageTableStats",
     "PeakUsageSampler",
     "PhysicalMemory",
-    "SegmentationFault",
     "SystemPageTable",
     "TLB",
     "TLBStats",
@@ -97,9 +94,6 @@ __all__ = [
     "libnuma_free",
     "malloc_cost_ns",
     "malloc_free_cost_ns",
-    "page_number",
-    "page_offset",
-    "pages_spanned",
     "pinned_alloc_cost_ns",
     "pinned_free_cost_ns",
     "proc_meminfo",

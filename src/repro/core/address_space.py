@@ -14,12 +14,12 @@ benchmarks reach 40 GiB) remain cheap to represent.
 from __future__ import annotations
 
 import bisect
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
 from ..hw.config import PAGE_SIZE
-from .page import NO_FRAME, PTE, PTE_GPU_MAPPED, PTE_PINNED, PTE_UNCACHED, PTE_VALID
+from .page import NO_FRAME
 
 #: Where the simulated process's mmap region starts.
 MMAP_BASE = 0x7000_0000_0000
@@ -115,31 +115,6 @@ class VMA:
         """Physical frames currently backing this VMA."""
         return self.frames[self.frames != NO_FRAME]
 
-    def pte(self, page_index: int, table: str = "system") -> PTE:
-        """Scalar PTE view of one page in the chosen table.
-
-        *table* is ``"system"`` or ``"gpu"``.  An absent entry is returned
-        as an invalid PTE (frame NO_FRAME, no flags).
-        """
-        if table not in ("system", "gpu"):
-            raise ValueError(f"unknown page table {table!r}")
-        present = (
-            self.sys_valid[page_index]
-            if table == "system"
-            else self.gpu_valid[page_index]
-        )
-        if not present:
-            return PTE()
-        flags = PTE_VALID
-        if self.pinned:
-            flags |= PTE_PINNED
-        if self.uncached:
-            flags |= PTE_UNCACHED
-        if self.gpu_valid[page_index]:
-            flags |= PTE_GPU_MAPPED
-        fragment = int(self.fragment[page_index]) if table == "gpu" else 0
-        return PTE(frame=int(self.frames[page_index]), flags=flags, fragment=fragment)
-
     def __repr__(self) -> str:
         return (
             f"VMA({self.name or 'anon'}, {self.start:#x}+{self.size_bytes}, "
@@ -194,39 +169,8 @@ class AddressSpace:
         del self._vmas[idx]
         del self._starts[idx]
 
-    def find(self, address: int) -> Optional[VMA]:
-        """The VMA containing *address*, or None."""
-        idx = bisect.bisect_right(self._starts, address) - 1
-        if idx < 0:
-            return None
-        vma = self._vmas[idx]
-        return vma if vma.contains(address) else None
-
-    def require(self, address: int) -> VMA:
-        """Like :meth:`find` but raising on unmapped addresses (a segfault)."""
-        vma = self.find(address)
-        if vma is None:
-            raise SegmentationFault(address)
-        return vma
-
     def __iter__(self) -> Iterator[VMA]:
         return iter(self._vmas)
 
     def __len__(self) -> int:
         return len(self._vmas)
-
-    def total_resident_bytes(self) -> int:
-        """Physical bytes backing all VMAs (the process's true footprint)."""
-        return sum(vma.resident_bytes() for vma in self._vmas)
-
-    def total_virtual_bytes(self) -> int:
-        """Virtual bytes reserved by all VMAs."""
-        return sum(vma.size_bytes for vma in self._vmas)
-
-
-class SegmentationFault(Exception):
-    """Access to an address not covered by any VMA."""
-
-    def __init__(self, address: int) -> None:
-        super().__init__(f"segmentation fault at {address:#x}")
-        self.address = address

@@ -113,14 +113,12 @@ class FaultHandler:
         physical: PhysicalMemory,
         hmm: HMMMirror,
         xnack_enabled: bool = False,
-        seed: int = 0xFA07,
     ) -> None:
         self._config = config
         self._physical = physical
         self._hmm = hmm
         self.xnack_enabled = xnack_enabled
         self.counters = FaultCounters()
-        self._rng = np.random.default_rng(seed)
         self.trace = None  # EventLog when the owning APU traces
         self.inject = None  # InjectionPlan when fault injection is active
 
@@ -438,26 +436,6 @@ class FaultHandler:
         if report.storm_replay_pages:
             total += report.storm_replay_pages * costs.gpu_minor_batched_page_ns
         return total
-
-    def sample_single_fault_latency_ns(
-        self, kind: Literal["cpu", "gpu_minor", "gpu_major"], size: int = 1
-    ) -> np.ndarray:
-        """Draw single-fault handler latencies (Fig. 8's distributions).
-
-        Latencies are lognormally distributed around the calibrated means;
-        the shape parameters were fitted to the paper's mean/p95 pairs.
-        """
-        costs = self._config.fault_costs
-        if kind == "cpu":
-            mean, sigma = costs.cpu_single_latency_ns, costs.cpu_latency_sigma
-        elif kind == "gpu_minor":
-            mean, sigma = costs.gpu_minor_single_latency_ns, costs.gpu_latency_sigma
-        elif kind == "gpu_major":
-            mean, sigma = costs.gpu_major_single_latency_ns, costs.gpu_latency_sigma
-        else:
-            raise ValueError(f"unknown fault kind {kind!r}")
-        mu = np.log(mean) - sigma * sigma / 2.0
-        return self._rng.lognormal(mu, sigma, size=size)
 
 
 def _batched_time(events: int, single_ns: float, per_event_ns: float) -> float:

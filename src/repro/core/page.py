@@ -1,116 +1,13 @@
-"""Page and page-table-entry primitives.
+"""The not-present sentinel shared by the page tables.
 
 The MI300A keeps two page tables: the system (CPU) page table and the GPU
-page table (paper Section 2.3).  Both map virtual page numbers to physical
-frame numbers; GPU PTEs additionally carry a 5-bit *fragment* field used to
-extend TLB reach (paper Section 3.2).
-
-For memory efficiency the page tables themselves store PTE data in numpy
-arrays (see :mod:`repro.core.page_table`); this module defines the scalar
-view of one entry plus flag constants shared by both tables.
+page table (paper Section 2.3).  Both are held per VMA as numpy arrays
+(see :mod:`repro.core.address_space` and :mod:`repro.core.page_table`);
+a page with no physical backing carries :data:`NO_FRAME` in its frame
+slot.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from ..hw.config import MAX_FRAGMENT_EXPONENT, PAGE_SIZE
-
-# PTE flag bits (shared by the system and GPU page tables).
-PTE_VALID = 1 << 0  # entry maps a physical frame
-PTE_WRITABLE = 1 << 1
-PTE_PINNED = 1 << 2  # page-locked (hipHostMalloc / hipHostRegister)
-PTE_GPU_MAPPED = 1 << 3  # mirrored into the GPU page table
-PTE_UNCACHED = 1 << 4  # nominally uncacheable (managed statics)
-
 #: Sentinel frame number for a not-present entry.
 NO_FRAME = -1
-
-
-def page_number(address: int) -> int:
-    """Virtual (or physical) page number containing byte *address*."""
-    if address < 0:
-        raise ValueError(f"negative address {address:#x}")
-    return address // PAGE_SIZE
-
-
-def page_offset(address: int) -> int:
-    """Byte offset of *address* within its page."""
-    return address % PAGE_SIZE
-
-
-def pages_spanned(address: int, size: int) -> int:
-    """Number of pages touched by a byte range of *size* at *address*."""
-    if size <= 0:
-        raise ValueError(f"range size must be positive, got {size}")
-    first = page_number(address)
-    last = page_number(address + size - 1)
-    return last - first + 1
-
-
-def align_up(value: int, alignment: int) -> int:
-    """Round *value* up to the next multiple of *alignment*."""
-    if alignment <= 0 or alignment & (alignment - 1):
-        raise ValueError(f"alignment must be a power of two, got {alignment}")
-    return (value + alignment - 1) & ~(alignment - 1)
-
-
-def align_down(value: int, alignment: int) -> int:
-    """Round *value* down to the previous multiple of *alignment*."""
-    if alignment <= 0 or alignment & (alignment - 1):
-        raise ValueError(f"alignment must be a power of two, got {alignment}")
-    return value & ~(alignment - 1)
-
-
-@dataclass(frozen=True)
-class PTE:
-    """Scalar view of one page-table entry.
-
-    Attributes:
-        frame: physical frame number, or :data:`NO_FRAME` when not present.
-        flags: bitwise OR of the ``PTE_*`` constants.
-        fragment: fragment-field exponent — this PTE belongs to an aligned
-            contiguous run of ``2**fragment`` pages with identical flags.
-            Only meaningful in the GPU page table; 0 in the system table.
-    """
-
-    frame: int = NO_FRAME
-    flags: int = 0
-    fragment: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.fragment <= MAX_FRAGMENT_EXPONENT:
-            raise ValueError(
-                f"fragment exponent {self.fragment} outside "
-                f"[0, {MAX_FRAGMENT_EXPONENT}]"
-            )
-
-    @property
-    def valid(self) -> bool:
-        """True when this entry maps a physical frame."""
-        return bool(self.flags & PTE_VALID) and self.frame != NO_FRAME
-
-    @property
-    def pinned(self) -> bool:
-        """True when the mapped page is page-locked."""
-        return bool(self.flags & PTE_PINNED)
-
-    @property
-    def gpu_mapped(self) -> bool:
-        """True when the entry has been mirrored into the GPU table."""
-        return bool(self.flags & PTE_GPU_MAPPED)
-
-    @property
-    def uncached(self) -> bool:
-        """True for nominally uncacheable memory (managed statics)."""
-        return bool(self.flags & PTE_UNCACHED)
-
-    @property
-    def fragment_pages(self) -> int:
-        """Number of pages covered by this entry's fragment."""
-        return 1 << self.fragment
-
-    @property
-    def fragment_bytes(self) -> int:
-        """Bytes covered by this entry's fragment."""
-        return self.fragment_pages * PAGE_SIZE

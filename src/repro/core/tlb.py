@@ -6,14 +6,12 @@ depends directly on the fragment exponents in the GPU page table (paper
 Section 3.2).  The CPU TLB holds conventional per-page entries (memory
 fragments are not used in the CPU page table, paper Section 5.4).
 
-Two interfaces are provided:
-
-* :class:`TLB` — an exact LRU simulation, used by unit/property tests and
-  small kernels.
-* :func:`streaming_tlb_misses` — a closed-form fast path for long
-  sequential streams (the STREAM TRIAD access pattern), which the kernel
-  engine uses to produce the Fig. 9 counter values without walking tens of
-  millions of pages.
+The kernel engine counts Fig. 9's GPU TLB misses with
+:func:`streaming_tlb_misses`, a closed form over the GPU page table's
+fragment exponents for long sequential streams (the STREAM TRIAD access
+pattern), so it never walks tens of millions of pages.  :class:`TLB` is
+an exact LRU simulation; no APU builds one, and the tests use it as the
+reference the closed form must match.
 """
 
 from __future__ import annotations
@@ -32,21 +30,6 @@ class TLBStats:
 
     hits: int = 0
     misses: int = 0
-    #: Hits served while an injected shootdown was pending: the entry
-    #: should already have been invalidated (stale-translation window).
-    stale_hits: int = 0
-
-    @property
-    def accesses(self) -> int:
-        """Total translations requested."""
-        return self.hits + self.misses
-
-    @property
-    def miss_rate(self) -> float:
-        """Misses / accesses (0 when idle)."""
-        if not self.accesses:
-            return 0.0
-        return self.misses / self.accesses
 
 
 class TLB:
@@ -58,13 +41,6 @@ class TLB:
         self._geometry = geometry
         self._entries: "OrderedDict[int, None]" = OrderedDict()
         self.stats = TLBStats()
-        self.inject = None  # InjectionPlan for delayed-shootdown faults
-        self._deferred_flush: "int | None" = None  # accesses until it lands
-
-    @property
-    def geometry(self) -> TLBGeometry:
-        """Entry count / penalty configuration."""
-        return self._geometry
 
     def _tag(self, vpn: int, fragment_exponent: int) -> int:
         if self._geometry.fragment_aware and fragment_exponent > 0:
@@ -76,70 +52,20 @@ class TLB:
 
     def access(self, vpn: int, fragment_exponent: int = 0) -> bool:
         """Translate one page access; returns True on hit."""
-        deferred = self._deferred_flush is not None
         tag = self._tag(vpn, fragment_exponent)
         if tag in self._entries:
             self._entries.move_to_end(tag)
             self.stats.hits += 1
-            if deferred:
-                # Served from an entry a pending shootdown should have
-                # invalidated: a stale translation.
-                self.stats.stale_hits += 1
-            hit = True
-        else:
-            self.stats.misses += 1
-            self._entries[tag] = None
-            if len(self._entries) > self._geometry.entries:
-                self._entries.popitem(last=False)
-            hit = False
-        if deferred:
-            self._deferred_flush -= 1
-            if self._deferred_flush <= 0:
-                self._entries.clear()
-                self._deferred_flush = None
-        return hit
+            return True
+        self.stats.misses += 1
+        self._entries[tag] = None
+        if len(self._entries) > self._geometry.entries:
+            self._entries.popitem(last=False)
+        return False
 
     def flush(self) -> None:
-        """Invalidate all entries (TLB shootdown).
-
-        An attached injection plan can delay the invalidation by N
-        accesses (``tlb.shootdown``/``delay``): until it lands, lookups
-        keep hitting the stale entries (counted in
-        :attr:`TLBStats.stale_hits`).  A second flush while one is
-        pending lands immediately, as a real IOMMU invalidation-queue
-        drain would.
-        """
-        if self._deferred_flush is not None:
-            # Back-to-back shootdowns drain the queue: flush now.
-            self._entries.clear()
-            self._deferred_flush = None
-            return
-        if self.inject is not None:
-            fault = self.inject.fire(
-                "tlb.shootdown", entries=len(self._entries)
-            )
-            if fault is not None and fault.kind == "delay":
-                self._deferred_flush = max(
-                    1, int(fault.params.get("delay_accesses", 8))
-                )
-                return
+        """Invalidate all entries (TLB shootdown)."""
         self._entries.clear()
-
-    def reset_stats(self) -> None:
-        """Zero the hit/miss counters, keeping entries resident."""
-        self.stats = TLBStats()
-
-    @property
-    def occupancy(self) -> int:
-        """Number of live entries."""
-        return len(self._entries)
-
-    def reach_bytes(self, typical_fragment_exponent: int = 0) -> int:
-        """Address-space reach given a typical fragment exponent."""
-        pages_per_entry = (
-            1 << typical_fragment_exponent if self._geometry.fragment_aware else 1
-        )
-        return self._geometry.entries * pages_per_entry * 4096
 
 
 def streaming_tlb_misses(

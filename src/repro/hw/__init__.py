@@ -6,7 +6,7 @@ latency model.
 """
 
 from .caches import CacheHierarchy, HierarchyLevel, gpu_hierarchy
-from .clock import SimClock, Stopwatch
+from .clock import SimClock
 from .config import (
     GiB,
     KiB,
@@ -34,7 +34,6 @@ __all__ = [
     "MiB",
     "PAGE_SIZE",
     "SimClock",
-    "Stopwatch",
     "TiB",
     "channel_balance",
     "default_config",

@@ -50,20 +50,6 @@ class CacheHierarchy:
             raise ValueError("finite level capacities must strictly increase")
         self._levels = list(levels)
 
-    @property
-    def levels(self) -> List[HierarchyLevel]:
-        """The hierarchy levels, innermost first."""
-        return list(self._levels)
-
-    def serving_level(self, working_set_bytes: int) -> HierarchyLevel:
-        """The innermost level whose capacity covers the working set."""
-        for level in self._levels:
-            if level.capacity_bytes is None:
-                return level
-            if working_set_bytes <= level.capacity_bytes:
-                return level
-        return self._levels[-1]
-
     def hit_fractions(self, working_set_bytes: int) -> List[Tuple[str, float]]:
         """Fraction of uniform-random accesses served by each level.
 

@@ -1,16 +1,16 @@
 """Simulated time base for the APU model.
 
 All runtime components advance a shared :class:`SimClock`.  Time is kept in
-nanoseconds as a float; helper constructors convert from common units.  The
-clock also supports *regions* — named spans used by benchmarks to attribute
-elapsed simulated time to phases (e.g. "compute" vs "io"), mirroring the
-paper's use of inserted timers around the main compute phase.
+nanoseconds as a float.  The clock also supports *regions* — named spans
+the applications use to attribute elapsed simulated time to phases (e.g.
+"compute" vs "total"), mirroring the paper's use of inserted timers around
+the main compute phase.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator
 
 
 class SimClock:
@@ -19,7 +19,6 @@ class SimClock:
     def __init__(self) -> None:
         self._now_ns: float = 0.0
         self._regions: Dict[str, float] = {}
-        self._stack: List[Tuple[str, float]] = []
 
     @property
     def now_ns(self) -> float:
@@ -56,11 +55,9 @@ class SimClock:
         region (like wall-clock timers placed around nested phases).
         """
         start = self._now_ns
-        self._stack.append((name, start))
         try:
             yield
         finally:
-            self._stack.pop()
             elapsed = self._now_ns - start
             self._regions[name] = self._regions.get(name, 0.0) + elapsed
 
@@ -68,53 +65,5 @@ class SimClock:
         """Total simulated nanoseconds attributed to region *name*."""
         return self._regions.get(name, 0.0)
 
-    def regions(self) -> Dict[str, float]:
-        """A copy of all region totals (ns), keyed by region name."""
-        return dict(self._regions)
-
-    def reset(self) -> None:
-        """Reset time to zero and clear all regions.
-
-        Only valid outside any open region.
-        """
-        if self._stack:
-            raise RuntimeError("cannot reset clock inside an open region")
-        self._now_ns = 0.0
-        self._regions.clear()
-
     def __repr__(self) -> str:
         return f"SimClock(now={self._now_ns:.1f} ns)"
-
-
-class Stopwatch:
-    """Convenience timer over a :class:`SimClock`.
-
-    Mirrors the CPU timers the paper inserts around benchmark loops::
-
-        sw = Stopwatch(clock)
-        sw.start()
-        ...  # simulated work
-        elapsed = sw.stop_ns()
-    """
-
-    def __init__(self, clock: SimClock) -> None:
-        self._clock = clock
-        self._start_ns: float | None = None
-
-    def start(self) -> None:
-        """Record the current simulated time as the start point."""
-        self._start_ns = self._clock.now_ns
-
-    def stop_ns(self) -> float:
-        """Return nanoseconds since :meth:`start` and clear the start point."""
-        if self._start_ns is None:
-            raise RuntimeError("Stopwatch.stop_ns() called before start()")
-        elapsed = self._clock.now_ns - self._start_ns
-        self._start_ns = None
-        return elapsed
-
-    def peek_ns(self) -> float:
-        """Return nanoseconds since :meth:`start` without clearing it."""
-        if self._start_ns is None:
-            raise RuntimeError("Stopwatch.peek_ns() called before start()")
-        return self._clock.now_ns - self._start_ns

@@ -45,10 +45,6 @@ class CacheGeometry:
     latency_ns: float
     line_bytes: int = 128
 
-    def fits(self, working_set_bytes: int) -> bool:
-        """Return True when *working_set_bytes* fits entirely in this level."""
-        return working_set_bytes <= self.capacity_bytes
-
 
 @dataclass(frozen=True)
 class TLBGeometry:
@@ -327,9 +323,6 @@ class PartitionCostModel:
     #: interleaved over only 2 remote stacks and every request crosses
     #: the IOD-to-IOD fabric, so remote streams run well below local.
     nps4_remote_bandwidth_factor: float = 0.55
-    #: Extra load-to-use latency (ns) for a cross-domain access in NPS4
-    #: (one additional IOD-to-IOD Infinity Fabric hop).
-    nps4_remote_latency_extra_ns: float = 105.0
     #: Kernel-launch overhead factor in CPX mode (the guide notes
     #: "additional small savings for kernel launch in CPX mode").
     cpx_launch_overhead_factor: float = 0.9

@@ -43,8 +43,8 @@ def _standard() -> List[Injector]:
     # A mix of every recoverable fault class: transient allocation
     # failures early in the allocation stream, one fragmentation-pressure
     # hit, a background rate of correctable ECC errors, one slow and one
-    # failed SDMA transfer, a few dropped XNACK replays, one retry
-    # storm, and one delayed TLB shootdown.
+    # failed SDMA transfer, a few dropped XNACK replays, and one retry
+    # storm.
     return [
         Injector("physical.alloc", "transient", CallWindow(2, 4), times=2),
         Injector(
@@ -59,10 +59,6 @@ def _standard() -> List[Injector]:
         Injector("sdma.transfer", "failure", NthCall(3)),
         Injector("xnack.retry", "drop", CallWindow(1, 4), times=3),
         Injector("xnack.storm", "storm", NthCall(2), params={"factor": 4.0}),
-        Injector(
-            "tlb.shootdown", "delay", NthCall(1),
-            params={"delay_accesses": 4},
-        ),
     ]
 
 

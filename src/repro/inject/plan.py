@@ -19,7 +19,6 @@ Site                      Kinds
                           (retryable on the blit path), ``abort`` (fatal)
 ``xnack.retry``           ``drop`` (one replay is lost and re-retried)
 ``xnack.storm``           ``storm`` (fault replays multiply)
-``tlb.shootdown``         ``delay`` (invalidation lands N accesses late)
 ========================  ==============================================
 
 Determinism: probability triggers draw from the plan's own seeded PRNG

@@ -23,7 +23,6 @@ from .placement import (
     PartitionPlacement,
     device_stream_bandwidth,
     kernel_launch_factor,
-    remote_access_latency_extra_ns,
 )
 
 __all__ = [
@@ -38,5 +37,4 @@ __all__ = [
     "enumerate_logical_devices",
     "ic_reach_fraction",
     "kernel_launch_factor",
-    "remote_access_latency_extra_ns",
 ]

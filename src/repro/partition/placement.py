@@ -6,23 +6,21 @@ contiguous physical quadrant interleaved over one IOD's two stacks
 way it does across sockets: an allocation serviced from the local
 quadrant avoids crossing IODs, which is where the partitioning guide's
 5-10% stream-bandwidth uplift comes from, while remote-quadrant traffic
-pays an Infinity Fabric hop (lower bandwidth, extra latency).
+pays an Infinity Fabric hop (lower bandwidth).
 
 :class:`PartitionPlacement` is the policy object: it pins each logical
-device to its local domain's frame window and forwards allocations with
-the matching ``frame_range``, so partition-local buffers come out of
-the right quadrant by construction.  The module-level functions turn a
-measured local fraction into effective bandwidth/latency, reading their
-coefficients from :class:`repro.hw.config.PartitionCostModel`.
+device to its local domain's frame window, which ``hipMalloc`` on that
+device passes to the allocators as ``frame_range``, so partition-local
+buffers come out of the right quadrant by construction.  The
+module-level functions turn a measured local fraction into effective
+bandwidth, reading their coefficients from
+:class:`repro.hw.config.PartitionCostModel`.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from ..core.physical import PhysicalMemory
 from ..hw.config import MI300AConfig
 from ..hw.hbm import HBMSubsystem
 from ..perf.bandwidth import BufferTraits, gpu_stream_bandwidth
@@ -31,12 +29,11 @@ from .modes import ComputePartition, PartitionConfig
 
 
 class PartitionPlacement:
-    """Binds logical devices to NUMA domains and places frames locally.
+    """Binds logical devices to NUMA domains and their frame windows.
 
     Args:
         config: the hardware configuration.
         partition: the active compute/memory mode pair.
-        physical: the shared physical frame allocator.
         hbm: the HBM subsystem; must be built with the same domain count
             as *partition* so frame windows and interleave agree.
     """
@@ -45,7 +42,6 @@ class PartitionPlacement:
         self,
         config: MI300AConfig,
         partition: PartitionConfig,
-        physical: PhysicalMemory,
         hbm: HBMSubsystem,
     ) -> None:
         if hbm.numa_domains != partition.numa_domains:
@@ -54,9 +50,7 @@ class PartitionPlacement:
                 f"partition mode {partition.describe()} expects "
                 f"{partition.numa_domains}"
             )
-        self._config = config
         self._partition = partition
-        self._physical = physical
         self._hbm = hbm
         self._devices = enumerate_logical_devices(config, partition)
 
@@ -91,26 +85,6 @@ class PartitionPlacement:
         if self._partition.numa_domains == 1:
             return None
         return self._hbm.domain_frame_range(self.domain_of_device(index))
-
-    # ------------------------------------------------------------------
-    # Partition-local allocation
-    # ------------------------------------------------------------------
-
-    def alloc_chunks(
-        self, index: int, npages: int, chunk_pages: int
-    ) -> np.ndarray:
-        """Contiguous aligned chunks from device *index*'s local domain."""
-        return self._physical.alloc_chunks(
-            npages, chunk_pages, frame_range=self.frame_range(index)
-        )
-
-    def alloc_scattered(
-        self, index: int, npages: int, pair_fraction: Optional[float] = None
-    ) -> np.ndarray:
-        """Scattered on-demand frames from device *index*'s local domain."""
-        return self._physical.alloc_scattered(
-            npages, pair_fraction, frame_range=self.frame_range(index)
-        )
 
     def local_fraction(self, frames: Sequence[int], index: int) -> float:
         """Fraction of *frames* homed in device *index*'s local domain."""
@@ -160,23 +134,6 @@ def device_stream_bandwidth(
         local_fraction / local_bw + (1.0 - local_fraction) / remote_bw
     )
     return 1.0 / time_per_byte
-
-
-def remote_access_latency_extra_ns(
-    config: MI300AConfig, device: LogicalDevice, local_fraction: float
-) -> float:
-    """Mean extra access latency (ns) from remote-domain residency.
-
-    Zero in NPS1 (one domain, nothing is remote); under NPS4 every
-    remote-domain access adds the cross-IOD Infinity Fabric hop, so the
-    expected extra cost scales with the remote fraction.
-    """
-    if not 0.0 <= local_fraction <= 1.0:
-        raise ValueError(f"local fraction {local_fraction} outside [0, 1]")
-    if device.partition.numa_domains == 1:
-        return 0.0
-    costs = config.partition_costs
-    return (1.0 - local_fraction) * costs.nps4_remote_latency_extra_ns
 
 
 def kernel_launch_factor(

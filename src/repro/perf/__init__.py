@@ -18,7 +18,6 @@ from .atomics import (
 )
 from .bandwidth import (
     BufferTraits,
-    best_cpu_stream_bandwidth,
     cpu_stream_bandwidth,
     gpu_stream_bandwidth,
     stream_time_ns,
@@ -42,7 +41,6 @@ __all__ = [
     "BufferTraits",
     "HybridThroughput",
     "ScenarioParams",
-    "best_cpu_stream_bandwidth",
     "chase_latency_ns",
     "cpu_atomic_throughput",
     "cpu_atomic_update_cost_ns",

@@ -102,22 +102,6 @@ def cpu_stream_bandwidth(
     return bandwidth
 
 
-def best_cpu_stream_bandwidth(
-    config: MI300AConfig, traits: BufferTraits
-) -> tuple[float, int]:
-    """Best bandwidth over 1..cores threads and the thread count achieving it.
-
-    Reproduces the paper's methodology of sweeping OMP thread counts and
-    selecting the best result.
-    """
-    best_bw, best_threads = 0.0, 1
-    for threads in range(1, config.cpu_cores + 1):
-        bw = cpu_stream_bandwidth(config, traits, threads)
-        if bw > best_bw:
-            best_bw, best_threads = bw, threads
-    return best_bw, best_threads
-
-
 def stream_time_ns(bytes_moved: int, bandwidth_bytes_per_s: float) -> float:
     """Simulated nanoseconds to stream *bytes_moved* at a bandwidth."""
     if bytes_moved < 0:

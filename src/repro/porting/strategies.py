@@ -108,11 +108,6 @@ class ChunkSchedule:
             yield offset, size
             offset += size
 
-    @property
-    def chunk_count(self) -> int:
-        """Number of pipeline stages."""
-        return -(-self.total_bytes // self.chunk_bytes)
-
 
 def merged_pipeline(schedule: ChunkSchedule) -> List[Tuple[int, int]]:
     """The unified-model version of a partial-transfer pipeline.

@@ -38,7 +38,7 @@ class APU:
         xnack: whether the process runs with ``HSA_XNACK=1`` (enables
             GPU page-fault replay; flips the on-demand allocators of
             Table 1).
-        seed: seed for the deterministic allocation/fault randomness.
+        seed: seed for the deterministic allocation randomness.
         partition: compute/memory partition mode pair; defaults to
             SPX/NPS1 (the paper's testbed), which leaves every model
             identical to the unpartitioned APU.
@@ -47,7 +47,7 @@ class APU:
             for the hipsan pass (:mod:`repro.analyze.sanitizer`).
         inject: an :class:`~repro.inject.InjectionPlan` to attach to the
             APU's fault-injection sites (physical allocator, fault
-            handler, HBM ECC, TLB shootdowns).
+            handler, HBM ECC, SDMA transfers).
     """
 
     def __init__(
@@ -76,7 +76,7 @@ class APU:
         self.gpu_pt = GPUPageTable()
         self.hmm = HMMMirror(self.system_pt, self.gpu_pt)
         self.faults = FaultHandler(
-            self.config, self.physical, self.hmm, xnack_enabled=xnack, seed=seed
+            self.config, self.physical, self.hmm, xnack_enabled=xnack
         )
         self.faults.trace = self.trace
         self.memory = MemoryManager(
@@ -93,7 +93,7 @@ class APU:
         )
         self.infinity_cache = InfinityCache(self.config.infinity_cache, self.hbm_map)
         self.placement = PartitionPlacement(
-            self.config, self.partition, self.physical, self.hbm_map
+            self.config, self.partition, self.hbm_map
         )
         self.logical_devices = self.placement.devices
         self.gpu = GPUDevice(self.config)
@@ -132,18 +132,6 @@ class APU:
             channel_balance=balance,
         )
 
-    def ic_hit_fraction(
-        self, allocation: Allocation, working_set_bytes: Optional[int] = None
-    ) -> float:
-        """Infinity Cache hit fraction for (a prefix of) a buffer."""
-        frames = allocation.vma.resident_frames()
-        if frames.size == 0:
-            return 1.0
-        if working_set_bytes is not None:
-            pages = max(1, min(len(frames), working_set_bytes // 4096))
-            frames = frames[:pages]
-        return self.infinity_cache.hit_fraction(frames)
-
     # ------------------------------------------------------------------
     # Touch (fault) helpers
     # ------------------------------------------------------------------
@@ -174,10 +162,6 @@ class APU:
         if advance_clock:
             self.clock.advance(report.service_time_ns)
         return report
-
-    def prefault_cpu(self, allocation: Allocation, cores: int = 12) -> FaultReport:
-        """The paper's recommended CPU pre-faulting strategy (Section 5.2)."""
-        return self.touch(allocation, "cpu", concurrency=cores)
 
     def __repr__(self) -> str:
         return (

@@ -46,15 +46,6 @@ class GPUDevice:
         """Number of CUs across all XCDs (228 on MI300A)."""
         return self._config.gpu_compute_units
 
-    @property
-    def max_resident_threads(self) -> int:
-        """Upper bound on concurrently resident threads for the atomics
-        benchmark's thread sweep (one 64-thread block per CU)."""
-        return (
-            self._config.gpu_compute_units
-            * self._config.atomics.gpu_threads_per_cu
-        )
-
     def __repr__(self) -> str:
         return f"GPUDevice({self.compute_units} CUs)"
 

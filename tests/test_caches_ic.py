@@ -31,12 +31,6 @@ class TestCacheHierarchy:
             ]
         )
 
-    def test_serving_level_by_capacity(self):
-        h = self._simple()
-        assert h.serving_level(512).name == "l1"
-        assert h.serving_level(4096).name == "l2"
-        assert h.serving_level(1 << 20).name == "mem"
-
     def test_hit_fractions_sum_to_one(self):
         h = self._simple()
         for ws in (100, 1024, 5000, 1 << 20):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.hw.clock import SimClock, Stopwatch
+from repro.hw.clock import SimClock
 
 
 class TestSimClock:
@@ -60,55 +60,3 @@ class TestSimClock:
 
     def test_unknown_region_is_zero(self):
         assert SimClock().region_ns("nope") == 0.0
-
-    def test_regions_snapshot(self):
-        clock = SimClock()
-        with clock.region("a"):
-            clock.advance(1.0)
-        snap = clock.regions()
-        snap["a"] = 999.0
-        assert clock.region_ns("a") == pytest.approx(1.0)
-
-    def test_reset(self):
-        clock = SimClock()
-        with clock.region("a"):
-            clock.advance(10.0)
-        clock.reset()
-        assert clock.now_ns == 0.0
-        assert clock.region_ns("a") == 0.0
-
-    def test_reset_inside_region_rejected(self):
-        clock = SimClock()
-        with pytest.raises(RuntimeError):
-            with clock.region("a"):
-                clock.reset()
-
-
-class TestStopwatch:
-    def test_measures_elapsed(self):
-        clock = SimClock()
-        sw = Stopwatch(clock)
-        sw.start()
-        clock.advance(123.0)
-        assert sw.stop_ns() == pytest.approx(123.0)
-
-    def test_stop_without_start_rejected(self):
-        with pytest.raises(RuntimeError):
-            Stopwatch(SimClock()).stop_ns()
-
-    def test_peek_keeps_running(self):
-        clock = SimClock()
-        sw = Stopwatch(clock)
-        sw.start()
-        clock.advance(10.0)
-        assert sw.peek_ns() == pytest.approx(10.0)
-        clock.advance(10.0)
-        assert sw.stop_ns() == pytest.approx(20.0)
-
-    def test_stop_clears_start(self):
-        clock = SimClock()
-        sw = Stopwatch(clock)
-        sw.start()
-        sw.stop_ns()
-        with pytest.raises(RuntimeError):
-            sw.stop_ns()

@@ -107,12 +107,6 @@ class TestSmallConfig:
     def test_policies_preserved(self):
         assert small_config().policy == default_config().policy
 
-    def test_cache_geometry_fits(self):
-        geo = default_config().cpu_l1
-        assert geo.fits(16 * KiB)
-        assert geo.fits(32 * KiB)
-        assert not geo.fits(33 * KiB)
-
 
 class TestCostModelSanity:
     def test_fault_latencies_match_paper(self):

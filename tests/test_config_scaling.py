@@ -39,14 +39,6 @@ class TestBiggerInfinityCache:
 
 
 class TestMoreComputeUnits:
-    def test_more_cus_raise_resident_thread_bound(self):
-        from repro.runtime.device import GPUDevice
-
-        base = default_config()
-        doubled = base.replace(gpu_compute_units=456)
-        assert GPUDevice(doubled).max_resident_threads == \
-            2 * GPUDevice(base).max_resident_threads
-
     def test_more_cus_soften_hybrid_contention(self):
         from repro.perf.atomics import hybrid_atomic_throughput
 

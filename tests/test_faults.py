@@ -6,6 +6,7 @@ import pytest
 from repro.core.faults import GPUMemoryAccessError
 from repro.core.address_space import GPU_ACCESS_NEVER
 from repro.hw.config import PAGE_SIZE
+from repro.perf.faultmodel import sample_latency_distribution
 
 
 class TestCPUOnDemandFaults:
@@ -140,12 +141,12 @@ class TestXNACKSemantics:
 class TestLatencySampling:
     def test_means_match_calibration(self, apu):
         for kind, mean in (("cpu", 9e3), ("gpu_minor", 16e3), ("gpu_major", 18e3)):
-            draws = apu.faults.sample_single_fault_latency_ns(kind, size=20_000)
+            draws = sample_latency_distribution(apu.config, kind, 20_000)
             assert draws.mean() == pytest.approx(mean, rel=0.05)
 
     def test_unknown_kind_rejected(self, apu):
         with pytest.raises(ValueError):
-            apu.faults.sample_single_fault_latency_ns("dma")
+            sample_latency_distribution(apu.config, "dma", 1)
 
     def test_unknown_device_rejected(self, apu):
         buf = apu.memory.malloc(PAGE_SIZE)

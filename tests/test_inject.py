@@ -13,8 +13,6 @@ from repro import BufferAccess, KernelSpec, make_runtime
 from repro.cli import main
 from repro.core.faults import FaultHandler, GPUMemoryAccessError
 from repro.core.physical import TransientAllocationError
-from repro.core.tlb import TLB
-from repro.hw.config import TLBGeometry
 from repro.inject import (
     CAMPAIGNS,
     AddressRange,
@@ -409,48 +407,6 @@ class TestXnackFaults:
 
 
 # ----------------------------------------------------------------------
-# TLB shootdown faults
-# ----------------------------------------------------------------------
-
-
-class TestTlbFaults:
-    def _tlb(self, plan):
-        tlb = TLB(TLBGeometry("test", 8, 100.0))
-        tlb.inject = plan
-        return tlb
-
-    def test_delayed_shootdown_serves_stale_hits(self):
-        plan = _plan(Injector("tlb.shootdown", "delay", NthCall(1),
-                              params={"delay_accesses": 3}))
-        tlb = self._tlb(plan)
-        tlb.access(1)
-        tlb.access(2)
-        tlb.flush()  # delayed: entries stay resident for 3 accesses
-        assert tlb.access(1)
-        assert tlb.access(2)
-        assert tlb.stats.stale_hits == 2
-        tlb.access(3)  # third deferred access: the invalidation lands
-        assert not tlb.access(1)
-        assert tlb.stats.stale_hits == 2
-
-    def test_back_to_back_shootdowns_drain_immediately(self):
-        plan = _plan(Injector("tlb.shootdown", "delay", NthCall(1),
-                              params={"delay_accesses": 50}))
-        tlb = self._tlb(plan)
-        tlb.access(1)
-        tlb.flush()  # deferred
-        tlb.flush()  # queue drain: lands now
-        assert not tlb.access(1)
-
-    def test_uninjected_flush_is_immediate(self):
-        tlb = self._tlb(_plan())
-        tlb.access(1)
-        tlb.flush()
-        assert not tlb.access(1)
-        assert tlb.stats.stale_hits == 0
-
-
-# ----------------------------------------------------------------------
 # Invariants and the leak property (satellite: hypothesis)
 # ----------------------------------------------------------------------
 
@@ -555,6 +511,23 @@ class TestCampaigns:
         one, two = campaign.plan(1), campaign.plan(1)
         assert one.injectors is not two.injectors
         assert one.injectors[0] is not two.injectors[0]
+
+    def test_every_campaign_site_is_consulted(self):
+        # An injector is only live if some subsystem consults its site
+        # through InjectionPlan.fire; these two workloads reach every
+        # site an attached APU wires (allocation, ECC, SDMA, XNACK).
+        plans = [_plan(), _plan()]
+        _memcpy_workload(inject=plans[0])
+        _kernel_workload(inject=plans[1], xnack=True)
+        sites = {
+            injector.site
+            for campaign in CAMPAIGNS.values()
+            for injector in campaign.build()
+        }
+        unconsulted = {
+            site for site in sites if not any(p.calls(site) for p in plans)
+        }
+        assert unconsulted == set()
 
     def test_derive_seed_distinguishes_runs(self):
         seeds = {

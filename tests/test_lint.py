@@ -391,9 +391,16 @@ class TestLintCli:
 
         bad = tmp_path / "bad.py"
         bad.write_text("hipBogusCall()\n")
-        main(["lint", "--json", str(tmp_path)])
+        main(["lint", "--format", "json", str(tmp_path)])
         data = json.loads(capsys.readouterr().out)
         assert data[0]["rule"] == "lint.unknown-api"
+
+    def test_format_is_the_only_format_switch(self, tmp_path):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_:
+            main(["lint", "--json", "--format", "sarif", str(tmp_path)])
+        assert exit_.value.code == 2
 
     def test_sarif_output_is_valid(self, tmp_path, capsys):
         import json

@@ -22,7 +22,6 @@ from repro.partition import (
     enumerate_logical_devices,
     ic_reach_fraction,
     kernel_launch_factor,
-    remote_access_latency_extra_ns,
 )
 from repro.perf.bandwidth import BufferTraits, gpu_stream_bandwidth
 from repro.runtime.apu import make_apu
@@ -238,19 +237,20 @@ class TestPlacement:
 
     def test_domain_mismatch_rejected(self, apu):
         with pytest.raises(ValueError):
-            PartitionPlacement(apu.config, CPX_NPS4, apu.physical, apu.hbm_map)
+            PartitionPlacement(apu.config, CPX_NPS4, apu.hbm_map)
 
     def test_device_index_bounds(self, cpx_nps4_apu):
         with pytest.raises(IndexError):
             cpx_nps4_apu.placement.device(6)
 
-    def test_local_allocations_fully_local(self, cpx_nps4_apu):
-        placement = cpx_nps4_apu.placement
+    def test_local_allocations_fully_local(self, cpx_hip):
+        placement = cpx_hip.apu.placement
         for index in range(6):
-            frames = placement.alloc_chunks(index, 2048, 16)
+            cpx_hip.hipSetDevice(index)
+            frames = cpx_hip.hipMalloc(2048 * PAGE_SIZE).vma.resident_frames()
             assert placement.local_fraction(frames, index) == 1.0
             domain = placement.domain_of_device(index)
-            lo, hi = cpx_nps4_apu.hbm_map.domain_frame_range(domain)
+            lo, hi = cpx_hip.apu.hbm_map.domain_frame_range(domain)
             assert frames.min() >= lo and frames.max() < hi
 
     def test_devices_on_same_iod_share_domain(self, cpx_nps4_apu):
@@ -287,15 +287,6 @@ class TestPartitionCostModel:
         mixed = device_stream_bandwidth(config, dev, HIPMALLOC_TRAITS, 0.5)
         assert remote < mixed < local
         assert mixed == pytest.approx(1 / (0.5 / local + 0.5 / remote))
-
-    def test_remote_latency_extra(self, config):
-        nps1 = enumerate_logical_devices(config, CPX_NPS1)[0]
-        nps4 = enumerate_logical_devices(config, CPX_NPS4)[0]
-        assert remote_access_latency_extra_ns(config, nps1, 0.0) == 0.0
-        assert remote_access_latency_extra_ns(config, nps4, 1.0) == 0.0
-        assert remote_access_latency_extra_ns(
-            config, nps4, 0.0
-        ) == config.partition_costs.nps4_remote_latency_extra_ns
 
     def test_bad_local_fraction_rejected(self, config):
         dev = enumerate_logical_devices(config, CPX_NPS4)[0]
@@ -375,17 +366,14 @@ class TestHipDeviceManagement:
         )
         assert direct == expected
 
-    def test_partitioned_ic_view_reduces_hit_fraction(self, cpx_nps4_apu):
-        apu = cpx_nps4_apu
+    def test_partitioned_ic_view_reduces_hit_fraction(self, cpx_hip):
+        apu = cpx_hip.apu
         # A buffer striped over all four quadrants, bigger than one
         # quadrant's 32 slices can cover.
-        pieces = [
-            apu.placement.alloc_chunks(d, (24 * MiB) // PAGE_SIZE, 16)
-            for d in range(0, 6, 2)
-        ]
-        pieces.append(
-            apu.placement.alloc_chunks(5, (24 * MiB) // PAGE_SIZE, 16)
-        )
+        pieces = []
+        for d in (0, 2, 4, 5):
+            cpx_hip.hipSetDevice(d)
+            pieces.append(cpx_hip.hipMalloc(24 * MiB).vma.resident_frames())
         frames = np.concatenate(pieces)
         full = apu.infinity_cache.hit_fraction(frames)
         local_only = apu.infinity_cache.hit_fraction(

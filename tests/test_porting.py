@@ -88,7 +88,6 @@ class TestChunkSchedule:
         sched = ChunkSchedule(10 * MiB, 4 * MiB)
         chunks = list(sched.chunks())
         assert chunks == [(0, 4 * MiB), (4 * MiB, 4 * MiB), (8 * MiB, 2 * MiB)]
-        assert sched.chunk_count == 3
 
     def test_merged_pipeline_same_coverage(self):
         sched = ChunkSchedule(10 * MiB, 4 * MiB)

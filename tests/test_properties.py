@@ -126,8 +126,7 @@ class TestTLBProperties:
         tlb = TLB(TLBGeometry("t", entries, 1.0))
         for vpn in accesses:
             tlb.access(vpn)
-        assert tlb.stats.accesses == len(accesses)
-        assert tlb.occupancy <= entries
+        assert tlb.stats.hits + tlb.stats.misses == len(accesses)
 
     @given(
         npages=st.integers(1, 200),

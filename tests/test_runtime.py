@@ -11,6 +11,7 @@ import pytest
 from repro.core.allocators import AllocatorKind
 from repro.hw.clock import SimClock
 from repro.hw.config import KiB, MiB
+from repro.perf.latency import ic_hit_fraction_for_frames
 from repro.runtime.arrays import DeviceArray
 from repro.runtime.sdma import memcpy_bandwidth_bytes_per_s, memcpy_time_ns
 from hypothesis import given, settings, strategies as st
@@ -312,13 +313,17 @@ class TestAPUHelpers:
 
     def test_ic_hit_fraction_prefix(self, apu):
         buf = apu.memory.hip_malloc(8 * MiB)
-        assert apu.ic_hit_fraction(buf) == pytest.approx(1.0)
-        assert apu.ic_hit_fraction(buf, working_set_bytes=1 * MiB) == \
+        frames = buf.vma.resident_frames()
+        ic = apu.infinity_cache
+        assert ic_hit_fraction_for_frames(ic, frames, 8 * MiB) == \
+            pytest.approx(1.0)
+        assert ic_hit_fraction_for_frames(ic, frames, 1 * MiB) == \
             pytest.approx(1.0)
 
     def test_prefault_cpu(self, apu):
+        # The paper's recommended pre-faulting: touch from 12 CPU cores.
         buf = apu.memory.malloc(1 * MiB)
-        report = apu.prefault_cpu(buf)
+        report = apu.touch(buf, "cpu", concurrency=12)
         assert report.cpu_faulted_pages == 256
 
 
