@@ -461,6 +461,7 @@ def analyze_app(
     if params is None:
         params = SMALL_PARAMS.get(name)
     app.run(variant, memory_gib=memory_gib, params=params, trace=True)
-    if app.last_trace is None:
+    trace = app.last_apu.trace
+    if trace is None:
         raise RuntimeError(f"{name} did not record a trace")
-    return analyze_log(app.last_trace)
+    return analyze_log(trace)

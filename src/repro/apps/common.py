@@ -122,12 +122,9 @@ class RodiniaApp(abc.ABC):
     #: Variant labels this app supports.
     variants: Tuple[str, ...] = ("explicit", "unified")
 
-    #: Event log of the most recent traced run (``run(trace=True)``),
-    #: consumed by the hipsan regression sweep.
-    last_trace = None
-
     #: APU of the most recent run, kept so the chaos harness can check
-    #: post-run invariants (leaked frames, page-table consistency).
+    #: post-run invariants (leaked frames, page-table consistency) and
+    #: hipsan can read a traced run's event log (``last_apu.trace``).
     last_apu = None
 
     #: Map from port model to the method names implementing it, used by
@@ -177,7 +174,7 @@ class RodiniaApp(abc.ABC):
         """Run one variant on a fresh APU and collect the Fig. 11 metrics.
 
         With ``trace=True`` the runtime records a hipsan event log,
-        available afterwards as :attr:`last_trace`.  *inject* attaches
+        available afterwards as ``last_apu.trace``.  *inject* attaches
         an :class:`~repro.inject.InjectionPlan` to the run's APU (the
         chaos harness's entry point); the APU itself stays reachable as
         :attr:`last_apu` for post-run invariant checks.
@@ -197,7 +194,6 @@ class RodiniaApp(abc.ABC):
             memory_gib, xnack=self.needs_xnack(variant), seed=seed,
             trace=trace, inject=inject,
         )
-        self.last_trace = runtime.apu.trace
         self.last_apu = runtime.apu
         apu = runtime.apu
         profiler = MemoryUsageProfiler(apu)

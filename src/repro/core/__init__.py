@@ -42,7 +42,6 @@ from .fragments import (
     fragment_histogram,
 )
 from .meminfo import (
-    PeakUsageSampler,
     UsageSnapshot,
     hip_mem_get_info,
     libnuma_free,
@@ -73,7 +72,6 @@ __all__ = [
     "NO_FRAME",
     "OutOfMemoryError",
     "PageTableStats",
-    "PeakUsageSampler",
     "PhysicalMemory",
     "SystemPageTable",
     "TLB",

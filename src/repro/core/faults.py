@@ -414,7 +414,8 @@ class FaultHandler:
             total += _batched_time(
                 report.cpu_fault_events,
                 costs.cpu_single_latency_ns,
-                costs.cpu_batched_page_ns * _cpu_core_factor(concurrency),
+                costs.cpu_batched_page_ns
+                * _cpu_core_factor(concurrency, costs.cpu_core_scaling),
             )
         if report.gpu_major_pages:
             total += _batched_time(
@@ -445,14 +446,8 @@ def _batched_time(events: int, single_ns: float, per_event_ns: float) -> float:
     return single_ns + (events - 1) * per_event_ns
 
 
-#: Sub-linear scaling exponent of concurrent CPU fault handling, fitted to
-#: the paper's pair (1 core: 872 K pages/s, 12 cores: 3.7 M pages/s):
-#: throughput ~ cores**s with s = ln(4.24)/ln(12).
-CPU_FAULT_SCALING_EXPONENT = 0.581
-
-
-def _cpu_core_factor(cores: int) -> float:
+def _cpu_core_factor(cores: int, exponent: float) -> float:
     """Per-page service-time multiplier when *cores* fault concurrently."""
     if cores <= 1:
         return 1.0
-    return float(cores**-CPU_FAULT_SCALING_EXPONENT)
+    return float(cores**-exponent)

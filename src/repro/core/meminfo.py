@@ -13,7 +13,8 @@ MI300A (paper Section 3.2):
 The paper profiles peak usage by sampling libnuma; applications that size
 buffers from ``hipMemGetInfo`` must be ported to a reliable counter
 (Section 3.3, "Memory Usage Consideration").  This module reproduces each
-interface over the simulated system, plus the libnuma-based peak sampler.
+interface over the simulated system; the libnuma-based peak sampler is
+:class:`repro.profiling.memusage.MemoryUsageProfiler`.
 """
 
 from __future__ import annotations
@@ -147,24 +148,3 @@ def snapshot(manager: MemoryManager, physical: PhysicalMemory) -> UsageSnapshot:
         rocm_smi_used=rocm_smi_used_bytes(manager),
         vm_rss=vm_rss(manager),
     )
-
-
-class PeakUsageSampler:
-    """Peak physical memory tracker, libnuma-style (the paper's method).
-
-    Call :meth:`sample` at interesting points (the simulated runtime calls
-    it after every allocation, fault burst, and kernel); :attr:`peak_bytes`
-    is the high-water mark relative to the baseline captured at creation.
-    """
-
-    def __init__(self, physical: PhysicalMemory) -> None:
-        self._physical = physical
-        self._baseline = physical.used_bytes
-        self.peak_bytes = 0
-
-    def sample(self) -> int:
-        """Record the current usage; returns usage relative to baseline."""
-        current = self._physical.used_bytes - self._baseline
-        if current > self.peak_bytes:
-            self.peak_bytes = current
-        return current

@@ -1,11 +1,10 @@
 """Hardware substrate for the simulated MI300A APU.
 
 Exports the configuration dataclasses, the simulated clock, the HBM
-channel-mapping model, the Infinity Cache model, and the cache-hierarchy
-latency model.
+channel-mapping model and the Infinity Cache model.  The cache-hierarchy
+latency walk lives in :mod:`repro.perf.latency`.
 """
 
-from .caches import CacheHierarchy, HierarchyLevel, gpu_hierarchy
 from .clock import SimClock
 from .config import (
     GiB,
@@ -19,14 +18,11 @@ from .config import (
     small_config,
 )
 from .hbm import HBMSubsystem, channel_balance, effective_slice_hit_fraction
-from .infinity_cache import ICResidency, InfinityCache
+from .infinity_cache import InfinityCache
 
 __all__ = [
-    "CacheHierarchy",
     "GiB",
     "HBMSubsystem",
-    "HierarchyLevel",
-    "ICResidency",
     "InfinityCache",
     "KiB",
     "MAX_FRAGMENT_EXPONENT",
@@ -38,6 +34,5 @@ __all__ = [
     "channel_balance",
     "default_config",
     "effective_slice_hit_fraction",
-    "gpu_hierarchy",
     "small_config",
 ]

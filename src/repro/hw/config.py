@@ -43,7 +43,6 @@ class CacheGeometry:
     name: str
     capacity_bytes: int
     latency_ns: float
-    line_bytes: int = 128
 
 
 @dataclass(frozen=True)
@@ -179,7 +178,9 @@ class FaultCostModel:
 
     # Batched (amortised) per-page service times at saturation.
     cpu_batched_page_ns: float = 1_147.0  # 1 core -> 872 K pages/s
-    cpu_core_scaling: float = 0.354  # 12 cores -> 3.7 M pages/s (4.24x)
+    # Sub-linear scaling exponent of concurrent CPU fault handling:
+    # throughput ~ cores**s, s = ln(4.24)/ln(12) (12 cores -> 3.7 M pages/s).
+    cpu_core_scaling: float = 0.581
     gpu_major_batched_page_ns: float = 909.0  # -> 1.1 M pages/s
     gpu_minor_batched_page_ns: float = 111.0  # -> 9.0 M pages/s
 
@@ -243,7 +244,6 @@ class BandwidthModel:
 
     cpu_peak_stream_bytes_per_s: float = 208e9  # case A
     cpu_biased_stream_bytes_per_s: float = 181e9  # case B (IC imbalance)
-    cpu_case_a_best_threads: int = 24
     cpu_case_b_best_threads: int = 9
     cpu_case_b_allcore_bytes_per_s: float = 174e9
     # Single-thread STREAM rate, identical in both cases (the cases only
@@ -356,13 +356,13 @@ class MI300AConfig:
         default_factory=lambda: CacheGeometry("gpu_l2", 4 * MiB, 104.0)
     )
     cpu_l1: CacheGeometry = field(
-        default_factory=lambda: CacheGeometry("cpu_l1", 32 * KiB, 1.0, 64)
+        default_factory=lambda: CacheGeometry("cpu_l1", 32 * KiB, 1.0)
     )
     cpu_l2: CacheGeometry = field(
-        default_factory=lambda: CacheGeometry("cpu_l2", 1 * MiB, 3.2, 64)
+        default_factory=lambda: CacheGeometry("cpu_l2", 1 * MiB, 3.2)
     )
     cpu_l3: CacheGeometry = field(
-        default_factory=lambda: CacheGeometry("cpu_l3", 96 * MiB, 13.0, 64)
+        default_factory=lambda: CacheGeometry("cpu_l3", 96 * MiB, 13.0)
     )
     # Memory-side latencies seen past the last private level (Fig. 2).
     gpu_ic_latency_ns: float = 212.0
@@ -380,9 +380,6 @@ class MI300AConfig:
     )
     gpu_l2_tlb: TLBGeometry = field(
         default_factory=lambda: TLBGeometry("gpu_l2_tlb", 512, 900.0)
-    )
-    cpu_tlb: TLBGeometry = field(
-        default_factory=lambda: TLBGeometry("cpu_tlb", 1536, 35.0)
     )
 
     allocator_costs: AllocatorCostModel = field(default_factory=AllocatorCostModel)

@@ -18,20 +18,17 @@ from .chaos import (
 )
 from .invariants import check_invariants, vma_problems
 from .plan import (
-    AddressRange,
     Always,
     CallWindow,
     Injection,
     InjectionPlan,
     Injector,
     NthCall,
-    Phase,
     Probability,
     Trigger,
 )
 
 __all__ = [
-    "AddressRange",
     "Always",
     "CAMPAIGNS",
     "CHAOS_MEMORY_GIB",
@@ -41,7 +38,6 @@ __all__ = [
     "InjectionPlan",
     "Injector",
     "NthCall",
-    "Phase",
     "Probability",
     "QUICK_APPS",
     "Trigger",

@@ -119,45 +119,6 @@ class Probability(Trigger):
         return f"probability({self.p})"
 
 
-@dataclass(frozen=True)
-class AddressRange(Trigger):
-    """Fire when the site's faulting address lies in ``[lo, hi)``.
-
-    Sites that operate on virtual ranges pass ``address=`` in their fire
-    context; sites without an address never match this trigger.
-    """
-
-    lo: int
-    hi: int
-
-    def decide(self, call_index, rng, context) -> bool:
-        address = context.get("address")
-        if address is None:
-            return False
-        return self.lo <= int(address) < self.hi
-
-    def describe(self) -> str:
-        return f"address-range[{self.lo:#x},{self.hi:#x})"
-
-
-@dataclass(frozen=True)
-class Phase(Trigger):
-    """Fire only while the plan's current phase equals *name*.
-
-    Workloads (or harnesses) mark phases with
-    :meth:`InjectionPlan.set_phase`; the chaos harness leaves the phase
-    unset, so phase triggers are an application-side scoping tool.
-    """
-
-    name: str
-
-    def decide(self, call_index, rng, context) -> bool:
-        return context.get("phase") == self.name
-
-    def describe(self) -> str:
-        return f"phase({self.name})"
-
-
 # ----------------------------------------------------------------------
 # Injectors and the plan
 # ----------------------------------------------------------------------
@@ -209,7 +170,6 @@ class InjectionPlan:
         self.name = name
         self.apu = None  # set by attach()
         self.journal: List[Dict[str, Any]] = []
-        self.phase: Optional[str] = None
         self._rng = random.Random(self.seed)
         self._calls: Dict[str, int] = {}
         self._fires: Dict[int, int] = {}  # id(injector) -> times fired
@@ -227,10 +187,6 @@ class InjectionPlan:
         apu.faults.inject = self
         apu.hbm_map.inject = self
 
-    def set_phase(self, name: Optional[str]) -> None:
-        """Enter a named workload phase (scopes :class:`Phase` triggers)."""
-        self.phase = name
-
     # -- firing ---------------------------------------------------------
 
     def fire(self, site: str, **context: Any) -> Optional[Injection]:
@@ -243,7 +199,6 @@ class InjectionPlan:
         """
         index = self._calls.get(site, 0) + 1
         self._calls[site] = index
-        context.setdefault("phase", self.phase)
         for injector in self.injectors:
             if injector.site != site:
                 continue
@@ -262,11 +217,7 @@ class InjectionPlan:
                 call=index,
                 trigger=injector.trigger.describe(),
                 params={k: _jsonable(v) for k, v in injector.params.items()},
-                context={
-                    k: _jsonable(v)
-                    for k, v in sorted(context.items())
-                    if k != "phase" or v is not None
-                },
+                context={k: _jsonable(v) for k, v in sorted(context.items())},
             )
             return injection
         return None

@@ -39,7 +39,6 @@ from typing import Literal
 import numpy as np
 
 from ..hw.config import MI300AConfig
-from ..core.faults import CPU_FAULT_SCALING_EXPONENT
 
 Scenario = Literal["gpu_major", "gpu_minor", "cpu", "cpu12"]
 
@@ -75,7 +74,7 @@ def scenario_params(config: MI300AConfig, scenario: Scenario) -> ScenarioParams:
             c.cpu_saturation_pages,
         )
     if scenario == "cpu12":
-        factor = 12.0**-CPU_FAULT_SCALING_EXPONENT
+        factor = 12.0**-c.cpu_core_scaling
         return ScenarioParams(
             c.cpu_single_latency_ns,
             c.cpu_batched_page_ns * factor,

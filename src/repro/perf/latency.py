@@ -1,8 +1,8 @@
 """Memory-latency model (paper Fig. 2).
 
 The pointer-chase latency of a buffer is the capacity-weighted average of
-the cache levels its working set straddles (see
-:mod:`repro.hw.caches`), with one system-software twist the paper
+the cache levels its working set straddles (:func:`_chase_walk_ns`, one
+walk for both devices), with one system-software twist the paper
 highlights: on the CPU side, the *allocator* determines how well the
 buffer's physical pages map onto the Infinity Cache's per-channel slices.
 A biased mapping (malloc first-touch) shrinks the effective IC and pushes
@@ -16,11 +16,10 @@ in-flight requests that IC slice imbalance is not visible in the chase.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from ..hw.caches import gpu_hierarchy
 from ..hw.config import MI300AConfig
 from ..hw.infinity_cache import InfinityCache
 
@@ -63,36 +62,37 @@ def cpu_chase_latency_ns(
         ic_fraction = min(
             1.0, config.infinity_cache.capacity_bytes / max(1, working_set_bytes)
         )
-    total = 0.0
-    for (name, fraction), level in _cpu_level_fractions(config, working_set_bytes):
-        if name == "memory_side":
-            memory_latency = (
-                ic_fraction * config.cpu_ic_latency_ns
-                + (1.0 - ic_fraction) * config.cpu_hbm_latency_ns
-            )
-            total += fraction * memory_latency
-        else:
-            total += fraction * level
-    return total
-
-
-def _cpu_level_fractions(config: MI300AConfig, working_set_bytes: int):
-    """(name, fraction) per level with the IC+HBM region merged."""
+    memory_latency = (
+        ic_fraction * config.cpu_ic_latency_ns
+        + (1.0 - ic_fraction) * config.cpu_hbm_latency_ns
+    )
     on_chip = [
-        (config.cpu_l1.name, config.cpu_l1.capacity_bytes, config.cpu_l1.latency_ns),
-        (config.cpu_l2.name, config.cpu_l2.capacity_bytes, config.cpu_l2.latency_ns),
-        (config.cpu_l3.name, config.cpu_l3.capacity_bytes, config.cpu_l3.latency_ns),
+        (level.capacity_bytes, level.latency_ns)
+        for level in (config.cpu_l1, config.cpu_l2, config.cpu_l3)
     ]
+    return _chase_walk_ns(on_chip, memory_latency, working_set_bytes)
+
+
+def _chase_walk_ns(
+    levels: Sequence[Tuple[int, float]],
+    memory_latency_ns: float,
+    working_set_bytes: int,
+) -> float:
+    """Capacity-weighted average latency of a uniform-random chase.
+
+    For a working set W and level capacities c1 < c2 < ..., ideal LRU
+    keeps the hottest ``c_i`` bytes at level i, so level i serves
+    ``min(W, c_i) - min(W, c_{i-1})`` bytes' worth of accesses out of W;
+    whatever spills past the last level costs *memory_latency_ns*.
+    """
     ws = max(1, working_set_bytes)
     covered = 0
-    out = []
-    for name, capacity, latency in on_chip:
+    total = 0.0
+    for capacity, latency in levels:
         reach = min(ws, capacity)
-        served = max(0, reach - covered)
+        total += max(0, reach - covered) / ws * latency
         covered = max(covered, reach)
-        out.append(((name, served / ws), latency))
-    out.append((("memory_side", (ws - covered) / ws), 0.0))
-    return out
+    return total + (ws - covered) / ws * memory_latency_ns
 
 
 def gpu_chase_latency_ns(
@@ -107,8 +107,14 @@ def gpu_chase_latency_ns(
     """
     if uncached:
         return config.gpu_hbm_latency_ns
-    hierarchy = gpu_hierarchy(config)
-    return hierarchy.average_latency_ns(working_set_bytes)
+    # The GPU has no L3; between L2 (4 MiB) and the IC (256 MiB) the
+    # paper observes the 205-218 ns IC plateau.
+    levels = [
+        (config.gpu_l1.capacity_bytes, config.gpu_l1.latency_ns),
+        (config.gpu_l2.capacity_bytes, config.gpu_l2.latency_ns),
+        (config.infinity_cache.capacity_bytes, config.gpu_ic_latency_ns),
+    ]
+    return _chase_walk_ns(levels, config.gpu_hbm_latency_ns, working_set_bytes)
 
 
 def chase_latency_ns(

@@ -3,7 +3,7 @@ rocprofv3 GPU counters, perf-stat CPU events, and libnuma usage sampling,
 plus the porting advisor over the runtime's traced event log.
 """
 
-from .memusage import MemoryUsageProfiler, UsageTimeline
+from .memusage import MemoryUsageProfiler
 from .perfstat import PerfStat, PerfStatReport
 from .rocprof import COUNTER_MAP, ProfileRegion, RocProf
 from .tracer import AdvisorReport, DuplicationFinding, PortingAdvisor
@@ -18,5 +18,4 @@ __all__ = [
     "PortingAdvisor",
     "ProfileRegion",
     "RocProf",
-    "UsageTimeline",
 ]

@@ -2,52 +2,30 @@
 
 The paper profiles peak memory usage by sampling the libnuma free-memory
 counter, the only interface that sees all allocation types on MI300A.
-:class:`MemoryUsageProfiler` does the same against the simulated pool and
-also records the per-interface disagreement table for diagnostics.
+:class:`MemoryUsageProfiler` does the same against the simulated pool.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List
-
-from ..core.meminfo import PeakUsageSampler, UsageSnapshot, snapshot
 from ..runtime.apu import APU
 
 
-@dataclass
-class UsageTimeline:
-    """Samples collected over a profiled run."""
-
-    times_ns: List[float] = field(default_factory=list)
-    used_bytes: List[int] = field(default_factory=list)
-
-    @property
-    def peak_bytes(self) -> int:
-        """High-water mark over the timeline."""
-        return max(self.used_bytes, default=0)
-
-
 class MemoryUsageProfiler:
-    """libnuma-style peak-usage sampler over one APU."""
+    """Peak physical memory tracker, libnuma-style (the paper's method).
+
+    Call :meth:`sample` at interesting points (the app ports call it after
+    every allocation, fault burst and kernel); :attr:`peak_bytes` is the
+    high-water mark relative to the usage when the profiler was created.
+    """
 
     def __init__(self, apu: APU) -> None:
-        self._apu = apu
-        self._sampler = PeakUsageSampler(apu.physical)
-        self.timeline = UsageTimeline()
+        self._physical = apu.physical
+        self._baseline = apu.physical.used_bytes
+        self.peak_bytes = 0
 
     def sample(self) -> int:
-        """Record one sample; returns usage relative to the baseline."""
-        used = self._sampler.sample()
-        self.timeline.times_ns.append(self._apu.clock.now_ns)
-        self.timeline.used_bytes.append(used)
-        return used
-
-    @property
-    def peak_bytes(self) -> int:
-        """Peak physical usage since profiler creation."""
-        return self._sampler.peak_bytes
-
-    def interfaces(self) -> UsageSnapshot:
-        """Side-by-side readings of all five usage interfaces."""
-        return snapshot(self._apu.memory, self._apu.physical)
+        """Record the current usage; returns usage relative to baseline."""
+        current = self._physical.used_bytes - self._baseline
+        if current > self.peak_bytes:
+            self.peak_bytes = current
+        return current

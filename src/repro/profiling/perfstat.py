@@ -8,9 +8,7 @@ handler's counters the same way.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator
 
 from ..core.faults import FaultCounters
 from ..runtime.apu import APU
@@ -55,13 +53,3 @@ class PerfStat:
             gpu_major_pages=delta.gpu_major_pages,
             gpu_minor_pages=delta.gpu_minor_pages,
         )
-
-    @contextmanager
-    def region(self) -> Iterator[list]:
-        """Context-manager variant; the report lands in the yielded list."""
-        out: list = []
-        self.start()
-        try:
-            yield out
-        finally:
-            out.append(self.stop())

@@ -9,9 +9,8 @@ counters, run a region, and read the deltas.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator
+from typing import Dict
 
 from ..runtime.apu import APU
 from ..runtime.device import GPUCounters
@@ -60,14 +59,3 @@ class RocProf:
         return ProfileRegion(
             {name: getattr(delta, attr) for name, attr in COUNTER_MAP.items()}
         )
-
-    @contextmanager
-    def region(self) -> Iterator[list]:
-        """Context manager variant: yields a one-item list that receives
-        the :class:`ProfileRegion` when the block exits."""
-        out: list = []
-        self.start()
-        try:
-            yield out
-        finally:
-            out.append(self.stop())

@@ -1,6 +1,9 @@
 """Unit tests for the hardware configuration (repro.hw.config)."""
 
 import dataclasses
+import pathlib
+import re
+import typing
 
 import pytest
 
@@ -77,7 +80,7 @@ class TestDefaultConfig:
     def test_gpu_l1_tlb_is_fragment_aware(self):
         cfg = default_config()
         assert cfg.gpu_l1_tlb.fragment_aware
-        assert not cfg.cpu_tlb.fragment_aware
+        assert not cfg.gpu_l2_tlb.fragment_aware
 
     def test_config_is_frozen(self):
         cfg = default_config()
@@ -133,3 +136,40 @@ class TestCostModelSanity:
         assert bw.memcpy_sdma_bytes_per_s == pytest.approx(58e9)
         assert bw.memcpy_no_sdma_bytes_per_s == pytest.approx(850e9)
         assert bw.memcpy_d2d_bytes_per_s == pytest.approx(1900e9)
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+CONFIG_PY = ROOT / "src" / "repro" / "hw" / "config.py"
+
+
+def _sub_models():
+    """Dataclass types of :class:`MI300AConfig`'s nested fields."""
+    hints = typing.get_type_hints(MI300AConfig)
+    return sorted(
+        {hints[f.name] for f in dataclasses.fields(MI300AConfig)
+         if dataclasses.is_dataclass(hints[f.name])},
+        key=lambda t: t.__name__,
+    )
+
+
+class TestEveryFieldIsRead:
+    """A settable config field that nothing reads is a dead knob: setting
+    it changes nothing, so its documented calibration is fiction."""
+
+    def test_sub_model_fields_are_read_outside_config(self):
+        sources = "\n".join(
+            path.read_text()
+            for top in ("src", "tests", "benchmarks", "examples")
+            for path in (ROOT / top).rglob("*.py")
+            if path != CONFIG_PY
+        )
+        read = set(re.findall(r"\.(\w+)", sources))
+        models = _sub_models()
+        assert models, "MI300AConfig has no sub-models to check"
+        unread = [
+            f"{model.__name__}.{f.name}"
+            for model in models
+            for f in dataclasses.fields(model)
+            if f.name not in read
+        ]
+        assert not unread, f"config fields nothing reads: {unread}"

@@ -15,13 +15,11 @@ from repro.core.faults import FaultHandler, GPUMemoryAccessError
 from repro.core.physical import TransientAllocationError
 from repro.inject import (
     CAMPAIGNS,
-    AddressRange,
     Always,
     CallWindow,
     InjectionPlan,
     Injector,
     NthCall,
-    Phase,
     Probability,
     check_invariants,
     derive_seed,
@@ -98,22 +96,6 @@ class TestTriggers:
     def test_probability_rejects_bad_p(self):
         with pytest.raises(ValueError):
             Probability(1.5)
-
-    def test_address_range_needs_an_address(self):
-        plan = _plan(Injector("s", "k", AddressRange(0x1000, 0x2000),
-                              times=10))
-        assert plan.fire("s") is None
-        assert plan.fire("s", address=0x500) is None
-        assert plan.fire("s", address=0x1800) is not None
-        assert plan.fire("s", address=0x2000) is None  # half-open
-
-    def test_phase_scoping(self):
-        plan = _plan(Injector("s", "k", Phase("compute"), times=10))
-        assert plan.fire("s") is None
-        plan.set_phase("compute")
-        assert plan.fire("s") is not None
-        plan.set_phase(None)
-        assert plan.fire("s") is None
 
     def test_plan_order_breaks_ties(self):
         plan = _plan(

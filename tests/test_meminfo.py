@@ -7,7 +7,6 @@ specific blind spot.  These tests pin the visibility matrix.
 import pytest
 
 from repro.core.meminfo import (
-    PeakUsageSampler,
     hip_mem_get_info,
     libnuma_free,
     proc_meminfo,
@@ -16,6 +15,7 @@ from repro.core.meminfo import (
     vm_rss,
 )
 from repro.hw.config import MiB
+from repro.profiling.memusage import MemoryUsageProfiler
 
 
 class TestPhysicalInterfaces:
@@ -88,16 +88,16 @@ class TestDisagreement:
 
 class TestPeakSampler:
     def test_tracks_high_water_mark(self, apu):
-        sampler = PeakUsageSampler(apu.physical)
+        profiler = MemoryUsageProfiler(apu)
         a = apu.memory.hip_malloc(8 * MiB)
-        sampler.sample()
+        profiler.sample()
         apu.memory.free(a)
         apu.memory.hip_malloc(2 * MiB)
-        sampler.sample()
-        assert sampler.peak_bytes == 8 * MiB
+        profiler.sample()
+        assert profiler.peak_bytes == 8 * MiB
 
     def test_relative_to_baseline(self, apu):
         apu.memory.hip_malloc(4 * MiB)  # pre-existing usage
-        sampler = PeakUsageSampler(apu.physical)
+        profiler = MemoryUsageProfiler(apu)
         apu.memory.hip_malloc(2 * MiB)
-        assert sampler.sample() == 2 * MiB
+        assert profiler.sample() == 2 * MiB

@@ -366,22 +366,6 @@ class TestHipDeviceManagement:
         )
         assert direct == expected
 
-    def test_partitioned_ic_view_reduces_hit_fraction(self, cpx_hip):
-        apu = cpx_hip.apu
-        # A buffer striped over all four quadrants, bigger than one
-        # quadrant's 32 slices can cover.
-        pieces = []
-        for d in (0, 2, 4, 5):
-            cpx_hip.hipSetDevice(d)
-            pieces.append(cpx_hip.hipMalloc(24 * MiB).vma.resident_frames())
-        frames = np.concatenate(pieces)
-        full = apu.infinity_cache.hit_fraction(frames)
-        local_only = apu.infinity_cache.hit_fraction(
-            frames, visible_channels=apu.logical_devices[0].ic_slice_channels
-        )
-        assert local_only < full
-        assert local_only <= 0.3  # ~1/4 of the bytes are even reachable
-
     def test_make_runtime_passes_partition(self):
         runtime = make_runtime(1, partition=CPX_NPS1)
         assert runtime.hipGetDeviceCount() == 6

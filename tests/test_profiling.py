@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.meminfo import snapshot
 from repro.hw.config import MiB
 from repro.profiling.memusage import MemoryUsageProfiler
 from repro.profiling.perfstat import PerfStat
@@ -26,13 +27,6 @@ class TestRocProf:
     def test_stop_without_start_rejected(self, hip):
         with pytest.raises(RuntimeError):
             RocProf(hip.apu).stop()
-
-    def test_context_manager(self, hip):
-        buf = hip.hipMalloc(4 * MiB)
-        prof = RocProf(hip.apu)
-        with prof.region() as out:
-            hip.launchKernel(KernelSpec("k", [BufferAccess(buf, "read")]))
-        assert out[0]["GRBM_GUI_ACTIVE_kernels"] == 1
 
     def test_traffic_counters(self, hip):
         buf = hip.hipMalloc(4 * MiB)
@@ -62,9 +56,9 @@ class TestPerfStat:
         b = apu.memory.malloc(1 * MiB)
         apu.touch(a, "cpu")  # outside region
         perf = PerfStat(apu)
-        with perf.region() as out:
-            apu.touch(b, "cpu")
-        assert out[0].page_faults == 256
+        perf.start()
+        apu.touch(b, "cpu")
+        assert perf.stop().page_faults == 256
 
     def test_gpu_fault_pages_reported(self, apu):
         buf = apu.memory.malloc(1 * MiB)
@@ -90,17 +84,11 @@ class TestMemoryUsageProfiler:
         apu.memory.hip_malloc(1 * MiB)
         profiler.sample()
         assert profiler.peak_bytes == 32 * MiB
-        assert profiler.timeline.peak_bytes == 32 * MiB
-
-    def test_timeline_records_time(self, apu):
-        profiler = MemoryUsageProfiler(apu)
-        apu.memory.hip_malloc(1 * MiB)
-        profiler.sample()
-        assert len(profiler.timeline.times_ns) == 1
 
     def test_interfaces_snapshot(self, apu):
-        profiler = MemoryUsageProfiler(apu)
+        # The five-interface readings sit beside the profiler in
+        # repro.core.meminfo; hipMalloc is physical but not in VmRSS.
         apu.memory.hip_malloc(2 * MiB)
-        snap = profiler.interfaces()
+        snap = snapshot(apu.memory, apu.physical)
         assert snap.meminfo_used == 2 * MiB
         assert snap.vm_rss == 0

@@ -6,7 +6,7 @@ Invariants checked:
 * fragment scan: correct alignment/contiguity of every encoded block,
 * streaming-TLB closed form vs the exact LRU simulation,
 * address space: page_range arithmetic and find/mmap consistency,
-* cache hierarchy: hit fractions form a distribution, latency monotone,
+* chase-latency walk: level shares form a distribution, latency monotone,
 * fault handler: touching is idempotent and conserves physical frames,
 * HBM mapping: frame -> (stack, channel) is bijective per interleave
   unit and respects the granularity, under both NPS1 and NPS4.
@@ -22,9 +22,9 @@ from repro.core.address_space import AddressSpace
 from repro.core.fragments import compute_fragments, distinct_fragments
 from repro.core.physical import PhysicalMemory
 from repro.core.tlb import TLB, streaming_tlb_misses
-from repro.hw.caches import CacheHierarchy, HierarchyLevel
 from repro.hw.config import PAGE_SIZE, TLBGeometry, small_config
 from repro.hw.hbm import HBMSubsystem
+from repro.perf.latency import _chase_walk_ns
 from repro.runtime.apu import make_apu
 
 SMALL_CFG = small_config(1 << 30)
@@ -178,28 +178,21 @@ class TestCacheHierarchyProperties:
     )
     @settings(max_examples=50, deadline=None)
     def test_hit_fractions_form_distribution(self, caps, ws):
+        # All-1 ns levels average to the fractions' sum; distinct
+        # latencies average to a point inside their range.
         caps = sorted(caps)
-        levels = [
-            HierarchyLevel(f"l{i}", c, float(i + 1)) for i, c in enumerate(caps)
-        ]
-        levels.append(HierarchyLevel("mem", None, 100.0))
-        h = CacheHierarchy(levels)
-        fractions = [f for _, f in h.hit_fractions(ws)]
-        assert all(0.0 <= f <= 1.0 for f in fractions)
-        assert sum(fractions) == pytest.approx(1.0)
+        ones = _chase_walk_ns([(c, 1.0) for c in caps], 1.0, ws)
+        assert ones == pytest.approx(1.0)
+        levels = [(c, float(i + 1)) for i, c in enumerate(caps)]
+        assert 1.0 - 1e-9 <= _chase_walk_ns(levels, 100.0, ws) <= 100.0 + 1e-9
 
     @given(ws_pairs=st.tuples(st.integers(1, 1 << 26), st.integers(1, 1 << 26)))
     @settings(max_examples=50, deadline=None)
     def test_latency_monotone(self, ws_pairs):
-        h = CacheHierarchy(
-            [
-                HierarchyLevel("l1", 1 << 14, 1.0),
-                HierarchyLevel("l2", 1 << 20, 10.0),
-                HierarchyLevel("mem", None, 100.0),
-            ]
-        )
+        levels = [(1 << 14, 1.0), (1 << 20, 10.0)]
         small, big = sorted(ws_pairs)
-        assert h.average_latency_ns(small) <= h.average_latency_ns(big) + 1e-9
+        assert _chase_walk_ns(levels, 100.0, small) <= \
+            _chase_walk_ns(levels, 100.0, big) + 1e-9
 
 
 class TestHBMProperties:
