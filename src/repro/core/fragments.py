@@ -35,7 +35,10 @@ from ..hw.config import MAX_FRAGMENT_EXPONENT
 def _trailing_zeros(values: np.ndarray) -> np.ndarray:
     """Number of trailing zero bits per element (0 input -> 63)."""
     v = values.astype(np.int64)
-    return np.where(v == 0, 63, _floor_log2(v & -v))  # v & -v: lowest set bit
+    # (v & -v) - 1 sets exactly the bits below the lowest set bit; for 0
+    # it sets all 64, capped to 63.
+    below = ((v & -v) - 1).view(np.uint64)
+    return np.minimum(np.bitwise_count(below), 63)
 
 
 def _floor_log2(values: np.ndarray) -> np.ndarray:
@@ -122,11 +125,24 @@ def distinct_fragments(exponents: np.ndarray) -> int:
     TLB miss counter converges to (one miss per fragment per pass when the
     stream exceeds TLB reach).
     """
-    exponents = np.asarray(exponents, dtype=np.int64)
+    exponents = np.asarray(exponents)
     if len(exponents) == 0:
         return 0
-    weights = 1.0 / np.power(2.0, exponents)
-    return int(round(float(weights.sum())))
+    # The sum of 2**-exp over the pages, as an integer count of
+    # 2**-top units, rounded half to even as round() rounds the float sum.
+    # That float sum is exact: a page of exponent e lies in a fragment of
+    # 2**e pages inside a buffer of N <= 2**25 pages (the pool), so every
+    # partial sum is a multiple of 2**-e no larger than N, and
+    # N * 2**e <= 2**50 < 2**53.  The two forms therefore always agree.
+    counts = np.bincount(exponents.astype(np.intp, copy=False))
+    top = len(counts) - 1
+    units = 0
+    for count in counts.tolist():  # Horner: sum of count_e * 2**(top - e)
+        units = 2 * units + count
+    whole, rest = divmod(units, 1 << top)
+    if 2 * rest > 1 << top or (2 * rest == 1 << top and whole & 1):
+        whole += 1
+    return whole
 
 
 def average_fragment_bytes(exponents: np.ndarray, page_size: int = 4096) -> float:

@@ -22,15 +22,18 @@ bit-identically.
 
 from __future__ import annotations
 
+import functools
 from typing import Optional, Tuple
 
 import numpy as np
 
-from ..hw.config import MI300AConfig, PAGE_SIZE
+from ..hw.config import HBMGeometry, MI300AConfig, PAGE_SIZE
 
 
 #: Buckets of the guide table over the channel draw's CDF.
 GUIDE_BUCKETS = 4096
+
+_NO_FRAMES = np.empty(0, dtype=np.int64)
 
 
 class OutOfMemoryError(MemoryError):
@@ -43,6 +46,10 @@ class TransientAllocationError(OutOfMemoryError):
     HIP layer's bounded retry-with-backoff consumes these."""
 
 
+#: 1, 2, 4 or 8 True bools read as one unsigned word, by width.
+_TRUE_WORD = {width: 0x0101010101010101 >> (64 - 8 * width) for width in (1, 2, 4, 8)}
+
+
 def _all_set(flags: np.ndarray, width: int) -> np.ndarray:
     """Whether each group of *width* (a power of two) bools is all True.
 
@@ -51,22 +58,83 @@ def _all_set(flags: np.ndarray, width: int) -> np.ndarray:
     """
     while width > 1:
         step = min(width, 8)
-        flags = flags.view(f"u{step}") == 0x0101010101010101 >> (64 - 8 * step)
+        flags = flags.view(f"u{step}") == _TRUE_WORD[step]
         width //= step
     return flags
 
 
-def _disjoint_runs(starts: np.ndarray, run: int) -> np.ndarray:
-    """Sorted *starts* without repeats or runs overlapping the previous one.
+def _fill_runs(out: np.ndarray, starts: np.ndarray, run: int) -> None:
+    """Write the *run* frames from each of *starts* into *out*, in order.
+
+    That is ``starts[:, None] + arange(run)`` raveled.  Runs of one or two
+    frames are written column by column: a broadcast over so short an
+    inner axis costs several times more.
+    """
+    runs = out.reshape(-1, run)
+    if run > 2:
+        np.add(starts[:, None], np.arange(run), out=runs)
+        return
+    for page in range(run):
+        np.add(starts, page, out=runs[:, page])
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """Sorted *values* without repeats.
 
     A sort plus an adjacent-difference mask: ``np.unique`` hashes, which
     costs far more than sorting on the short integer arrays drawn here.
     """
-    starts = np.sort(starts)
-    keep = np.empty(starts.size, dtype=bool)
+    values = np.sort(values)
+    keep = np.empty(values.size, dtype=bool)
     keep[:1] = True
-    np.greater_equal(starts[1:] - starts[:-1], run, out=keep[1:])
-    return starts[keep]
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
+@functools.lru_cache(maxsize=32)
+def _boot_tables(geo: HBMGeometry, skew: float, seed: int) -> tuple:
+    """The per-boot channel-draw tables, as read-only arrays.
+
+    Returns ``(weights, cdf, guide, residues, rng_state)``: everything
+    :class:`PhysicalMemory` derives from its config and seed before the
+    first allocation, ending with the state of ``default_rng(seed)``
+    after the weight draw.  A pure function of its arguments, so each
+    (geometry, skew, seed) is computed once per process.
+    """
+    rng = np.random.default_rng(seed)
+    # Steady-state free-list channel bias: scattered allocations draw
+    # frames from channels according to these weights.  The weights are
+    # fixed per boot (per instance), mirroring how a long-running
+    # system's buddy free list ends up unevenly distributed.
+    channels = geo.channels
+    if skew > 0:
+        raw = np.exp(rng.normal(0.0, 4.0 * skew, size=channels))
+    else:
+        raw = np.ones(channels)
+    weights = raw / raw.sum()
+    # The channel draw is Generator.choice(p=weights), made faster by
+    # a guide table over the same CDF (see _draw_channels).  For u in
+    # bucket b (b <= u * B < b + 1, B = GUIDE_BUCKETS) the CDF search
+    # returns between #{cdf <= b / B} and #{cdf < (b + 1) / B}; the
+    # guide holds that count where the two agree and -1 where a CDF
+    # value falls inside the bucket.  Scaling by the power of two B is
+    # exact, so the counts are of ceil(cdf * B) <= b, floor(cdf * B) <= b.
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    scaled, edges = cdf * GUIDE_BUCKETS, GUIDE_BUCKETS + 1
+    at_start = np.bincount(np.ceil(scaled).astype(np.intp), minlength=edges)
+    below_end = np.bincount(np.floor(scaled).astype(np.intp), minlength=edges)
+    at_start, below_end = at_start.cumsum(), below_end.cumsum()
+    guide = np.where(at_start == below_end, at_start, -1)[:GUIDE_BUCKETS]
+    # With one page per interleave unit, the frames of channel
+    # (stack s, lane l) form the residue class  s + stacks*l  mod
+    # (stacks * lanes); precompute residue per channel index.
+    stacks = np.arange(channels) // geo.channels_per_stack
+    lanes = np.arange(channels) % geo.channels_per_stack
+    residues = stacks + geo.stacks * lanes
+    for table in (weights, cdf, guide, residues):
+        table.flags.writeable = False
+    return weights, cdf, guide, residues, rng.bit_generator.state
 
 
 class PhysicalMemory:
@@ -78,39 +146,11 @@ class PhysicalMemory:
         # True = frame is free.
         self._free = np.ones(self._total_frames, dtype=bool)
         self._free_count = self._total_frames
-        self._rng = np.random.default_rng(seed)
-        # Steady-state free-list channel bias: scattered allocations draw
-        # frames from channels according to these weights.  The weights are
-        # fixed per boot (per instance), mirroring how a long-running
-        # system's buddy free list ends up unevenly distributed.
-        channels = config.hbm.channels
-        skew = config.policy.free_list_channel_skew
-        if skew > 0:
-            raw = np.exp(self._rng.normal(0.0, 4.0 * skew, size=channels))
-        else:
-            raw = np.ones(channels)
-        self._channel_weights = raw / raw.sum()
-        # The channel draw is Generator.choice(p=weights), made faster by
-        # a guide table over the same CDF (see _draw_channels).  For u in
-        # bucket b (b <= u * B < b + 1, B = GUIDE_BUCKETS) the CDF search
-        # returns between #{cdf <= b / B} and #{cdf < (b + 1) / B}; the
-        # guide holds that count where the two agree and -1 where a CDF
-        # value falls inside the bucket.  Scaling by the power of two B is
-        # exact, so the counts are of ceil(cdf * B) <= b, floor(cdf * B) <= b.
-        self._cdf = self._channel_weights.cumsum()
-        self._cdf /= self._cdf[-1]
-        scaled, edges = self._cdf * GUIDE_BUCKETS, GUIDE_BUCKETS + 1
-        at_start = np.bincount(np.ceil(scaled).astype(np.intp), minlength=edges)
-        below_end = np.bincount(np.floor(scaled).astype(np.intp), minlength=edges)
-        at_start, below_end = at_start.cumsum(), below_end.cumsum()
-        self._guide = np.where(at_start == below_end, at_start, -1)[:GUIDE_BUCKETS]
-        # With one page per interleave unit, the frames of channel
-        # (stack s, lane l) form the residue class  s + stacks*l  mod
-        # (stacks * lanes); precompute residue per channel index.
         geo = config.hbm
-        stacks = np.arange(channels) // geo.channels_per_stack
-        lanes = np.arange(channels) % geo.channels_per_stack
-        self._channel_residue = stacks + geo.stacks * lanes
+        (self._channel_weights, self._cdf, self._guide, self._channel_residue,
+         state) = _boot_tables(geo, config.policy.free_list_channel_skew, seed)
+        self._rng = np.random.default_rng(seed)
+        self._rng.bit_generator.state = state
         self._residue_modulus = geo.stacks * geo.channels_per_stack
         # Fault injection: plan consulted at allocation entry, and the
         # frames claimed by injected fragmentation pressure (released by
@@ -169,8 +209,14 @@ class PhysicalMemory:
         self._admit(npages, contiguous=True)
         nchunks = -(-npages // chunk_pages)  # the last one may be partial
         starts = self._find_aligned_runs(nchunks, chunk_pages, frame_range)
-        frames = (starts[:, None] + np.arange(chunk_pages)).ravel()[:npages]
-        self._claim(frames)
+        frames = np.empty(nchunks * chunk_pages, dtype=np.int64)
+        _fill_runs(frames, starts, chunk_pages)
+        frames = frames[:npages]
+        # Whole chunks are claimed as aligned words of the bitmap, a
+        # partial last chunk frame by frame.
+        width, whole = min(chunk_pages, 8), npages // chunk_pages
+        words = (starts[:whole, None] // width + np.arange(chunk_pages // width))
+        self._claim(words.ravel(), width, tail=frames[whole * chunk_pages:])
         return frames
 
     def _check_range(self, frame_range: Optional[Tuple[int, int]]) -> Tuple[int, int]:
@@ -294,15 +340,34 @@ class PhysicalMemory:
         run: int,
         frame_range: Optional[Tuple[int, int]] = None,
     ) -> np.ndarray:
-        """Draw *ndraws* free runs of length *run* from biased channels.
+        """Draw *ndraws* free runs of *run* (1 or 2) frames from biased
+        channels.
 
-        Returns the flattened frame numbers (``ndraws * run`` entries) in
-        draw order.  Falls back to an exhaustive sweep if rejection
+        Returns the flattened frame numbers (``ndraws * run`` entries).
+        They are not in draw order: each sampling attempt oversamples its
+        remaining need by 1.6x and keeps the lowest ``need_runs`` distinct
+        free candidates, so each attempt's frames come back ascending.
+        Falls back to a sweep of the lowest free frames if rejection
         sampling stalls (nearly-full pool).
+
+        The rotation ``k`` of a draw comes from
+        ``integers(k_lo, max(k_hi - 1, k_lo + 1))``, which never returns
+        the window's last whole rotation ``k_hi - 1`` unless it is the
+        only one: only the sweep fallback reaches its frames.
         """
         mod = self._residue_modulus
         lo, hi = self._check_range(frame_range)
         k_lo, k_hi = -(-lo // mod), hi // mod
+        # When the window holds a whole rotation (k_hi > k_lo), every
+        # drawn rotation lies in [k_lo, k_hi - 1], so every run does too
+        # (mod is a multiple of run) and needs no window check.
+        in_window = k_hi > k_lo
+        # A run is one naturally aligned word of the bitmap (buddy
+        # order-1 blocks are aligned, so the driver can encode them as
+        # fragments), indexed by start // run: checked, deduplicated and
+        # claimed as words.  The pool is < 2**31 frames.
+        shift = run.bit_length() - 1
+        words_free = self._free.view(f"u{run}")
         total = ndraws * run
         out = np.empty(total, dtype=np.int64)
         filled = 0
@@ -314,19 +379,15 @@ class PhysicalMemory:
             channels = self._draw_channels(n)
             ks = self._rng.integers(k_lo, max(k_hi - 1, k_lo + 1), size=n)
             starts = self._channel_residue[channels] + ks * mod
-            if run > 1:
-                # Buddy order-(run) blocks are naturally aligned; keep the
-                # alignment so the driver can encode them as fragments.
-                starts &= ~np.int64(run - 1)
-            starts = starts[(starts >= lo) & (starts + run <= hi)]
-            ok = self._free[starts]
-            for extra in range(1, run):
-                ok &= self._free[starts + extra]
-            starts = _disjoint_runs(starts[ok], run)[:need_runs]
-            frames = starts if run == 1 else (starts[:, None] + np.arange(run)).ravel()
-            self._claim(frames)
-            out[filled : filled + len(frames)] = frames
-            filled += len(frames)
+            words = (starts >> shift).astype(np.int32)
+            if not in_window:
+                words = words[(words >= -(-lo // run)) & (words < hi // run)]
+            words = words[words_free[words] == _TRUE_WORD[run]]
+            words = _distinct(words)[:need_runs]
+            self._claim(words, run)
+            got = run * words.size
+            _fill_runs(out[filled : filled + got], words << shift, run)
+            filled += got
             attempts += 1
         if filled < total:
             # Pool too full for sampling: sweep for any free frames.
@@ -357,11 +418,25 @@ class PhysicalMemory:
         self._free[frames] = True
         self._free_count += int(frames.size)
 
-    def _claim(self, frames: np.ndarray) -> None:
-        if not self._free[frames].all():
+    def _claim(
+        self, words: np.ndarray, width: int = 1, tail: np.ndarray = _NO_FRAMES
+    ) -> None:
+        """Claim the aligned *width*-frame runs at word indices *words*,
+        plus the single frames *tail*; with the default width, *words*
+        are frames.
+
+        The bitmap is read as 1-, 2-, 4- or 8-byte words, so a run is
+        checked and cleared as one word.  All or nothing: if any frame is
+        taken, nothing is claimed.
+        """
+        view = self._free.view(f"u{width}")
+        if not (view[words] == _TRUE_WORD[width]).all() or (
+            tail.size and not self._free[tail].all()
+        ):
             raise OutOfMemoryError("attempted to claim a non-free frame")
-        self._free[frames] = False
-        self._free_count -= int(frames.size)
+        view[words] = 0
+        self._free[tail] = False
+        self._free_count -= width * int(words.size) + int(tail.size)
 
     def is_free(self, frame: int) -> bool:
         """True when *frame* is currently unallocated."""

@@ -17,6 +17,7 @@ docstring names the paper section/figure it was calibrated to.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass, field
 
 KiB = 1024
@@ -418,12 +419,14 @@ def default_config() -> MI300AConfig:
     return MI300AConfig()
 
 
+@functools.lru_cache(maxsize=32)
 def small_config(memory_bytes: int = 2 * GiB) -> MI300AConfig:
     """Return a down-scaled config for fast tests.
 
     The chiplet counts and policies are identical to :func:`default_config`;
     only the HBM capacity is reduced so the physical allocator's frame
-    bookkeeping stays small.
+    bookkeeping stays small.  The config is frozen, so one instance per
+    size is shared.
     """
     per_stack = memory_bytes // 8
     return MI300AConfig(hbm=HBMGeometry(stack_capacity_bytes=per_stack))

@@ -23,6 +23,7 @@ period to be powers of two, and each domain to hold whole rotations:
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -41,6 +42,31 @@ class UncorrectableECCError(RuntimeError):
     On hardware this poisons the cacheline and RAS kills the consuming
     process; the runtime surfaces it as ``hipErrorECCNotCorrectable``.
     """
+
+
+@functools.lru_cache(maxsize=16)
+def _channel_table(geometry: HBMGeometry, numa_domains: int) -> np.ndarray:
+    """The interleave formula on one frame per (domain, residue) key.
+
+    Units rotate across the domain's stacks — every stack in NPS1, the
+    local IOD's two in NPS4 — and a stack's consecutive units across
+    its channels, so a contiguous range spreads evenly over the
+    domain's channels (paper Section 5.4).  The table is a read-only
+    permutation of the channels, computed once per (geometry, domains).
+    """
+    fpd = geometry.capacity_bytes // PAGE_SIZE // numa_domains
+    ppu = geometry.interleave_bytes // PAGE_SIZE
+    stacks_per_domain = geometry.stacks // numa_domains
+    period = stacks_per_domain * geometry.channels_per_stack
+    keys = np.arange(numa_domains * period)
+    frames = keys // period * fpd + keys % period * ppu
+    domain = frames // fpd
+    unit = (frames % fpd) // ppu
+    stack = domain + numa_domains * (unit % stacks_per_domain)
+    lane = (unit // stacks_per_domain) % geometry.channels_per_stack
+    table = stack * geometry.channels_per_stack + lane
+    table.flags.writeable = False
+    return table
 
 
 class HBMSubsystem:
@@ -69,15 +95,14 @@ class HBMSubsystem:
         self._geometry = geometry
         self._numa_domains = numa_domains
         self._frames_per_domain = total_frames // numa_domains
-        self._stacks_per_domain = geometry.stacks // numa_domains
-        self._pages_per_unit = geometry.interleave_bytes // PAGE_SIZE
-        self._period = self._stacks_per_domain * geometry.channels_per_stack
-        if any(n & (n - 1) for n in (self._pages_per_unit, self._period)):
+        pages_per_unit = geometry.interleave_bytes // PAGE_SIZE
+        self._period = geometry.stacks // numa_domains * geometry.channels_per_stack
+        if any(n & (n - 1) for n in (pages_per_unit, self._period)):
             raise ValueError("interleave unit and period must be powers of two")
-        if self._frames_per_domain % (self._pages_per_unit * self._period):
+        if self._frames_per_domain % (pages_per_unit * self._period):
             raise ValueError("each domain must hold whole interleave rotations")
-        self._unit_shift = self._pages_per_unit.bit_length() - 1
-        self._channel_of_key = self._channel_table()
+        self._unit_shift = pages_per_unit.bit_length() - 1
+        self._channel_of_key = _channel_table(geometry, numa_domains)
         # RAS counters (the `amd-smi metric --ecc` view) + fault injection.
         self.inject = None
         self.correctable_errors = 0
@@ -114,25 +139,6 @@ class HBMSubsystem:
             raise IndexError(
                 f"domain {domain} out of range [0, {self._numa_domains})"
             )
-
-    def _channel_table(self) -> np.ndarray:
-        """The interleave formula on one frame per (domain, residue) key.
-
-        Units rotate across the domain's stacks — every stack in NPS1, the
-        local IOD's two in NPS4 — and a stack's consecutive units across
-        its channels, so a contiguous range spreads evenly over the
-        domain's channels (paper Section 5.4).  The table is a
-        permutation of the channels.
-        """
-        geo = self._geometry
-        fpd, ppu = self._frames_per_domain, self._pages_per_unit
-        keys = np.arange(self._numa_domains * self._period)
-        frames = keys // self._period * fpd + keys % self._period * ppu
-        domain = frames // fpd
-        unit = (frames % fpd) // ppu
-        stack = domain + self._numa_domains * (unit % self._stacks_per_domain)
-        lane = (unit // self._stacks_per_domain) % geo.channels_per_stack
-        return stack * geo.channels_per_stack + lane
 
     def _keys(self, frames: Sequence[int]) -> np.ndarray:
         """Each frame's table key, ``domain * period + unit % period``."""

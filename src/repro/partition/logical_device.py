@@ -16,6 +16,7 @@ device only touches the 32 slices of its local IOD's two stacks.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -89,7 +90,15 @@ def enumerate_logical_devices(
     slice visibility follows the memory mode (everything in NPS1, the
     local IOD's quadrant in NPS4, matching the stacks
     :class:`repro.hw.hbm.HBMSubsystem` maps that domain's frames to).
+    Each call returns a new list of the (frozen) devices.
     """
+    return list(_logical_devices(config, partition))
+
+
+@functools.lru_cache(maxsize=32)
+def _logical_devices(
+    config: MI300AConfig, partition: PartitionConfig
+) -> Tuple[LogicalDevice, ...]:
     geo = config.hbm
     lanes = geo.channels_per_stack
     domains = partition.numa_domains
@@ -132,4 +141,4 @@ def enumerate_logical_devices(
                 ic_reach_bytes=subset_capacity * len(xcds) / sharing_xcds,
             )
         )
-    return devices
+    return tuple(devices)

@@ -98,6 +98,27 @@ class TestAggregates:
         # 16 pages as one exponent-4 block -> 1 fragment.
         assert distinct_fragments(np.full(16, 4, dtype=np.int8)) == 1
 
+    @pytest.mark.parametrize("pages,expected", [
+        (4, 0),    # a quarter of a 16-page fragment: 0.25
+        (8, 0),    # a half: 0.5 rounds to even
+        (12, 1),   # three quarters: 0.75
+        (24, 2),   # one and a half: 1.5 rounds to even
+        (40, 2),   # two and a half: 2.5 rounds to even
+        (56, 4),   # three and a half: 3.5 rounds to even
+    ])
+    def test_distinct_fragments_cut_fragment(self, pages, expected):
+        exps = np.full(pages, 4, dtype=np.int8)
+        assert distinct_fragments(exps) == expected
+        assert distinct_fragments(exps) == round(pages / 16)
+
+    @pytest.mark.parametrize("singles,expected", [(0, 0), (1, 2), (2, 2), (3, 4)])
+    def test_distinct_fragments_odd_totals(self, singles, expected):
+        # Half of a 16-page fragment plus single pages: 0.5 + singles,
+        # so round() decides between the two neighbours.
+        exps = np.array([4] * 8 + [0] * singles, dtype=np.int8)
+        assert distinct_fragments(exps) == expected
+        assert distinct_fragments(exps[::-1]) == expected
+
     def test_distinct_fragments_mixed(self):
         exps = np.concatenate([np.full(16, 4), np.zeros(4)]).astype(np.int8)
         assert distinct_fragments(exps) == 5

@@ -141,6 +141,31 @@ class TestScatteredAllocation:
         with pytest.raises(OutOfMemoryError):
             phys.alloc_scattered(phys.total_frames + 1)
 
+    def test_failed_singles_roll_back_the_pair_claims(self, monkeypatch):
+        # 1,100 pages in a 1,024-frame window: the pair batch (968 pages,
+        # claimed as 2-frame words) fits, the 132 singles cannot.
+        phys = PhysicalMemory(small_config(64 << 20))
+        free_before = phys._free.copy()
+        batches = []
+        draw = phys._draw_scattered
+
+        def recording_draw(ndraws, run, frame_range=None):
+            try:
+                frames = draw(ndraws, run, frame_range)
+            except OutOfMemoryError:
+                batches.append((run, "oom"))
+                raise
+            batches.append((run, len(frames)))
+            return frames
+
+        monkeypatch.setattr(phys, "_draw_scattered", recording_draw)
+        with pytest.raises(OutOfMemoryError):
+            phys.alloc_scattered(1100, frame_range=(0, 1024))
+        assert batches == [(2, 968), (1, "oom")]
+        np.testing.assert_array_equal(phys._free, free_before)
+        assert phys.free_frames == phys.total_frames
+        assert phys.audit() == []
+
 
 def skewed_config(skew):
     cfg = small_config(1 << 30)
