@@ -2,15 +2,16 @@
 """Porting advisor: DrGPUM-style trace analysis for UPM ports.
 
 Runs a small explicit-model pipeline on a traced simulator, then lets
-the advisor read the runtime's event log and find what the paper's
-porting strategies would fix: duplicated host/device buffer pairs,
-copy-dominated GPU time, dead allocations and fault-dominated kernels.
+hipsan read the runtime's event log.  Besides races and lifetime bugs,
+its info-level porting rules find what the paper's porting strategies
+would fix: duplicated host/device buffer pairs, copy-dominated GPU
+time and dead allocations.
 
 Run:  python examples/porting_advisor.py
 """
 
 from repro import BufferAccess, KernelSpec, make_runtime
-from repro.profiling import PortingAdvisor
+from repro.analyze import analyze_runtime, render_text
 
 
 def main() -> None:
@@ -36,14 +37,15 @@ def main() -> None:
         hip.hipMemcpy(h_out, d_out, size)
 
     # --- the advisor's verdict ----------------------------------------
-    advisor = PortingAdvisor(apu.trace)
-    report = advisor.analyse()
-    print(advisor.summarise(report))
+    findings = analyze_runtime(hip)
+    print(render_text(findings))
     print()
-    print(f"Unifying the {len(report.duplicated_pairs)} pairs would save "
-          f"{report.potential_memory_saving_bytes >> 20} MiB of the "
+    pairs = [f for f in findings if f.rule == "hipsan.duplicated-pair"]
+    copy_ms = sum(f.cost_ns for f in pairs) / 1e6
+    print(f"Unifying the {len(pairs)} pairs would save "
+          f"{len(pairs) * size >> 20} MiB of the "
           f"{apu.memory.live_bytes() >> 20} MiB footprint and eliminate "
-          f"{report.copy_time_ns / 1e6:.1f} ms of transfers — "
+          f"{copy_ms:.1f} ms of transfers — "
           "exactly the Listing 1 -> Listing 2 transformation.")
 
     apu.memory.free(h_in)

@@ -8,7 +8,9 @@ Two analyzers over programs written against :mod:`repro.runtime`:
   :func:`analyze_runtime` (or ``python -m repro analyze``) to check the
   event log for CPU↔GPU races on unified pages, unsynchronized D2H
   reads, races with in-flight ``hipMemcpyAsync``, lifetime violations
-  through ``hipFree``, and XNACK-off fatal accesses.
+  through ``hipFree``, and XNACK-off fatal accesses; at info severity
+  it also reports GPU fault storms and what a unified port removes —
+  duplicated host/device pairs, copy-dominated runs, dead allocations.
 
 * one **static analysis engine** (:mod:`repro.analyze.advise`): a
   per-function CFG + dataflow fixpoint with two rule selections over

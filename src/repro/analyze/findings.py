@@ -146,6 +146,14 @@ register_rule("hipsan.xnack-fatal", _E, "Table 1",
               "GPU access that faults with XNACK disabled")
 register_rule("hipsan.fault-storm", _I, "Figs. 7-8 / Section 5.2",
               "a buffer served a large number of GPU page faults")
+register_rule("hipsan.duplicated-pair", _I, "Section 3.3 / Fig. 11",
+              "a copy joins a host and a device allocation of equal "
+              "size that one unified allocation replaces")
+register_rule("hipsan.copy-dominated", _I, "Section 3.3 / Listing 2",
+              "copies take more than a fifth of copy plus GPU-kernel "
+              "time")
+register_rule("hipsan.dead-alloc", _I, "Fig. 11",
+              "a buffer no copy, kernel or page fault ever touches")
 
 # Static engine, advise selection (repro.analyze.advise.checks).
 register_rule("advise.syntax-error", _E, "-",

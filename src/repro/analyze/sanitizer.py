@@ -18,7 +18,12 @@ reports the paper's porting hazards as :class:`Finding` records:
   page with XNACK disabled (fatal on real hardware);
 * ``hipsan.fault-storm`` (info) — a buffer that served a large number
   of GPU page faults; the paper's fix is CPU pre-faulting
-  (Section 5.2).
+  (Section 5.2);
+* the porting rules (info), what a unified port (Section 3.3, Listing
+  1 -> 2) removes: ``hipsan.duplicated-pair`` — a copy joins equal-size
+  host and device allocations; ``hipsan.copy-dominated`` — copies take
+  over :data:`COPY_DOMINATED_FRACTION` of copy plus GPU-kernel time;
+  ``hipsan.dead-alloc`` — no copy, kernel or page fault touches a buffer.
 
 Pageable-copy semantics: ``hipMemcpyAsync`` to or from *pageable*
 (unpinned) memory behaves synchronously on the host side — the runtime
@@ -33,12 +38,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
+from ..core.allocators import AllocatorKind
 from .events import EventLog, RuntimeEvent
 from .findings import Finding, make_finding
 from .hb import VectorClock, ordered_before
 
 #: GPU-faulted pages on one buffer that qualify as a fault storm (info).
 GPU_FAULT_STORM_PAGES = 1024
+
+#: Copy share of copy plus GPU-kernel time that is copy-dominated (info).
+COPY_DOMINATED_FRACTION = 0.2
+
+#: Allocator kinds on either end of a duplicated host/device pair.
+_HOST_KINDS = {AllocatorKind.MALLOC.value, AllocatorKind.HIP_HOST_MALLOC.value,
+               AllocatorKind.MALLOC_REGISTERED.value}
+_DEVICE_KINDS = {AllocatorKind.HIP_MALLOC.value,
+                 AllocatorKind.STATIC_DEVICE.value}
 
 HOST = "host"
 
@@ -78,6 +93,8 @@ class BufferState:
         default_factory=dict
     )
     gpu_fault_pages: int = 0
+    #: any memcpy side, kernel access or page fault reached the buffer
+    touched: bool = False
 
     def describe(self) -> str:
         return f"{self.uid} ({self.name!r}, {self.kind}, {self.size} B)"
@@ -92,6 +109,10 @@ class Sanitizer:
         self._buffers: Dict[str, BufferState] = {}
         self._findings: List[Finding] = []
         self._seen: Set[Tuple] = set()
+        self._copy_ns = 0.0
+        self._gpu_kernel_ns = 0.0
+        #: (host uid, device uid) -> [copies, copy time ns]
+        self._pairs: Dict[Tuple[str, str], List[float]] = {}
 
     # ------------------------------------------------------------------
     # Driving
@@ -104,6 +125,7 @@ class Sanitizer:
             if handler is not None:
                 handler(event)
         self._flush_fault_storms()
+        self._flush_porting()
         return self._findings
 
     def _stream(self, uid: str) -> VectorClock:
@@ -191,6 +213,7 @@ class Sanitizer:
             clock.join(self._host)  # submission edge
             clock.tick(stream)
             stamp = clock.copy()
+            self._gpu_kernel_ns += d.get("end_ns", 0) - d.get("start_ns", 0)
             timeline, op = stream, "gpu_kernel"
             label = f"GPU kernel {name!r} on {stream}"
         else:
@@ -218,6 +241,13 @@ class Sanitizer:
     def _on_memcpy(self, event: RuntimeEvent) -> None:
         d = event.data
         nbytes = d.get("nbytes", 0)
+        duration = d.get("duration_ns", 0.0)
+        self._copy_ns += duration
+        pair = self._host_device_pair(d.get("src"), d.get("dst"))
+        if pair is not None:
+            tally = self._pairs.setdefault(pair, [0, 0.0])
+            tally[0] += 1
+            tally[1] += duration
         self._host.tick(HOST)
         if d.get("is_async"):
             stream = d.get("stream") or "s0"
@@ -302,10 +332,11 @@ class Sanitizer:
 
     def _on_fault(self, event: RuntimeEvent) -> None:
         d = event.data
-        if d.get("device") != "gpu":
-            return
         state = self._buffers.get(d.get("buffer"))
-        if state is not None:
+        if state is None:
+            return
+        state.touched = True
+        if d.get("device") == "gpu":
             state.gpu_fault_pages += d.get("gpu_major", 0) + d.get(
                 "gpu_minor", 0
             )
@@ -339,6 +370,56 @@ class Sanitizer:
                 )
 
     # ------------------------------------------------------------------
+    # Porting inefficiencies
+    # ------------------------------------------------------------------
+
+    def _host_device_pair(
+        self, src: Optional[str], dst: Optional[str]
+    ) -> Optional[Tuple[str, str]]:
+        """``(host uid, device uid)`` when a copy joins a same-size
+        host/device allocation pair, else None."""
+        a, b = self._buffers.get(src), self._buffers.get(dst)
+        if a is None or b is None or a.size != b.size:
+            return None
+        if a.kind in _DEVICE_KINDS:
+            a, b = b, a
+        if a.kind in _HOST_KINDS and b.kind in _DEVICE_KINDS:
+            return a.uid, b.uid
+        return None
+
+    def _flush_porting(self) -> None:
+        # Reported once per replay, so no _report dedup key is needed.
+        for (host, device), (copies, copy_ns) in self._pairs.items():
+            host, device = self._buffers[host], self._buffers[device]
+            self._findings.append(make_finding(
+                "hipsan.duplicated-pair",
+                f"host buffer {host.describe()} and device buffer "
+                f"{device.describe()} are joined by {copies} cop"
+                f"{'y' if copies == 1 else 'ies'}; one unified allocation "
+                f"saves {host.size} B",
+                hint="allocate one unified buffer and drop the copies "
+                "(Section 3.3, Listing 1 -> Listing 2)",
+                cost_ns=copy_ns,
+            ))
+        total = self._copy_ns + self._gpu_kernel_ns
+        if total > 0 and self._copy_ns / total > COPY_DOMINATED_FRACTION:
+            self._findings.append(make_finding(
+                "hipsan.copy-dominated",
+                f"copies are {self._copy_ns / total:.0%} of GPU-path time "
+                "(copies plus GPU kernels)",
+                hint="a unified-memory port removes the copies (Listing 2)",
+                cost_ns=self._copy_ns,
+            ))
+        for state in self._buffers.values():
+            if not state.touched:
+                self._findings.append(make_finding(
+                    "hipsan.dead-alloc",
+                    f"buffer {state.describe()} is never accessed: no "
+                    "copy, kernel or page fault touches it",
+                    hint="remove the allocation",
+                ))
+
+    # ------------------------------------------------------------------
     # Race detection
     # ------------------------------------------------------------------
 
@@ -346,6 +427,7 @@ class Sanitizer:
         state = self._buffers.get(uid)
         if state is None:
             return
+        state.touched = True
         if not state.alive:
             self._report(
                 ("hipsan.use-after-free", uid, access.label),

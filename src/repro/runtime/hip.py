@@ -617,8 +617,8 @@ def make_runtime(
     """Build an APU and its HIP runtime in one call.
 
     With ``trace=True`` the APU records an event log for the hipsan
-    sanitizer (:func:`repro.analyze.analyze_runtime`) and the porting
-    advisor (:class:`repro.profiling.PortingAdvisor`).  *inject* attaches
+    sanitizer (:func:`repro.analyze.analyze_runtime`), whose rules cover
+    races, lifetimes and porting leftovers.  *inject* attaches
     an :class:`~repro.inject.InjectionPlan` to the APU's fault sites.
     """
     from .apu import make_apu

@@ -1,16 +1,21 @@
 """Tests for the hipsan happens-before sanitizer (repro.analyze).
 
-Three layers:
+Four layers:
 
 * vector-clock / ordering unit tests (the HB core),
+* the runtime event log the sanitizer replays,
 * scenario tests driving small traced runtimes through each rule,
+  the porting rules (duplicated pairs, copy share, dead allocations)
+  included,
 * the regression gates: every seeded bug in examples/racey_port.py is
   detected, and all six Rodinia ports analyze clean in both memory
-  models.
+  models, with duplicated pairs in exactly the explicit variants.
 """
 
 import importlib.util
 import pathlib
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +25,7 @@ from repro.analyze import (
     Severity,
     VectorClock,
     analyze_app,
+    analyze_log,
     analyze_runtime,
     has_errors,
     ordered_before,
@@ -28,6 +34,7 @@ from repro.analyze import (
 )
 from repro.analyze.findings import Finding
 from repro.apps import ALL_APPS
+from repro.hw.config import MiB
 from repro.runtime.hip import make_runtime
 from repro.runtime.kernels import BufferAccess, KernelSpec
 
@@ -40,6 +47,15 @@ def _spec(name, alloc, mode):
 
 def _rules(findings):
     return {f.rule for f in findings}
+
+
+def _of(findings, rule):
+    return [f for f in findings if f.rule == rule]
+
+
+def _names(finding):
+    """The quoted buffer names a finding's message mentions, in order."""
+    return re.findall(r"'([^']*)'", finding.message)
 
 
 # ----------------------------------------------------------------------
@@ -134,6 +150,173 @@ class TestFindings:
 
 
 # ----------------------------------------------------------------------
+# Runtime event log
+# ----------------------------------------------------------------------
+
+
+def _traced():
+    return make_runtime(memory_gib=2, xnack=True, trace=True)
+
+
+def _kinds(log, wanted=("alloc", "free", "memcpy", "kernel")):
+    return [e.kind for e in log if e.kind in wanted]
+
+
+@pytest.fixture
+def traced_explicit_run():
+    """A miniature explicit-model run: h/d pair + copies + kernel.
+
+    Yields the run's event ``log``, its ``apu`` and the ``kernel``'s
+    :class:`KernelResult`.
+    """
+    hip = _traced()
+    memory = hip.apu.memory
+    h = memory.malloc(16 * MiB, name="h_data")
+    d = memory.hip_malloc(16 * MiB, name="d_data")
+    memory.hip_malloc(4 * MiB, name="d_scratch")
+    hip.hipMemcpy(d, h, 16 * MiB)
+    kernel = hip.launchKernel(
+        KernelSpec("stencil", [BufferAccess(d, "readwrite")])
+    )
+    hip.hipDeviceSynchronize()
+    hip.hipMemcpy(h, d, 16 * MiB)
+    return SimpleNamespace(log=hip.apu.trace, apu=hip.apu, kernel=kernel)
+
+
+class TestTracer:
+    def test_records_events_in_order(self, traced_explicit_run):
+        assert _kinds(traced_explicit_run.log) == [
+            "alloc", "alloc", "alloc", "memcpy", "kernel", "memcpy",
+        ]
+
+    def test_live_bytes(self, traced_explicit_run):
+        apu = traced_explicit_run.apu
+        assert apu.memory.live_bytes() == 36 * MiB
+        scratch = next(a for a in apu.memory.allocations
+                       if a.vma.name == "d_scratch")
+        apu.memory.free(scratch)
+        assert apu.memory.live_bytes() == 32 * MiB
+        assert _kinds(apu.trace)[-1] == "free"
+
+    def test_accessed_tracking(self):
+        hip = _traced()
+        memory = hip.apu.memory
+        copied = memory.malloc(1 * MiB, name="copied")
+        launched = memory.hip_malloc(1 * MiB, name="launched")
+        memory.hip_malloc(1 * MiB, name="idle")
+        staging = memory.hip_malloc(1 * MiB, name="staging")
+        hip.hipMemcpy(staging, copied)
+        hip.launchKernel(KernelSpec("k", [BufferAccess(launched, "read")]))
+        hip.hipDeviceSynchronize()
+        dead = _of(analyze_log(hip.apu.trace), "hipsan.dead-alloc")
+        assert [_names(f) for f in dead] == [["idle"]]
+
+    def test_query_helpers(self, traced_explicit_run):
+        kinds = _kinds(traced_explicit_run.log)
+        assert kinds.count("memcpy") == 2
+        assert kinds.count("kernel") == 1
+        assert kinds.count("alloc") == 3
+
+    def test_log_carries_copy_and_fault_time(self):
+        hip = _traced()
+        memory = hip.apu.memory
+        h = memory.malloc(4 * MiB, name="h")
+        d = memory.hip_malloc(4 * MiB, name="d")
+        hip.hipMemcpy(d, h)  # resolves the copy's first-touch faults
+        started = hip.apu.clock.now_ns
+        hip.hipMemcpy(d, h)
+        copy = [e for e in hip.apu.trace if e.kind == "memcpy"][-1]
+        assert copy.data["duration_ns"] == pytest.approx(
+            hip.apu.clock.now_ns - started
+        )
+        fresh = memory.malloc(4 * MiB, name="fresh")
+        result = hip.launchKernel(
+            KernelSpec("k", [BufferAccess(fresh, "read")])
+        )
+        kernel = [e for e in hip.apu.trace if e.kind == "kernel"][-1]
+        assert result.fault_ns > 0
+        assert kernel.data["fault_ns"] == result.fault_ns
+
+
+class TestAdvisor:
+    """The porting rules: what a unified port (Listing 1 -> 2) removes."""
+
+    def test_finds_duplicated_pair(self, traced_explicit_run):
+        pairs = _of(analyze_log(traced_explicit_run.log),
+                    "hipsan.duplicated-pair")
+        assert len(pairs) == 1
+        assert _names(pairs[0]) == ["h_data", "d_data"]
+        assert f"{16 * MiB} B" in pairs[0].message
+        assert "2 copies" in pairs[0].message
+
+    def test_potential_saving(self, traced_explicit_run):
+        (pair,) = _of(analyze_log(traced_explicit_run.log),
+                      "hipsan.duplicated-pair")
+        assert f"saves {16 * MiB} B" in pair.message
+
+    def test_copy_fraction(self, traced_explicit_run):
+        log = traced_explicit_run.log
+        findings = analyze_log(log)
+        copies = [e.data["duration_ns"] for e in log if e.kind == "memcpy"]
+        assert all(c > 0 for c in copies)
+        (dominated,) = _of(findings, "hipsan.copy-dominated")
+        assert dominated.cost_ns == pytest.approx(sum(copies))
+        (pair,) = _of(findings, "hipsan.duplicated-pair")
+        assert pair.cost_ns == pytest.approx(sum(copies))
+        kernel = traced_explicit_run.kernel
+        fraction = sum(copies) / (sum(copies) + kernel.duration_ns)
+        assert f"copies are {fraction:.0%} " in dominated.message
+
+    def test_dead_allocation_detected(self, traced_explicit_run):
+        dead = _of(analyze_log(traced_explicit_run.log), "hipsan.dead-alloc")
+        assert [_names(f) for f in dead] == [["d_scratch"]]
+
+    def test_fault_dominated_vector_storms(self):
+        # A GPU kernel faulting a 4 MiB std::vector in: the fault-storm
+        # rule covers what a per-kernel fault-share check would flag.
+        hip = _traced()
+        vec = hip.apu.memory.malloc(4 * MiB, name="std::vector")
+        hip.launchKernel(KernelSpec("euclid", [BufferAccess(vec, "read")]))
+        hip.hipDeviceSynchronize()
+        findings = analyze_log(hip.apu.trace)
+        assert _rules(findings) == {"hipsan.fault-storm"}
+        assert "served 1024 GPU page faults" in findings[0].message
+
+    def test_unified_run_is_clean(self):
+        hip = _traced()
+        buf = hip.apu.memory.hip_malloc(16 * MiB, name="unified")
+        hip.launchKernel(KernelSpec("stencil", [BufferAccess(buf, "read")]))
+        hip.hipDeviceSynchronize()
+        assert analyze_log(hip.apu.trace) == []
+
+    def test_size_mismatch_not_paired(self):
+        hip = _traced()
+        h = hip.apu.memory.malloc(16 * MiB, name="h")
+        d = hip.apu.memory.hip_malloc(8 * MiB, name="d")
+        hip.hipMemcpy(d, h, 8 * MiB)
+        findings = analyze_log(hip.apu.trace)
+        assert not _of(findings, "hipsan.duplicated-pair")
+
+    def test_summary_text(self, traced_explicit_run):
+        text = render_text(analyze_log(traced_explicit_run.log))
+        assert "duplicated-pair" in text
+        assert "h_data" in text
+        assert "d_scratch" in text
+        assert "copies are" in text
+
+    def test_dead_alloc_counts_fault_touches(self):
+        # dwt2d fills its host planes from the CPU: first-touch faults
+        # are accesses.  nn's first std::vector storage (b0, 64 B) is
+        # freed on grow untouched, so it is the one dead buffer.
+        dwt2d = analyze_app("dwt2d", "unified", params=SMALL_PARAMS["dwt2d"])
+        assert not _of(dwt2d, "hipsan.dead-alloc")
+        nn = _of(analyze_app("nn", "unified", params=SMALL_PARAMS["nn"]),
+                 "hipsan.dead-alloc")
+        assert len(nn) == 1
+        assert nn[0].message.startswith("buffer b0 ")
+
+
+# ----------------------------------------------------------------------
 # Sanitizer scenarios
 # ----------------------------------------------------------------------
 
@@ -207,11 +390,12 @@ class TestSanitizerScenarios:
             if fix:
                 hip.hipStreamSynchronize(stream)
             hip.runCpuKernel(_spec("refill", src.allocation, "write"))
+            porting = {"hipsan.duplicated-pair", "hipsan.copy-dominated"}
             findings = analyze_runtime(hip)
             if fix:
-                assert findings == []
+                assert _rules(findings) == porting
             else:
-                assert _rules(findings) == {"hipsan.memcpy-race"}
+                assert _rules(findings) == {"hipsan.memcpy-race"} | porting
 
     def test_pageable_async_copy_is_host_synchronous(self):
         # hipMemcpyAsync from pageable memory stages synchronously on
@@ -224,7 +408,9 @@ class TestSanitizerScenarios:
         hip.hipMemcpyAsync(dst, src, stream=stream)
         hip.runCpuKernel(_spec("refill", src.allocation, "write"))
         hip.hipStreamSynchronize(stream)
-        assert analyze_runtime(hip) == []
+        assert _rules(analyze_runtime(hip)) == {
+            "hipsan.duplicated-pair", "hipsan.copy-dominated",
+        }
 
     def test_free_in_flight_and_use_after_free(self):
         hip = make_runtime(memory_gib=2, xnack=True, trace=True)
@@ -255,7 +441,9 @@ class TestSanitizerScenarios:
         with pytest.raises(HipError) as failure:
             hip.hipFree(alloc)
         assert failure.value.code == hipErrorInvalidValue
-        assert _rules(analyze_runtime(hip)) == {"hipsan.double-free"}
+        assert _rules(analyze_runtime(hip)) == {
+            "hipsan.double-free", "hipsan.dead-alloc",
+        }
 
     def test_xnack_fatal_access_reported(self):
         from repro.core.faults import GPUMemoryAccessError
@@ -342,10 +530,22 @@ def _app_variant_matrix():
 
 @pytest.mark.parametrize("name,variant", list(_app_variant_matrix()))
 def test_rodinia_ports_analyze_clean(name, variant):
-    """All six ports, every memory model: no races, no lifetime bugs."""
+    """All six ports, every memory model: no races, no lifetime bugs.
+
+    The dynamic twin of the static redundant-copy gate: every explicit
+    variant copies between duplicated host/device pairs and spends over
+    a fifth of its GPU-path time copying; no unified variant does.
+    """
     findings = analyze_app(name, variant, params=SMALL_PARAMS[name])
     reported = [f for f in findings if f.severity > Severity.INFO]
     assert reported == [], render_text(reported)
+    pairs = _of(findings, "hipsan.duplicated-pair")
+    dominated = _of(findings, "hipsan.copy-dominated")
+    if variant == "explicit":
+        assert len(pairs) >= 1
+        assert len(dominated) == 1
+    else:
+        assert pairs == [] and dominated == [], render_text(findings)
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ paper-vs-measured record; these tests keep the documents honest against
 the actual repository contents.
 """
 
+import importlib
 import pathlib
 import re
 
@@ -93,3 +94,34 @@ class TestModelingDoc:
         for section in ("latency", "bandwidth", "Atomics", "fault",
                         "Fragments", "UVM"):
             assert section.lower() in modeling.lower(), section
+
+
+def _resolve(dotted):
+    """Import the longest importable module prefix of *dotted*, then
+    getattr the rest; raises when any step is missing."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[cut:]:
+            obj = getattr(obj, attr)
+        return obj
+    raise ModuleNotFoundError(dotted)
+
+
+def test_dotted_repro_names_resolve():
+    """Every ``repro.*`` name the docs cite still exists."""
+    names = set()
+    for doc in ("DESIGN.md", "README.md", "EXPERIMENTS.md", "MODELING.md"):
+        text = (ROOT / doc).read_text()
+        names |= set(re.findall(r"\brepro(?:\.\w+)+", text))
+    assert names
+    missing = []
+    for name in sorted(names):
+        try:
+            _resolve(name)
+        except (ImportError, AttributeError):
+            missing.append(name)
+    assert not missing, f"docs cite names that do not resolve: {missing}"

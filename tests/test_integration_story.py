@@ -3,14 +3,15 @@
 One test class walks the whole story — characterise, port, verify — the
 way a user of this library would, crossing every subsystem boundary:
 allocators -> faults -> page tables -> TLBs -> kernel engine ->
-profilers -> porting strategies -> advisor.
+profilers -> porting strategies -> the hipsan porting rules.
 """
 
 import numpy as np
 import pytest
 
+from repro.analyze import analyze_log
 from repro.hw.config import MiB
-from repro.profiling import PerfStat, PortingAdvisor, RocProf
+from repro.profiling import PerfStat, RocProf
 from repro.profiling.memusage import MemoryUsageProfiler
 from repro.runtime import make_runtime
 from repro.runtime.kernels import BufferAccess, KernelSpec
@@ -59,7 +60,10 @@ def story():
     usage.sample()
     out["explicit_result"] = float(h.np.sum())
     out["explicit_peak"] = usage.peak_bytes
-    out["advice"] = PortingAdvisor(apu2.trace).analyse()
+    out["advice"] = [
+        f for f in analyze_log(apu2.trace)
+        if f.rule == "hipsan.duplicated-pair"
+    ]
     out["explicit_time"] = apu2.clock.now_ns
 
     # ---- Act 3: the unified port -------------------------------------
@@ -97,9 +101,10 @@ class TestCharacterisationActs:
 
 class TestPortingActs:
     def test_advisor_found_the_pair(self, story):
-        advice = story["advice"]
-        assert len(advice.duplicated_pairs) == 1
-        assert advice.duplicated_pairs[0].nbytes == 64 * MiB
+        (pair,) = story["advice"]
+        assert "'h_data'" in pair.message
+        assert "'d_data'" in pair.message
+        assert f"{64 * MiB} B" in pair.message
 
     def test_results_identical(self, story):
         assert story["unified_result"] == pytest.approx(
