@@ -16,6 +16,7 @@ from typing import Dict
 
 import numpy as np
 
+from ..memo import memoised
 from ..runtime.arrays import DeviceArray
 from ..runtime.hip import HipRuntime
 from ..runtime.kernels import BufferAccess, KernelSpec
@@ -38,6 +39,32 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x))
 
 
+@memoised
+def _dataset(n: int):
+    """The seeded input layer and initial weights ``(x, w1, w2)``."""
+    rng = np.random.default_rng(7)
+    x = rng.random(n, dtype=np.float32)
+    w1 = rng.random((n, HIDDEN), dtype=np.float32) - 0.5
+    return x, w1, rng.random(HIDDEN, dtype=np.float32) - 0.5
+
+
+@memoised
+def _train(x: np.ndarray, w1: np.ndarray, w2: np.ndarray):
+    """The numerically real training step: ``(new_w1, new_w2, output)``."""
+    n = len(x)
+    w1, w2 = w1.copy(), w2.copy()
+    hidden = _sigmoid(x @ w1 / n)
+    output = _sigmoid(hidden @ w2)
+    target = 0.1
+    delta_out = output * (1.0 - output) * (target - output)
+    delta_hidden = hidden * (1.0 - hidden) * (w2 * delta_out)
+    w2 += ETA * delta_out * hidden
+    step = np.outer(x, delta_hidden)
+    step *= ETA
+    w1 += step
+    return w1, w2, float(output)
+
+
 class Backprop(RodiniaApp):
     """The backprop workload in both memory models."""
 
@@ -55,14 +82,11 @@ class Backprop(RodiniaApp):
 
     def _generate(self, runtime: HipRuntime, n: int, allocator: str):
         """Setup phase: read the face dataset, allocate and initialise."""
-        rng = np.random.default_rng(7)
         x = runtime.array(n, np.float32, allocator, name="input")
         w1 = runtime.array((n, HIDDEN), np.float32, allocator, name="w1")
         w2 = runtime.array(HIDDEN, np.float32, allocator, name="w2")
         simulate_io(runtime.apu, x.nbytes + w1.nbytes)  # dataset + net file
-        x.np[:] = rng.random(n, dtype=np.float32)
-        w1.np[:] = rng.random((n, HIDDEN), dtype=np.float32) - 0.5
-        w2.np[:] = rng.random(HIDDEN, dtype=np.float32) - 0.5
+        x.np[:], w1.np[:], w2.np[:] = _dataset(n)
         # The init loops stream-write the buffers from one CPU thread.
         init = KernelSpec(
             "init",
@@ -97,24 +121,6 @@ class Backprop(RodiniaApp):
         )
         return forward, adjust
 
-    def _train_math(self, x, w1, w2):
-        """The numerically real training step (shared by both variants).
-
-        Operates on copies so simulated copies cannot alias the result.
-        """
-        n = len(x)
-        w1, w2 = w1.copy(), w2.copy()
-        hidden = _sigmoid(x @ w1 / n)
-        output = _sigmoid(hidden @ w2)
-        target = 0.1
-        delta_out = output * (1.0 - output) * (target - output)
-        delta_hidden = hidden * (1.0 - hidden) * (w2 * delta_out)
-        w2 += ETA * delta_out * hidden
-        step = np.outer(x, delta_hidden)
-        step *= ETA
-        w1 += step
-        return w1, w2, float(output)
-
     # ------------------------------------------------------------------
 
     def _run_explicit(self, runtime: HipRuntime, profiler, params):
@@ -135,7 +141,7 @@ class Backprop(RodiniaApp):
             runtime.launchKernel(forward)
             runtime.hipDeviceSynchronize()
             runtime.hipMemcpy(h_hidden, d_h)  # hidden partial sums back
-            new_w1, new_w2, out = self._train_math(h_x.np, h_w1.np, h_w2.np)
+            new_w1, new_w2, out = _train(h_x.np, h_w1.np, h_w2.np)
             runtime.launchKernel(adjust)
             runtime.hipDeviceSynchronize()
             runtime.hipMemcpy(h_w1, d_w1)  # adjusted weights back
@@ -161,7 +167,7 @@ class Backprop(RodiniaApp):
             forward, adjust = self._kernels(x, w1, hidden)
             runtime.launchKernel(forward)
             runtime.hipDeviceSynchronize()
-            new_w1, new_w2, out = self._train_math(x.np, w1.np, w2.np)
+            new_w1, new_w2, out = _train(x.np, w1.np, w2.np)
             runtime.launchKernel(adjust)
             runtime.hipDeviceSynchronize()
             profiler.sample()

@@ -16,6 +16,7 @@ from typing import Dict
 
 import numpy as np
 
+from ..memo import memoised
 from ..porting.strategies import ChunkSchedule, merged_pipeline
 from ..runtime.hip import HipRuntime
 from ..runtime.kernels import BufferAccess, KernelSpec
@@ -45,6 +46,7 @@ def _haar_level(quad: np.ndarray, scratch: np.ndarray) -> None:
         hi /= 2.0
 
 
+@memoised
 def dwt_forward(image: np.ndarray, levels: int) -> np.ndarray:
     """Multi-level forward DWT: each level transforms the LL quadrant."""
     out = image.astype(np.float32)
@@ -56,6 +58,15 @@ def dwt_forward(image: np.ndarray, levels: int) -> np.ndarray:
         if h < 2 or w < 2:
             break
     return out
+
+
+@memoised
+def _bitmap(dim: int) -> np.ndarray:
+    """The seeded input bitmap's pixel values, drawn as int32."""
+    rng = np.random.default_rng(23)
+    image = np.empty((dim, dim), np.float32)
+    image[:] = rng.integers(0, 256, size=(dim, dim), dtype=np.int32)
+    return image
 
 
 class Dwt2d(RodiniaApp):
@@ -82,7 +93,6 @@ class Dwt2d(RodiniaApp):
         application's peak usage (Fig. 11, lower plot).
         """
         apu = runtime.apu
-        rng = np.random.default_rng(23)
         image = runtime.array((dim, dim), np.float32, allocator, name="image")
         # Temporary decode buffers: raw 3-byte pixels + two float planes.
         raw = apu.memory.malloc(dim * dim * 3, name="bmp_raw")
@@ -92,7 +102,7 @@ class Dwt2d(RodiniaApp):
         apu.touch(raw, "cpu")
         for plane in planes:
             apu.touch(plane, "cpu")
-        image.np[:] = rng.integers(0, 256, size=(dim, dim), dtype=np.int32)
+        image.np[:] = _bitmap(dim)
         simulate_io(apu, raw.size_bytes)  # read the bitmap file
         init = KernelSpec(
             "bmp_decode", [BufferAccess(image.allocation, "write")]

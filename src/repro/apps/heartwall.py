@@ -25,6 +25,7 @@ from typing import Dict
 
 import numpy as np
 
+from ..memo import memoised
 from ..porting.strategies import DoubleBuffer, event_synchronised_swap
 from ..runtime.hip import HipRuntime
 from ..runtime.kernels import BufferAccess, KernelSpec
@@ -45,6 +46,7 @@ PIXEL_NS = 0.03
 PREP_NS = 0.25
 
 
+@memoised
 def _preprocess_frame(rng: np.random.Generator, shape) -> np.ndarray:
     """Generate + filter one ultrasound frame (numerically real)."""
     frame = rng.random(shape, dtype=np.float32)
@@ -59,6 +61,7 @@ def _preprocess_frame(rng: np.random.Generator, shape) -> np.ndarray:
     return out
 
 
+@memoised
 def _track(frame: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Move each tracked point toward its patch's brightest pixel."""
     h, w = frame.shape

@@ -16,6 +16,7 @@ from typing import Dict
 
 import numpy as np
 
+from ..memo import memoised
 from ..runtime.hip import HipRuntime
 from ..runtime.kernels import BufferAccess, KernelSpec
 from .common import RodiniaApp, simulate_io, stencil_strips
@@ -48,6 +49,22 @@ def _stencil_step(temp: np.ndarray, power: np.ndarray) -> np.ndarray:
     return out
 
 
+@memoised
+def _inputs(grid: int):
+    """The seeded temperature and power grids of the input files."""
+    rng = np.random.default_rng(11)
+    temp = 320.0 + 10.0 * rng.random((grid, grid), dtype=np.float32)
+    return temp, rng.random((grid, grid), dtype=np.float32)
+
+
+@memoised
+def _simulate(temp: np.ndarray, power: np.ndarray, iterations: int):
+    """The temperature after *iterations* stencil steps."""
+    for _ in range(iterations):
+        temp = _stencil_step(temp, power)
+    return temp
+
+
 class Hotspot(RodiniaApp):
     """The hotspot workload in both memory models."""
 
@@ -65,11 +82,9 @@ class Hotspot(RodiniaApp):
 
     def _load_inputs(self, runtime: HipRuntime, grid: int, allocator: str):
         """Read the temperature and power grids from disk (I/O phase)."""
-        rng = np.random.default_rng(11)
         temp = runtime.array((grid, grid), np.float32, allocator, name="temp")
         power = runtime.array((grid, grid), np.float32, allocator, name="power")
-        temp.np[:] = 320.0 + 10.0 * rng.random((grid, grid), dtype=np.float32)
-        power.np[:] = rng.random((grid, grid), dtype=np.float32)
+        temp.np[:], power.np[:] = _inputs(grid)
         simulate_io(runtime.apu, temp.nbytes + power.nbytes)
         init = KernelSpec(
             "read_input",
@@ -94,12 +109,10 @@ class Hotspot(RodiniaApp):
 
     def _iterate(self, runtime, temp_np, power_np, iterations: int,
                  spec_ab: KernelSpec, spec_ba: KernelSpec) -> np.ndarray:
-        result = temp_np
         for i in range(iterations):
             runtime.launchKernel(spec_ab if i % 2 == 0 else spec_ba)
-            result = _stencil_step(result, power_np)
         runtime.hipDeviceSynchronize()
-        return result
+        return _simulate(temp_np, power_np, iterations)
 
     # ------------------------------------------------------------------
 

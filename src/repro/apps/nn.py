@@ -23,6 +23,7 @@ from typing import Dict
 
 import numpy as np
 
+from ..memo import memoised
 from ..porting.containers import UnifiedVector
 from ..porting.strategies import naive_free_memory
 from ..runtime.hip import HipRuntime
@@ -37,6 +38,28 @@ RECORD_NS = 0.02
 
 #: File-read chunking of the record loader (elements per read).
 CHUNK_ELEMENTS = 1 << 20
+
+
+@memoised
+def _records(records: int) -> np.ndarray:
+    """The seeded interleaved lat/lng values of the record files, drawn
+    one read chunk at a time."""
+    rng = np.random.default_rng(41)
+    values = np.empty(records * 2, np.float32)
+    for start in range(0, values.size, CHUNK_ELEMENTS):
+        chunk = values[start : start + CHUNK_ELEMENTS]
+        chunk[:] = rng.random(chunk.size, dtype=np.float32) * 180.0
+    return values
+
+
+@memoised
+def _nearest(coords: np.ndarray, k: int) -> float:
+    """Sum of the *k* smallest distances from the query point."""
+    lat = coords[0::2]
+    lng = coords[1::2]
+    dist = np.sqrt((lat - QUERY_LAT) ** 2 + (lng - QUERY_LNG) ** 2)
+    nearest = np.partition(dist, k)[:k]
+    return float(np.sort(nearest).sum())
 
 
 class NearestNeighbor(RodiniaApp):
@@ -72,23 +95,13 @@ class NearestNeighbor(RodiniaApp):
     ) -> UnifiedVector:
         """I/O phase: stream the record files into a growing vector."""
         apu = runtime.apu
-        rng = np.random.default_rng(41)
         vector = UnifiedVector(apu, np.float32, allocator=allocator)
-        remaining = records * 2  # lat/lng interleaved
-        while remaining > 0:
-            chunk = min(CHUNK_ELEMENTS, remaining)
-            values = rng.random(chunk, dtype=np.float32) * 180.0
-            vector.extend(values)
-            simulate_io(apu, chunk * 4)
-            remaining -= chunk
+        values = _records(records)
+        for start in range(0, values.size, CHUNK_ELEMENTS):
+            chunk = values[start : start + CHUNK_ELEMENTS]
+            vector.extend(chunk)
+            simulate_io(apu, chunk.nbytes)
         return vector
-
-    def _distance_math(self, coords: np.ndarray, k: int) -> float:
-        lat = coords[0::2]
-        lng = coords[1::2]
-        dist = np.sqrt((lat - QUERY_LAT) ** 2 + (lng - QUERY_LNG) ** 2)
-        nearest = np.partition(dist, k)[:k]
-        return float(np.sort(nearest).sum())
 
     def _kernel(self, records_alloc, dist_alloc, nbytes: int, count: int):
         return KernelSpec(
@@ -128,7 +141,7 @@ class NearestNeighbor(RodiniaApp):
             )
             runtime.hipDeviceSynchronize()
             runtime.hipMemcpy(h_dist, d_dist)
-            checksum = self._distance_math(vector.data, k)
+            checksum = _nearest(vector.data, k)
             profiler.sample()
         simulate_io(apu, 4096)  # print the k nearest records
         return checksum
@@ -148,7 +161,7 @@ class NearestNeighbor(RodiniaApp):
                 self._kernel(vector.allocation, dist.allocation, nbytes, count)
             )
             runtime.hipDeviceSynchronize()
-            checksum = self._distance_math(vector.data, k)
+            checksum = _nearest(vector.data, k)
             profiler.sample()
         simulate_io(apu, 4096)
         return checksum

@@ -17,6 +17,7 @@ from typing import Dict
 
 import numpy as np
 
+from ..memo import memoised
 from ..porting.strategies import StackFlag
 from ..runtime.hip import HipRuntime
 from ..runtime.kernels import BufferAccess, KernelSpec
@@ -66,6 +67,22 @@ def _srad_iteration(image: np.ndarray) -> np.ndarray:
     return out
 
 
+@memoised
+def _image(dim: int) -> np.ndarray:
+    """The seeded speckled input image."""
+    rng = np.random.default_rng(31)
+    return np.exp(rng.random((dim, dim), dtype=np.float32))
+
+
+@memoised
+def _denoise(image: np.ndarray, iterations: int) -> np.ndarray:
+    """*image* after *iterations* SRAD updates, computed in float64."""
+    result = image.astype(np.float64)
+    for _ in range(iterations):
+        result = _srad_iteration(result)
+    return result.astype(np.float32)
+
+
 class SradV1(RodiniaApp):
     """The srad_v1 workload in both memory models."""
 
@@ -82,11 +99,8 @@ class SradV1(RodiniaApp):
     # ------------------------------------------------------------------
 
     def _load(self, runtime: HipRuntime, dim: int, allocator: str):
-        rng = np.random.default_rng(31)
         image = runtime.array((dim, dim), np.float32, allocator, name="image")
-        image.np[:] = np.exp(
-            rng.random((dim, dim), dtype=np.float32)
-        )
+        image.np[:] = _image(dim)
         simulate_io(runtime.apu, image.nbytes)
         init = KernelSpec("read_pgm", [BufferAccess(image.allocation, "write")])
         runtime.runCpuKernel(init, threads=1)
@@ -123,7 +137,6 @@ class SradV1(RodiniaApp):
         d_stats = runtime.array(2, np.float32, "hipMalloc")
         profiler.sample()
 
-        result = h_image.np.astype(np.float64)
         with apu.clock.region("compute"):
             runtime.hipMemcpy(d_image, h_image)
             prepare, update = self._iteration_kernels(
@@ -134,9 +147,8 @@ class SradV1(RodiniaApp):
                 runtime.hipMemcpy(h_stats, d_stats)
                 runtime.launchKernel(prepare)
                 runtime.launchKernel(update)
-                result = _srad_iteration(result)
             runtime.hipDeviceSynchronize()
-            d_image.np[:] = result.astype(np.float32)
+            d_image.np[:] = _denoise(h_image.np, iterations)
             runtime.hipMemcpy(h_image, d_image)
             profiler.sample()
         simulate_io(apu, h_image.nbytes)
@@ -149,7 +161,6 @@ class SradV1(RodiniaApp):
         coeff = runtime.array((dim, dim), np.float32, "hipMalloc")
         profiler.sample()
 
-        result = image.np.astype(np.float64)
         with apu.clock.region("compute"):
             prepare, update = self._iteration_kernels(
                 image.allocation, coeff.allocation, dim
@@ -162,13 +173,12 @@ class SradV1(RodiniaApp):
                 while continue_flag.read() and i < iterations:
                     runtime.launchKernel(prepare)
                     runtime.launchKernel(update)
-                    result = _srad_iteration(result)
                     i += 1
                     continue_flag.gpu_write(
                         1.0 if i < iterations else 0.0
                     )
                 runtime.hipDeviceSynchronize()
-            image.np[:] = result.astype(np.float32)
+            image.np[:] = _denoise(image.np, i)
             profiler.sample()
         simulate_io(apu, image.nbytes)
         return float(image.np.mean())

@@ -34,6 +34,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .. import memo
 from .registry import get_spec
 from .spec import ExperimentSpec, Point, canonical_json
 
@@ -282,7 +283,10 @@ class Engine:
         quick: bool = False,
         only: Optional[Mapping[str, Any]] = None,
     ) -> Dict[str, ExperimentResult]:
-        """Run several experiments as one load-balanced point pool."""
+        """Run several experiments as one load-balanced point pool.
+
+        The run has its own :mod:`repro.memo` scope, gone when it returns.
+        """
         specs = [get_spec(name) for name in dict.fromkeys(names)]
         plan: List[Tuple[ExperimentSpec, Point]] = []
         for spec in specs:
@@ -295,7 +299,10 @@ class Engine:
                 plan.append((spec, point))
 
         by_name: Dict[str, List[PointResult]] = {s.name: [] for s in specs}
-        for (spec, point), (payload, wall_s) in zip(plan, self._execute(plan)):
+        # One memo per run: variants fed equal inputs share the numerics.
+        with memo.scope():
+            outcomes = self._execute(plan)
+        for (spec, point), (payload, wall_s) in zip(plan, outcomes):
             by_name[spec.name].append(
                 self._to_point_result(point, payload, wall_s)
             )

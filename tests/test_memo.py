@@ -1,0 +1,213 @@
+"""The run-scoped numerics memo (repro.memo).
+
+Within one engine run the explicit and unified variants of an app feed
+their kernels the same inputs, so the memo computes each numeric chain
+once.  These tests check that a memoised run is bit-identical to a
+memo-less one, that the lookup compares the exact input bytes, that the
+memo lives exactly as long as one ``Engine.run_many``, and that it
+stays within its byte budget.
+"""
+
+import json
+from unittest import mock
+
+import numpy as np
+import pytest
+
+from repro import memo
+from repro.apps import ALL_APPS, backprop, dwt2d, heartwall, hotspot, nn, srad
+from repro.exp import GOLDEN_PATH, Engine, ExperimentSpec, temporarily_registered
+from repro.exp.engine import golden_digests
+from repro.exp.experiments import APP_QUICK_PARAMS
+
+#: Each app's kernel chain: the memoised call a unified variant must
+#: take from the memo after its explicit baseline ran.
+CHAINS = {
+    "backprop": backprop._train,
+    "dwt2d": dwt2d.dwt_forward,
+    "heartwall": heartwall._track,
+    "hotspot": hotspot._simulate,
+    "nn": nn._nearest,
+    "srad_v1": srad._denoise,
+}
+
+
+def qualname(fn):
+    return f"{fn.__module__}.{fn.__qualname__}"
+
+
+def fingerprint(result):
+    return (result.checksum.hex(), result.total_time_s.hex(),
+            result.compute_time_s.hex(), result.peak_memory_bytes)
+
+
+@pytest.mark.parametrize("app", sorted(ALL_APPS))
+def test_memoised_variants_are_bit_identical_and_hit(app):
+    instance, params = ALL_APPS[app](), APP_QUICK_PARAMS[app]
+    plain = [fingerprint(instance.run(v, params=dict(params)))
+             for v in instance.variants]
+    chain = qualname(CHAINS[app])
+    memoised = []
+    with memo.scope() as m:
+        for variant in instance.variants:
+            hits, misses = m.hits[chain], m.misses[chain]
+            memoised.append(fingerprint(instance.run(variant, params=dict(params))))
+            if variant != "explicit":
+                assert m.hits[chain] > hits and m.misses[chain] == misses
+    assert memoised == plain
+
+
+def test_a_flipped_input_byte_misses_and_changes_the_checksum():
+    app, params = hotspot.Hotspot(), dict(APP_QUICK_PARAMS["hotspot"])
+    real = hotspot._inputs
+
+    def flipped(grid):
+        temp, power = real(grid)
+        temp = temp.copy()
+        # Byte 3 of the first cell is its exponent, not one the
+        # fingerprint samples: only the byte compare can tell.
+        temp.view(np.uint8)[3] ^= 1
+        return temp, power
+
+    chain = qualname(hotspot._simulate)
+    with memo.scope() as m:
+        explicit = app.run("explicit", params=params)
+        with mock.patch.object(hotspot, "_inputs", flipped):
+            unified = app.run("unified", params=params)
+    assert m.misses[chain] == 2 and m.hits[chain] == 0
+    assert unified.checksum != explicit.checksum
+
+
+def test_memo_lives_exactly_as_long_as_one_run():
+    seen = []
+
+    def runner(value):
+        seen.append(memo._CURRENT.get())
+        return [[value]]
+
+    spec = ExperimentSpec.define(
+        name="memo-probe", title="memo probe", columns=["v"], runner=runner,
+        grid={"value": [1, 2]},
+    )
+    with temporarily_registered(spec):
+        assert memo._CURRENT.get() is None
+        Engine().run_many(["memo-probe"])
+        assert memo._CURRENT.get() is None
+        assert seen[0] is not None and seen[0] is seen[1]
+        with memo.scope() as outer:
+            Engine().run_many(["memo-probe"])  # nested: a fresh memo
+            assert memo._CURRENT.get() is outer
+        assert seen[2] is seen[3] and seen[2] not in (outer, seen[0])
+    assert memo._CURRENT.get() is None
+
+
+def test_without_a_scope_every_call_computes():
+    calls = []
+
+    @memo.memoised
+    def double(a):
+        calls.append(1)
+        return a * 2
+
+    a = np.arange(4.0)
+    assert double(a).flags.writeable and double(a).flags.writeable
+    assert len(calls) == 2
+
+
+def test_results_are_read_only_and_not_copied():
+    @memo.memoised
+    def pair(n):
+        return np.zeros(n), (np.ones(n), 1.5)
+
+    with memo.scope():
+        first = pair(8)
+        again = pair(8)
+    assert again[0] is first[0] and again[1][0] is first[1][0]
+    for array in (first[0], first[1][0]):
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+
+
+def test_a_result_aliasing_an_input_is_copied_not_frozen():
+    @memo.memoised
+    def identity(a):
+        return a
+
+    a = np.arange(4.0)
+    with memo.scope():
+        out = identity(a)
+    assert out is not a and a.flags.writeable and not out.flags.writeable
+
+
+def test_generator_state_keys_the_call_and_is_restored_on_a_hit():
+    @memo.memoised
+    def draw(rng, n):
+        return rng.random(n)
+
+    fresh, replay = np.random.default_rng(1), np.random.default_rng(1)
+    with memo.scope() as m:
+        first = draw(fresh, 5)
+        second = draw(fresh, 5)  # a later state: a miss
+        assert m.misses[qualname(draw)] == 2
+        assert draw(replay, 5) is first and draw(replay, 5) is second
+        assert m.hits[qualname(draw)] == 2
+    assert replay.bit_generator.state == fresh.bit_generator.state
+
+
+def test_scalars_key_by_exact_value():
+    @memo.memoised
+    def ident(x):
+        return np.array([x])
+
+    with memo.scope() as m:
+        ident(0.0)
+        ident(-0.0)
+        ident(0)
+        assert m.misses[qualname(ident)] == 3
+        with pytest.raises(TypeError):
+            ident([1, 2])
+
+
+def test_equal_key_arrays_are_held_once():
+    @memo.memoised
+    def total(a):
+        return float(a.sum())
+
+    @memo.memoised
+    def make(n):
+        return np.arange(n, dtype=np.float64)
+
+    with memo.scope() as m:
+        total(np.array(make(1024)))  # an equal copy of make's result
+        assert m.nbytes == 1024 * 8
+
+
+def test_over_budget_entry_is_not_stored_and_lru_respects_budget():
+    @memo.memoised
+    def block(n, tag):
+        return np.full(n, tag, dtype=np.uint8)
+
+    with mock.patch.object(memo, "BUDGET_BYTES", 1000), memo.scope() as m:
+        block(1001, 0)
+        assert m.nbytes == 0
+        for tag in range(5):
+            block(300, tag)
+            assert m.nbytes <= 1000
+        assert m.nbytes == 900  # three entries: tags 2, 3 and 4
+        block(300, 2)  # held: refreshes its place in the LRU order
+        block(300, 5)  # evicts tag 3, the least recently used
+        hits = m.hits[qualname(block)]
+        block(300, 2)
+        block(300, 4)
+        assert m.hits[qualname(block)] == hits + 2
+        block(300, 3)
+        assert m.misses[qualname(block)] == 8
+        assert m.nbytes == 900
+
+
+def test_pool_workers_match_one_worker_and_the_quick_golden():
+    serial = Engine(workers=1).run("apps", quick=True)
+    pooled = Engine(workers=2).run("apps", quick=True)
+    assert pooled.ok and pooled.rows == serial.rows
+    golden = json.loads(GOLDEN_PATH.read_text())["quick"]["apps"]
+    assert golden_digests({"apps": pooled})["apps"] == golden
