@@ -15,7 +15,9 @@ from repro.bench import (
     stream,
 )
 from repro.exp import get_spec
-from repro.hw.config import KiB, MiB
+from repro.hw.config import KiB, MiB, default_config
+from repro.perf.faultmodel import fault_throughput_pages_per_s
+from repro.runtime import make_apu
 
 
 class TestMultichase:
@@ -179,6 +181,18 @@ class TestPageFaultBench:
         twelve = pagefault.measured_throughput("cpu12", 20_000)
         assert twelve > 2 * one
 
+    @pytest.mark.parametrize("pages", [1, 100, 20_000])
+    @pytest.mark.parametrize(
+        "scenario", ["gpu_major", "gpu_minor", "cpu", "cpu12"]
+    )
+    def test_measured_equals_model(self, scenario, pages):
+        # The engine and Fig. 7 price a burst with the same function.
+        measured = pagefault.measured_throughput(scenario, pages)
+        assert measured == pytest.approx(
+            fault_throughput_pages_per_s(default_config(), scenario, pages),
+            rel=1e-12,
+        )
+
     def test_latency_stats(self):
         stats = {s.scenario: s for s in pagefault.latency_distributions(5_000)}
         assert stats["cpu"].mean_us == pytest.approx(9.0, rel=0.05)
@@ -187,3 +201,10 @@ class TestPageFaultBench:
     def test_unknown_scenario(self):
         with pytest.raises(ValueError):
             pagefault.measured_throughput("dma", 10)
+
+    def test_unknown_scenario_leaves_the_apu_untouched(self):
+        apu = make_apu(2, xnack=True)
+        before = (list(apu.memory.allocations), apu.memory.live_bytes())
+        with pytest.raises(ValueError):
+            pagefault.measured_throughput("dma", 10, apu=apu)
+        assert (list(apu.memory.allocations), apu.memory.live_bytes()) == before

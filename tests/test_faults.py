@@ -5,8 +5,12 @@ import pytest
 
 from repro.core.faults import GPUMemoryAccessError
 from repro.core.address_space import GPU_ACCESS_NEVER
-from repro.hw.config import PAGE_SIZE
-from repro.perf.faultmodel import sample_latency_distribution
+from repro.hw.config import PAGE_SIZE, default_config
+from repro.perf.faultmodel import (
+    fault_burst_time_ns,
+    sample_latency_distribution,
+)
+from repro.runtime import make_apu
 
 
 class TestCPUOnDemandFaults:
@@ -152,6 +156,66 @@ class TestLatencySampling:
         buf = apu.memory.malloc(PAGE_SIZE)
         with pytest.raises(ValueError):
             apu.faults.touch_range(buf.vma, 0, 1, "npu")
+
+
+BURST_PAGES = (1, 2, 16, 1_000, 10_000, 262_144)
+
+
+@pytest.fixture(scope="module")
+def apu4():
+    """One 4 GiB XNACK APU shared by the burst-cost cases (each frees)."""
+    return make_apu(4, xnack=True)
+
+
+class TestOneFaultCostModel:
+    """The engine charges every fault burst with the one fault model."""
+
+    def _burst(self, apu, kind, pages, concurrency):
+        buf = apu.memory.malloc(pages * PAGE_SIZE)
+        if kind == "gpu_minor":
+            apu.faults.touch_range(buf.vma, 0, pages, "cpu", concurrency=12)
+        device = "cpu" if kind == "cpu" else "gpu"
+        report = apu.faults.touch_range(
+            buf.vma, 0, pages, device, concurrency=concurrency
+        )
+        apu.memory.free(buf)
+        return report
+
+    @pytest.mark.parametrize("pages", BURST_PAGES)
+    @pytest.mark.parametrize("kind", ["gpu_major", "gpu_minor"])
+    def test_gpu_burst_equals_model(self, apu4, kind, pages):
+        report = self._burst(apu4, kind, pages, apu4.gpu.compute_units)
+        assert report.service_time_ns == fault_burst_time_ns(
+            apu4.config, kind, pages
+        )
+
+    @pytest.mark.parametrize("pages", BURST_PAGES)
+    @pytest.mark.parametrize("cores", [1, 12, 24])
+    def test_cpu_burst_equals_model(self, apu4, cores, pages):
+        report = self._burst(apu4, "cpu", pages, cores)
+        assert report.cpu_fault_events == pages
+        assert report.service_time_ns == fault_burst_time_ns(
+            apu4.config, "cpu", pages, cores=cores
+        )
+
+    @pytest.mark.parametrize("cores", [1, 12, 24])
+    def test_one_page_costs_the_single_fault_latency(self, cores):
+        costs = default_config().fault_costs
+        for kind, latency in (
+            ("cpu", costs.cpu_single_latency_ns),
+            ("gpu_minor", costs.gpu_minor_single_latency_ns),
+            ("gpu_major", costs.gpu_major_single_latency_ns),
+        ):
+            assert fault_burst_time_ns(
+                default_config(), kind, 1, cores=cores
+            ) == latency
+
+    def test_fig8_mean_is_the_one_page_cost(self, config):
+        for kind in ("cpu", "gpu_minor", "gpu_major"):
+            draws = sample_latency_distribution(config, kind, 200_000)
+            assert draws.mean() == pytest.approx(
+                fault_burst_time_ns(config, kind, 1), rel=0.01
+            )
 
 
 class TestEagerGPUMaps:
