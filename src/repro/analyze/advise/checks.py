@@ -1,16 +1,16 @@
 """The six paper-grounded advisor checks over dataflow events.
 
 Each check encodes one performance lesson from the paper, prices the
-anti-pattern with the calibrated constants in :mod:`repro.hw.config`,
-and cites the figure it derives from via the rule registry
+anti-pattern with the calibrated constants in :mod:`repro.hw.config`
+(fault bursts through :mod:`repro.perf.faultmodel`), and cites the figure it derives from via the rule registry
 (:mod:`repro.analyze.findings`):
 
 ==================== ===================== ==========================
 rule                 paper anchor          what it costs
 ==================== ===================== ==========================
 advise.redundant-copy §4.3 / Fig. 3        bytes / SDMA bandwidth
-advise.first-touch    Fig. 10              pages x GPU minor fault
-advise.fault-storm    Figs. 7-8 / §5.2     pages x GPU major fault
+advise.first-touch    Fig. 10              GPU minor fault burst
+advise.fault-storm    Figs. 7-8 / §5.2     GPU major fault burst
 advise.tlb-reach      Fig. 9 / §5.3        fragments x L2-TLB miss
 advise.mixed-alloc    §3.4 / Table 1       (structural)
 advise.sync-in-loop   §3.3                 (structural)
@@ -31,6 +31,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ...hw.config import PAGE_SIZE, MI300AConfig, default_config
+from ...perf.faultmodel import fault_burst_time_ns
 from ..findings import Finding, make_finding
 from ..sanitizer import GPU_FAULT_STORM_PAGES
 from .dataflow import Event, FunctionResult
@@ -52,6 +53,14 @@ def _origin_label(origin: Origin) -> str:
     if origin.name:
         return f"'{origin.name}' ({origin.family})"
     return origin.family
+
+
+def _burst_cost(
+    cfg: MI300AConfig, kind: str, origins: Iterable[Origin]
+) -> Optional[float]:
+    """The fault model's price of faulting in the known bytes of *origins*."""
+    size = sum(o.size_bytes for o in origins if o.size_bytes)
+    return fault_burst_time_ns(cfg, kind, -(-size // PAGE_SIZE)) or None
 
 
 def _buf_label(origins: Iterable[Origin]) -> str:
@@ -154,11 +163,6 @@ def _check_launch(
         "a kernel"
     )
     if first_touch:
-        size = sum(o.size_bytes for o in first_touch if o.size_bytes) or None
-        cost = None
-        if size:
-            pages = size / PAGE_SIZE
-            cost = pages * cfg.fault_costs.gpu_minor_batched_page_ns
         _add(
             out,
             len(first_touch),
@@ -170,17 +174,12 @@ def _check_launch(
                 file=file,
                 line=ev.line,
                 function=ev.function,
-                cost_ns=cost,
+                cost_ns=_burst_cost(cfg, "gpu_minor", first_touch),
                 hint="allocate up-front (hipMalloc) or prefetch with "
                      "hipMemPrefetchAsync before the launch",
             ),
         )
     if storm:
-        size = sum(o.size_bytes for o in storm if o.size_bytes) or None
-        cost = None
-        if size:
-            pages = size / PAGE_SIZE
-            cost = pages * cfg.fault_costs.gpu_major_batched_page_ns
         _add(
             out,
             len(storm),
@@ -192,7 +191,7 @@ def _check_launch(
                 file=file,
                 line=ev.line,
                 function=ev.function,
-                cost_ns=cost,
+                cost_ns=_burst_cost(cfg, "gpu_major", storm),
                 hint="warm the buffer with a GPU touch/prefetch, or "
                      "allocate it up-front",
             ),

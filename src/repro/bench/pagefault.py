@@ -7,10 +7,11 @@ Four scenarios, as in the paper:
   (PTE propagation only);
 * **1CPU / 12CPU** — on-demand memory touched from 1 or 12 CPU cores.
 
-Throughput is evaluated against the calibrated queueing model
-(:mod:`repro.perf.faultmodel`) and, for cross-checking, measured on a
-live simulated APU by actually mmapping a buffer, issuing one access per
-page, and reading the simulated clock.
+Throughput is evaluated with the one fault-cost model
+(:mod:`repro.perf.faultmodel`).  :func:`measured_throughput` runs the
+same burst on a live simulated APU by actually mmapping a buffer,
+issuing one access per page, and reading the simulated clock; the fault
+handler prices it with the same model, so the two agree.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import numpy as np
 
 from ..hw.config import MI300AConfig, PAGE_SIZE, default_config
 from ..perf.faultmodel import (
+    SCENARIOS,
     Scenario,
     fault_throughput_pages_per_s,
     sample_latency_distribution,
@@ -62,28 +64,26 @@ def measured_throughput(
     pages: int,
     apu: Optional[APU] = None,
 ) -> float:
-    """Measure fault throughput on a live APU (cross-check of the model).
+    """Measure fault throughput on a live APU.
 
     Uses ``mmap`` semantics (a fresh on-demand VMA per run) so every test
     is independent, as the paper's methodology specifies.
     """
+    if scenario not in SCENARIOS:
+        raise ValueError(f"unknown scenario {scenario!r}")
     if apu is None:
         needed_gib = max(2, (pages * PAGE_SIZE >> 30) * 2 + 1)
         apu = make_apu(needed_gib, xnack=True)
-    size = pages * PAGE_SIZE
-    buffer = apu.memory.malloc(size, name=f"faultbench-{scenario}")
-
-    if scenario == "gpu_minor":
-        apu.touch(buffer, "cpu", concurrency=12)  # pre-fault, untimed
-        device, concurrency = "gpu", apu.gpu.compute_units
-    elif scenario == "gpu_major":
-        device, concurrency = "gpu", apu.gpu.compute_units
-    elif scenario == "cpu":
-        device, concurrency = "cpu", 1
-    elif scenario == "cpu12":
-        device, concurrency = "cpu", 12
+    kind, cores = SCENARIOS[scenario]
+    if kind == "cpu":
+        device, concurrency = "cpu", cores
     else:
-        raise ValueError(f"unknown scenario {scenario!r}")
+        device, concurrency = "gpu", apu.gpu.compute_units
+    buffer = apu.memory.malloc(
+        pages * PAGE_SIZE, name=f"faultbench-{scenario}"
+    )
+    if kind == "gpu_minor":
+        apu.touch(buffer, "cpu", concurrency=12)  # pre-fault, untimed
 
     start = apu.clock.now_ns
     apu.touch(buffer, device, concurrency=concurrency)

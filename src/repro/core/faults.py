@@ -31,6 +31,7 @@ from typing import Literal
 import numpy as np
 
 from ..hw.config import MI300AConfig, PAGE_SIZE
+from ..perf.faultmodel import fault_burst_time_ns
 from .address_space import (
     GPU_ACCESS_NEVER,
     GPU_ACCESS_XNACK,
@@ -402,34 +403,27 @@ class FaultHandler:
     def _service_time_ns(self, report: FaultReport, concurrency: int) -> float:
         """Total fault-service time for the touched range.
 
-        Single faults pay the full handler latency; concurrent fault
-        streams amortise towards the batched per-page service times that
-        produce the paper's throughput plateaus (Fig. 7).  The detailed
-        throughput curve lives in :mod:`repro.perf.faultmodel`; this is
-        the inline cost the kernel engine charges.
+        Each kind's burst is priced by the one fault model,
+        :func:`repro.perf.faultmodel.fault_burst_time_ns`, with
+        *concurrency* as the CPU core count; eager maps and injected
+        XNACK pathologies add their own terms.
         """
-        costs = self._config.fault_costs
+        config = self._config
+        costs = config.fault_costs
         total = 0.0
         if report.cpu_faulted_pages:
-            total += _batched_time(
-                report.cpu_fault_events,
-                costs.cpu_single_latency_ns,
-                costs.cpu_batched_page_ns
-                * _cpu_core_factor(concurrency, costs.cpu_core_scaling),
+            total += fault_burst_time_ns(
+                config, "cpu", report.cpu_fault_events, concurrency
             )
         if report.gpu_major_pages:
-            total += _batched_time(
-                report.gpu_major_pages,
-                costs.gpu_major_single_latency_ns,
-                costs.gpu_major_batched_page_ns,
+            total += fault_burst_time_ns(
+                config, "gpu_major", report.gpu_major_pages
             )
         if report.gpu_minor_pages:
-            total += _batched_time(
-                report.gpu_minor_pages,
-                costs.gpu_minor_single_latency_ns,
-                costs.gpu_minor_batched_page_ns,
+            total += fault_burst_time_ns(
+                config, "gpu_minor", report.gpu_minor_pages
             )
-        total += report.eager_mapped_pages * self._config.policy.eager_map_page_ns
+        total += report.eager_mapped_pages * config.policy.eager_map_page_ns
         # Injected XNACK pathologies: every dropped replay re-runs a full
         # handler pass; storm replays re-service pages at the batched rate.
         if report.xnack_retries:
@@ -437,17 +431,3 @@ class FaultHandler:
         if report.storm_replay_pages:
             total += report.storm_replay_pages * costs.gpu_minor_batched_page_ns
         return total
-
-
-def _batched_time(events: int, single_ns: float, per_event_ns: float) -> float:
-    """Latency of a fault burst: one full handler pass plus pipelined rest."""
-    if events <= 0:
-        return 0.0
-    return single_ns + (events - 1) * per_event_ns
-
-
-def _cpu_core_factor(cores: int, exponent: float) -> float:
-    """Per-page service-time multiplier when *cores* fault concurrently."""
-    if cores <= 1:
-        return 1.0
-    return float(cores**-exponent)

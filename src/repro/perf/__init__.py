@@ -6,7 +6,7 @@ channel balance, allocation mode, contention level) into time:
 * :mod:`~repro.perf.latency` — pointer-chase latency (Fig. 2),
 * :mod:`~repro.perf.bandwidth` — STREAM bandwidth (Fig. 3),
 * :mod:`~repro.perf.atomics` — atomics/coherence throughput (Figs. 4-5),
-* :mod:`~repro.perf.faultmodel` — fault throughput/latency (Figs. 7-8).
+* :mod:`~repro.perf.faultmodel` — fault-burst cost (Figs. 7-8).
 """
 
 from .atomics import (
@@ -23,12 +23,10 @@ from .bandwidth import (
     stream_time_ns,
 )
 from .faultmodel import (
-    ScenarioParams,
     fault_burst_time_ns,
     fault_throughput_pages_per_s,
     prefault_speedup,
     sample_latency_distribution,
-    scenario_params,
 )
 from .latency import (
     chase_latency_ns,
@@ -40,7 +38,6 @@ from .latency import (
 __all__ = [
     "BufferTraits",
     "HybridThroughput",
-    "ScenarioParams",
     "chase_latency_ns",
     "cpu_atomic_throughput",
     "cpu_atomic_update_cost_ns",
@@ -55,6 +52,5 @@ __all__ = [
     "ic_hit_fraction_for_frames",
     "prefault_speedup",
     "sample_latency_distribution",
-    "scenario_params",
     "stream_time_ns",
 ]
