@@ -42,23 +42,23 @@ SIZES = {"tiny": TINY, "quick": APP_QUICK_PARAMS}
 #: float.hex(), peak_memory_bytes).
 PINNED = {
     ("tiny", "backprop", "explicit"): (
-        "0x1.01d4380000000p+12", "0x1.cba0175f416fbp-13",
-        "0x1.b3a766a5a469bp-14", 151552,
+        "0x1.01d4380000000p+12", "0x1.dab852b08a0b8p-13",
+        "0x1.b3a766a5a4699p-14", 151552,
     ),
     ("tiny", "backprop", "unified"): (
         "0x1.01d4380000000p+12", "0x1.421156f7e224ap-13",
         "0x1.8fcec9e501700p-16", 77824,
     ),
     ("tiny", "dwt2d", "explicit"): (
-        "0x1.b585100000000p+16", "0x1.f0b47a35c55a5p-14",
+        "0x1.b585100000000p+16", "0x1.0906049742a39p-13",
         "0x1.21fd980654d79p-15", 61440,
     ),
     ("tiny", "dwt2d", "unified"): (
-        "0x1.b585100000000p+16", "0x1.6a674d1bb5e52p-14",
+        "0x1.b585100000000p+16", "0x1.82c44b31b12e2p-14",
         "0x1.92f66143d3935p-18", 61440,
     ),
     ("tiny", "heartwall", "explicit"): (
-        "0x1.fc00000000000p+8", "0x1.dd341783caeb4p-15",
+        "0x1.fc00000000000p+8", "0x1.ef2939495432ep-15",
         "0x1.b83c522c5575ep-16", 32768,
     ),
     ("tiny", "heartwall", "unified-v1"): (
@@ -78,12 +78,12 @@ PINNED = {
         "0x1.0ca0f46b1a29ep-16", 12288,
     ),
     ("tiny", "nn", "explicit"): (
-        "0x1.63b9020000000p+3", "0x1.a11ccc7158988p-14",
+        "0x1.63b9020000000p+3", "0x1.bb83ffc742599p-14",
         "0x1.128c931d5dd68p-16", 98304,
     ),
     ("tiny", "nn", "unified"): (
-        "0x1.63b9020000000p+3", "0x1.0defca58495c6p-14",
-        "0x1.3c6671d3c9c28p-16", 49152,
+        "0x1.63b9020000000p+3", "0x1.21d68c035a9dap-14",
+        "0x1.464eeeb37a526p-16", 49152,
     ),
     ("tiny", "nn", "unified-hipalloc"): (
         "0x1.63b9020000000p+3", "0x1.1526a05845ab7p-14",
@@ -98,59 +98,59 @@ PINNED = {
         "0x1.9700787b04e67p-17", 8192,
     ),
     ("quick", "backprop", "explicit"): (
-        "0x1.ffb8520000000p+18", "0x1.bd3aa5390f5b8p-7",
-        "0x1.02257d992703fp-9", 17838080,
+        "0x1.ffb8520000000p+18", "0x1.be4bc559a0445p-7",
+        "0x1.0317014e3b8dep-9", 17838080,
     ),
     ("quick", "backprop", "unified"): (
-        "0x1.ffb8520000000p+18", "0x1.60230f81964c0p-7",
+        "0x1.ffb8520000000p+18", "0x1.605f706edb6e8p-7",
         "0x1.4d86046144b08p-10", 8921088,
     ),
     ("quick", "dwt2d", "explicit"): (
-        "0x1.b841400000000p+26", "0x1.2024d5dc6a21fp-5",
-        "0x1.ab8594b777e44p-11", 62914560,
+        "0x1.b841400000000p+26", "0x1.2062ad35a13a6p-5",
+        "0x1.bafb6b053dfe2p-11", 62914560,
     ),
     ("quick", "dwt2d", "unified"): (
-        "0x1.b841400000000p+26", "0x1.e82f8d2abd29ep-6",
+        "0x1.b841400000000p+26", "0x1.e86075669191bp-6",
         "0x1.a801065c37b0cp-14", 62914560,
     ),
     ("quick", "heartwall", "explicit"): (
-        "0x1.0a3a000000000p+15", "0x1.a0173092caa53p-10",
-        "0x1.7693e284868eap-11", 2097152,
+        "0x1.0a3a000000000p+15", "0x1.a8ad53d3764a4p-10",
+        "0x1.770396d93435ep-11", 2097152,
     ),
     ("quick", "heartwall", "unified-v1"): (
-        "0x1.0a3a000000000p+15", "0x1.7283cd4c301c8p-10",
-        "0x1.d226dc15f2cfbp-11", 1048576,
+        "0x1.0a3a000000000p+15", "0x1.72bba77686f01p-10",
+        "0x1.d296906aa076ep-11", 1048576,
     ),
     ("quick", "heartwall", "unified-v2"): (
-        "0x1.0a3a000000000p+15", "0x1.59bbe39179807p-10",
-        "0x1.70d8a1698c28bp-11", 2097152,
+        "0x1.0a3a000000000p+15", "0x1.5a2b97e62727ap-10",
+        "0x1.71b80a12e7771p-11", 2097152,
     ),
     ("quick", "hotspot", "explicit"): (
-        "0x1.447dfe0000000p+8", "0x1.56e7dd236bff4p-9",
-        "0x1.5d28ca257b40bp-12", 5242880,
+        "0x1.447dfe0000000p+8", "0x1.5f7e006417a44p-9",
+        "0x1.5ee79b7831dd7p-12", 5242880,
     ),
     ("quick", "hotspot", "unified"): (
-        "0x1.447dfe0000000p+8", "0x1.fccec87e5289fp-10",
+        "0x1.447dfe0000000p+8", "0x1.fd3e7cd300313p-10",
         "0x1.3f958b24de420p-13", 3145728,
     ),
     ("quick", "nn", "explicit"): (
-        "0x1.6da2ac0000000p+0", "0x1.3d5a43cf9aadep-7",
-        "0x1.0945eeb3155ecp-13", 25165824,
+        "0x1.6da2ac0000000p+0", "0x1.3dd305aa24f2dp-7",
+        "0x1.185e2a045dfbcp-13", 25165824,
     ),
     ("quick", "nn", "unified"): (
-        "0x1.6da2ac0000000p+0", "0x1.0b9a532c0fbc0p-7",
-        "0x1.171e6fceba4d4p-12", 12582912,
+        "0x1.6da2ac0000000p+0", "0x1.0e441df28f041p-7",
+        "0x1.6c57c89ea34f9p-12", 12582912,
     ),
     ("quick", "nn", "unified-hipalloc"): (
-        "0x1.6da2ac0000000p+0", "0x1.08865593e1160p-7",
+        "0x1.6da2ac0000000p+0", "0x1.08eee16293f4bp-7",
         "0x1.8165ed59021c3p-16", 12582912,
     ),
     ("quick", "srad_v1", "explicit"): (
-        "0x1.c1efe20000000p+0", "0x1.0bb15775cf289p-9",
-        "0x1.19d101360d11fp-11", 3153920,
+        "0x1.c1efe20000000p+0", "0x1.0ffc691624fb2p-9",
+        "0x1.1a40b58abab93p-11", 3153920,
     ),
     ("quick", "srad_v1", "unified"): (
-        "0x1.c1efe20000000p+0", "0x1.a76849ce56f8fp-10",
+        "0x1.c1efe20000000p+0", "0x1.a7a023f8adcc8p-10",
         "0x1.b149d34c8787fp-12", 2097152,
     ),
 }
