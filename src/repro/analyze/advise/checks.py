@@ -2,7 +2,8 @@
 
 Each check encodes one performance lesson from the paper, prices the
 anti-pattern with the calibrated constants in :mod:`repro.hw.config`
-(fault bursts through :mod:`repro.perf.faultmodel`), and cites the figure it derives from via the rule registry
+(fault bursts through :mod:`repro.perf.faultmodel`), and cites the
+figure it derives from via the rule registry
 (:mod:`repro.analyze.findings`):
 
 ==================== ===================== ==========================

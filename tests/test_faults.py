@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.faults import GPUMemoryAccessError
 from repro.core.address_space import GPU_ACCESS_NEVER
-from repro.hw.config import PAGE_SIZE, default_config
+from repro.hw.config import PAGE_SIZE
 from repro.perf.faultmodel import (
     fault_burst_time_ns,
     sample_latency_distribution,
@@ -199,16 +199,14 @@ class TestOneFaultCostModel:
         )
 
     @pytest.mark.parametrize("cores", [1, 12, 24])
-    def test_one_page_costs_the_single_fault_latency(self, cores):
-        costs = default_config().fault_costs
+    def test_one_page_costs_the_single_fault_latency(self, config, cores):
+        costs = config.fault_costs
         for kind, latency in (
             ("cpu", costs.cpu_single_latency_ns),
             ("gpu_minor", costs.gpu_minor_single_latency_ns),
             ("gpu_major", costs.gpu_major_single_latency_ns),
         ):
-            assert fault_burst_time_ns(
-                default_config(), kind, 1, cores=cores
-            ) == latency
+            assert fault_burst_time_ns(config, kind, 1, cores=cores) == latency
 
     def test_fig8_mean_is_the_one_page_cost(self, config):
         for kind in ("cpu", "gpu_minor", "gpu_major"):
