@@ -14,7 +14,7 @@ granularity signature of Section 5.4.
 import pytest
 
 from conftest import experiment_rows, print_table
-from repro.exp.experiments import FIG10_CONFIGS
+from repro.bench.stream import FIG10_CONFIGS
 from repro.hw.config import MiB
 
 ARRAY_BYTES = 610 * MiB

@@ -95,8 +95,10 @@ class TestDeallocationFindings:
         assert above["free_ns"] > above["alloc_ns"]
 
     def test_hipfree_up_to_22x_at_256mib(self):
-        sample = allocspeed.cost_sweep("hipMalloc", sizes=[256 * MiB])[0]
-        assert sample.free_ns / sample.alloc_ns == pytest.approx(22, rel=0.15)
+        ((_, _, alloc_ns, free_ns),) = allocspeed.cost_sweep(
+            "hipMalloc", [256 * MiB]
+        )
+        assert free_ns / alloc_ns == pytest.approx(22, rel=0.15)
 
     def test_managed_xnack_free_microseconds(self, samples):
         for size in SIZES:
@@ -116,7 +118,9 @@ def test_live_allocator_matches_model(benchmark):
     def live():
         return allocspeed.timed_loop("hipMalloc", 1 * MiB, count=100, warmup=10)
 
-    sample = benchmark.pedantic(live, rounds=1, iterations=1)
-    model = allocspeed.cost_sweep("hipMalloc", sizes=[1 * MiB])[0]
-    assert sample.alloc_ns == pytest.approx(model.alloc_ns, rel=0.01)
-    assert sample.free_ns == pytest.approx(model.free_ns, rel=0.01)
+    alloc_ns, free_ns = benchmark.pedantic(live, rounds=1, iterations=1)
+    ((_, _, model_alloc_ns, model_free_ns),) = allocspeed.cost_sweep(
+        "hipMalloc", [1 * MiB]
+    )
+    assert alloc_ns == pytest.approx(model_alloc_ns, rel=0.01)
+    assert free_ns == pytest.approx(model_free_ns, rel=0.01)

@@ -3,8 +3,9 @@
 Regenerates the methodology inventory: every benchmark, profiling tool,
 and HPC workload of the paper, mapped to the module in this repository
 that implements it.  The assertions verify the inventory is *live* —
-each benchmark module imports and backs a registered experiment, and
-each tool and workload exposes its expected entry point.
+each benchmark module imports and is the runner of its registered
+experiments, and each tool and workload exposes its expected entry
+point.
 """
 
 import importlib
@@ -15,12 +16,16 @@ from conftest import print_table
 from repro.exp import get_spec
 
 BENCHMARKS = [
-    ("Memory latency", "multichase", "repro.bench.multichase", "fig2"),
-    ("Memory bandwidth", "STREAM", "repro.bench.stream", "fig3"),
-    ("Legacy transfer", "hip-bandwidth", "repro.bench.hipbandwidth", "memcpy"),
-    ("Coherence overhead", "custom", "repro.bench.histogram", "fig5"),
-    ("Allocation speed", "custom", "repro.bench.allocspeed", "fig6"),
-    ("Page fault overhead", "custom", "repro.bench.pagefault", "fig7"),
+    ("Memory latency", "multichase", "repro.bench.multichase", ("fig2",)),
+    ("Memory bandwidth", "STREAM", "repro.bench.stream",
+     ("fig3", "fig9", "fig10")),
+    ("Legacy transfer", "hip-bandwidth", "repro.bench.hipbandwidth",
+     ("memcpy",)),
+    ("Coherence overhead", "custom", "repro.bench.histogram",
+     ("fig4", "fig5")),
+    ("Allocation speed", "custom", "repro.bench.allocspeed", ("fig6",)),
+    ("Page fault overhead", "custom", "repro.bench.pagefault",
+     ("fig7", "fig8")),
 ]
 
 PROFILING = [
@@ -42,9 +47,12 @@ WORKLOADS = [
 
 def build_inventory():
     rows = []
-    for purpose, tool, module_name, experiment in BENCHMARKS:
+    for purpose, tool, module_name, experiments in BENCHMARKS:
         importlib.import_module(module_name)
-        assert get_spec(experiment).point_count() > 0, (module_name, experiment)
+        for experiment in experiments:
+            spec = get_spec(experiment)
+            assert spec.runner.__module__ == module_name, (module_name, experiment)
+            assert spec.point_count() > 0, (module_name, experiment)
         rows.append(("benchmark", purpose, tool, module_name))
     for purpose, tool, module_name, attr in PROFILING:
         module = importlib.import_module(module_name)

@@ -25,7 +25,8 @@ Subpackages:
 * :mod:`repro.partition` — SPX/TPX/CPX and NPS1/NPS4 partition modes.
 * :mod:`repro.runtime` — the HIP-like runtime and kernel engine.
 * :mod:`repro.perf` — calibrated performance models.
-* :mod:`repro.bench` — the paper's benchmarks as library functions.
+* :mod:`repro.bench` — the paper's benchmarks; each figure's function
+  is the runner :mod:`repro.exp` registers for it.
 * :mod:`repro.profiling` — rocprof / perf-stat / libnuma analogues.
 * :mod:`repro.porting` — Section 3.3's porting strategies.
 * :mod:`repro.apps` — the six Rodinia workloads.

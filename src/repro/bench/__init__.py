@@ -1,4 +1,8 @@
-"""The paper's benchmarks (Table 2) as library functions.
+"""The paper's benchmarks (Table 2).
+
+Each figure's function is the runner its :mod:`repro.exp` spec
+registers: it takes one grid point's parameters and returns the rows in
+the spec's ``columns`` order.
 
 * :mod:`~repro.bench.multichase` — memory latency (Fig. 2)
 * :mod:`~repro.bench.stream` — memory bandwidth + TLB/fault counters

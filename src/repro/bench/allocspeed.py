@@ -13,26 +13,12 @@ Two modes are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..core import allocators as alloc_costs
-from ..hw.config import GiB, MI300AConfig, default_config
+from ..hw.config import MI300AConfig, default_config
 from ..runtime.apu import APU, make_apu
 from .allocators import allocate
-
-#: Fig. 6's size axis: 2 B to 1 GiB, powers of two (decimated for speed).
-DEFAULT_SIZES = [2 << i for i in range(0, 30, 2)] + [1 * GiB]
-
-
-@dataclass(frozen=True)
-class AllocSample:
-    """Per-call allocation and deallocation times at one size."""
-
-    allocator: str
-    size_bytes: int
-    alloc_ns: float
-    free_ns: float
 
 
 def _cost_functions(
@@ -67,18 +53,14 @@ def _cost_functions(
     raise ValueError(f"unknown allocator {allocator!r}")
 
 
-def cost_sweep(
-    allocator: str,
-    sizes: Optional[Sequence[int]] = None,
-    config: Optional[MI300AConfig] = None,
-) -> List[AllocSample]:
-    """The Fig. 6 curve for one allocator, from the cost models."""
-    config = config or default_config()
-    alloc_fn, free_fn = _cost_functions(config, allocator)
-    return [
-        AllocSample(allocator, size, alloc_fn(size), free_fn(size))
-        for size in (sizes if sizes is not None else DEFAULT_SIZES)
-    ]
+def cost_sweep(allocator: str, sizes: Sequence[int]) -> List[list]:
+    """Fig. 6: one allocator's curve, from the cost models.
+
+    One row ``[allocator, size_bytes, alloc_ns, free_ns]`` per size, the
+    times per call.
+    """
+    alloc_fn, free_fn = _cost_functions(default_config(), allocator)
+    return [[allocator, size, alloc_fn(size), free_fn(size)] for size in sizes]
 
 
 def timed_loop(
@@ -87,12 +69,13 @@ def timed_loop(
     count: int = 100,
     warmup: int = 10,
     apu: Optional[APU] = None,
-) -> AllocSample:
+) -> Tuple[float, float]:
     """Run the paper's two-loop benchmark on a live APU.
 
     Allocates *count* chunks in a loop (after *warmup* discarded rounds
     of a single alloc/free pair), frees them in a second loop, and reads
-    the simulated clock around each loop.
+    the simulated clock around each loop.  Returns the per-call
+    ``(alloc_ns, free_ns)``.
     """
     if apu is None:
         needed_gib = max(2, (size_bytes * count >> 30) + 1)
@@ -112,4 +95,4 @@ def timed_loop(
         mem.free(chunk)
     free_ns = (apu.clock.now_ns - start) / count
 
-    return AllocSample(allocator, size_bytes, alloc_ns, free_ns)
+    return alloc_ns, free_ns

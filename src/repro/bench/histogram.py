@@ -10,107 +10,67 @@ executed with numpy so correctness is testable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
-from ..hw.config import MI300AConfig, default_config
+from ..hw.config import default_config
 from ..perf.atomics import (
     DType,
-    HybridThroughput,
     cpu_atomic_throughput,
     gpu_atomic_throughput,
     hybrid_atomic_throughput,
 )
 
 #: The paper's four array sizes (elements).
-ARRAY_SIZES = [1, 1 << 10, 1 << 20, 1 << 30]
+ARRAY_SIZES = (1, 1 << 10, 1 << 20, 1 << 30)
 
 #: CPU thread counts swept in Fig. 4's first row.
-CPU_THREADS = [1, 2, 3, 6, 12, 24]
+CPU_THREADS = (1, 2, 3, 6, 12, 24)
 
-#: GPU thread counts swept in Fig. 4's second row (64-thread blocks).
-GPU_THREADS = [64, 640, 1280, 2304, 3328, 6400, 10496, 14592]
-
-
-@dataclass(frozen=True)
-class AtomicsSample:
-    """One point on a Fig. 4 curve."""
-
-    device: str
-    dtype: DType
-    elements: int
-    threads: int
-    updates_per_s: float
+#: GPU thread counts swept in Fig. 4's second row (64-thread blocks),
+#: also Fig. 5's GPU axis.
+GPU_THREADS = (64, 640, 1280, 2304, 3328, 6400, 10496, 14592)
 
 
-def cpu_sweep(
-    elements: int,
-    dtype: DType = "uint64",
-    threads: Optional[Sequence[int]] = None,
-    config: Optional[MI300AConfig] = None,
-) -> List[AtomicsSample]:
-    """Isolated CPU throughput across thread counts."""
-    config = config or default_config()
+def isolated_sweep(device: str, dtype: DType, elements: int) -> List[list]:
+    """Fig. 4: isolated throughput of one device across its thread counts.
+
+    One row ``[device, dtype, elements, threads, updates_per_s]`` per
+    :data:`CPU_THREADS` entry on the CPU, per :data:`GPU_THREADS` entry
+    on the GPU.
+    """
+    config = default_config()
+    if device == "cpu":
+        threads, throughput = CPU_THREADS, cpu_atomic_throughput
+    else:
+        threads, throughput = GPU_THREADS, gpu_atomic_throughput
     return [
-        AtomicsSample(
-            "cpu", dtype, elements, t,
-            cpu_atomic_throughput(config, elements, t, dtype),
-        )
-        for t in (threads if threads is not None else CPU_THREADS)
+        [device, dtype, elements, t, throughput(config, elements, t, dtype)]
+        for t in threads
     ]
-
-
-def gpu_sweep(
-    elements: int,
-    dtype: DType = "uint64",
-    threads: Optional[Sequence[int]] = None,
-    config: Optional[MI300AConfig] = None,
-) -> List[AtomicsSample]:
-    """Isolated GPU throughput across thread counts."""
-    config = config or default_config()
-    return [
-        AtomicsSample(
-            "gpu", dtype, elements, t,
-            gpu_atomic_throughput(config, elements, t, dtype),
-        )
-        for t in (threads if threads is not None else GPU_THREADS)
-    ]
-
-
-@dataclass(frozen=True)
-class HybridSample:
-    """One cell of a Fig. 5 heatmap."""
-
-    dtype: DType
-    elements: int
-    cpu_threads: int
-    gpu_threads: int
-    result: HybridThroughput
 
 
 def hybrid_grid(
+    dtype: DType,
     elements: int,
-    dtype: DType = "uint64",
-    cpu_threads: Optional[Sequence[int]] = None,
-    gpu_threads: Optional[Sequence[int]] = None,
-    config: Optional[MI300AConfig] = None,
-) -> List[HybridSample]:
-    """Co-running CPU x GPU grid of relative performance (Fig. 5)."""
-    config = config or default_config()
-    cpu_list = list(cpu_threads) if cpu_threads is not None else [1, 3, 6, 12, 24]
-    gpu_list = list(gpu_threads) if gpu_threads is not None else GPU_THREADS
-    out: List[HybridSample] = []
-    for ct in cpu_list:
-        for gt in gpu_list:
-            out.append(
-                HybridSample(
-                    dtype, elements, ct, gt,
-                    hybrid_atomic_throughput(config, elements, ct, gt, dtype),
-                )
-            )
-    return out
+    cpu_threads: Sequence[int],
+    gpu_threads: Sequence[int],
+) -> List[list]:
+    """Fig. 5: the co-running CPU x GPU grid of relative performance.
+
+    One row ``[dtype, elements, cpu_threads, gpu_threads,
+    cpu_updates_per_s, gpu_updates_per_s, cpu_relative, gpu_relative]``
+    per cell, CPU-major.
+    """
+    config = default_config()
+    rows = []
+    for ct in cpu_threads:
+        for gt in gpu_threads:
+            r = hybrid_atomic_throughput(config, elements, ct, gt, dtype)
+            rows.append([dtype, elements, ct, gt, r.cpu_updates_per_s,
+                         r.gpu_updates_per_s, r.cpu_relative, r.gpu_relative])
+    return rows
 
 
 def run_histogram_kernel(

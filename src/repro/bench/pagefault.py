@@ -16,12 +16,11 @@ handler prices it with the same model, so the two agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..hw.config import MI300AConfig, PAGE_SIZE, default_config
+from ..hw.config import PAGE_SIZE, default_config
 from ..perf.faultmodel import (
     SCENARIOS,
     Scenario,
@@ -30,32 +29,16 @@ from ..perf.faultmodel import (
 )
 from ..runtime.apu import APU, make_apu
 
-#: Page counts swept in Fig. 7 (1 to 10 M pages; 10 M pages = 40 GiB).
-DEFAULT_PAGE_COUNTS = [1, 10, 100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000]
 
+def throughput_curve(scenario: Scenario, page_counts: Sequence[int]) -> List[list]:
+    """Fig. 7: one scenario's model curve.
 
-@dataclass(frozen=True)
-class ThroughputSample:
-    """One point on a Fig. 7 curve."""
-
-    scenario: Scenario
-    pages: int
-    pages_per_s: float
-
-
-def throughput_curve(
-    scenario: Scenario,
-    page_counts: Optional[Sequence[int]] = None,
-    config: Optional[MI300AConfig] = None,
-) -> List[ThroughputSample]:
-    """Model-based Fig. 7 curve for one scenario."""
-    config = config or default_config()
-    counts = list(page_counts) if page_counts is not None else DEFAULT_PAGE_COUNTS
+    One row ``[scenario, pages, pages_per_s]`` per page count.
+    """
+    config = default_config()
     return [
-        ThroughputSample(
-            scenario, n, fault_throughput_pages_per_s(config, scenario, n)
-        )
-        for n in counts
+        [scenario, n, fault_throughput_pages_per_s(config, scenario, n)]
+        for n in page_counts
     ]
 
 
@@ -94,34 +77,20 @@ def measured_throughput(
     return pages / elapsed_s
 
 
-@dataclass(frozen=True)
-class LatencyStats:
-    """Fig. 8 summary statistics for one fault type."""
+def latency_distributions(samples: int) -> List[list]:
+    """Fig. 8: single-fault latency distributions for CPU/GPU faults.
 
-    scenario: str
-    mean_us: float
-    p50_us: float
-    p95_us: float
-
-    @classmethod
-    def from_samples(cls, scenario: str, samples_ns: np.ndarray) -> "LatencyStats":
-        """Summarise raw latency draws."""
-        return cls(
-            scenario,
-            float(samples_ns.mean() / 1e3),
-            float(np.percentile(samples_ns, 50) / 1e3),
-            float(np.percentile(samples_ns, 95) / 1e3),
-        )
-
-
-def latency_distributions(
-    samples: int = 10_000,
-    config: Optional[MI300AConfig] = None,
-) -> List[LatencyStats]:
-    """Fig. 8: single-fault latency distributions for CPU/GPU faults."""
-    config = config or default_config()
-    out = []
+    One row ``[fault_type, mean_us, p50_us, p95_us]`` per fault type,
+    each summarising *samples* draws.
+    """
+    config = default_config()
+    rows = []
     for scenario in ("cpu", "gpu_minor", "gpu_major"):
         draws = sample_latency_distribution(config, scenario, samples)
-        out.append(LatencyStats.from_samples(scenario, draws))
-    return out
+        rows.append([
+            scenario,
+            float(draws.mean() / 1e3),
+            float(np.percentile(draws, 50) / 1e3),
+            float(np.percentile(draws, 95) / 1e3),
+        ])
+    return rows

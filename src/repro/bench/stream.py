@@ -5,19 +5,17 @@ configuration is (allocator, first-touch device); the CPU side sweeps
 thread counts 1..24 and reports the best, reproducing the paper's
 methodology.  The benchmark runs through the kernel engine, so the GPU
 TLB-miss counter (Fig. 9) and the CPU page-fault counter (Fig. 10) tick
-as side effects and can be sampled with the profiling interfaces.
+as side effects and are sampled with the profiling interfaces.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
-
+from typing import List, Optional, Tuple
 
 from ..hw.config import MiB
-from ..profiling.perfstat import PerfStat, PerfStatReport
+from ..profiling.perfstat import PerfStat
 from ..profiling.rocprof import RocProf
-from ..runtime.apu import APU, make_apu
+from ..runtime.apu import make_apu
 from ..runtime.kernels import BufferAccess, KernelEngine, KernelSpec
 from .allocators import allocate, wants_xnack
 
@@ -28,144 +26,110 @@ CPU_ARRAY_BYTES = 610 * MiB
 #: STREAM's standard iteration count (best-of-10 reporting).
 NTIMES = 10
 
-STREAM_ALLOCATORS = [
-    "malloc",
-    "malloc+register",
-    "hipMalloc",
-    "hipHostMalloc",
-    "hipMallocManaged(xnack=0)",
-    "hipMallocManaged(xnack=1)",
-    "__managed__",
-]
+#: Fig. 10's configurations: label -> (allocator, xnack, init_device).
+FIG10_CONFIGS = {
+    "malloc / baseline": ("malloc", False, "cpu"),
+    "malloc / xnack": ("malloc", True, "cpu"),
+    "malloc / gpu-init": ("malloc", True, "gpu"),
+    "hipMalloc / baseline": ("hipMalloc", False, "cpu"),
+    "hipMalloc / gpu-init": ("hipMalloc", False, "gpu"),
+    "hipHostMalloc / baseline": ("hipHostMalloc", False, "cpu"),
+    "hipHostMalloc / gpu-init": ("hipHostMalloc", False, "gpu"),
+    "managed / xnack": ("hipMallocManaged(xnack=1)", True, "cpu"),
+}
 
 
-@dataclass
-class StreamResult:
-    """One bar of Fig. 3 plus the profiler counters behind Figs. 9-10."""
-
-    allocator: str
-    device: str
-    init_device: str
-    array_bytes: int
-    bandwidth_bytes_per_s: float
-    best_threads: int
-    gpu_tlb_misses: int
-    cpu_page_faults: int
-
-
-def _make_apu_for(allocator: str, memory_gib: Optional[int]) -> APU:
-    if memory_gib is None:
-        memory_gib = 16
-    return make_apu(memory_gib, xnack=wants_xnack(allocator))
-
-
-def _triad_spec(a, b, c, passes: int) -> KernelSpec:
+def _triad_spec(a, b, c) -> KernelSpec:
     return KernelSpec(
         "triad",
         [
-            BufferAccess(a, "read", "stream", passes=passes),
-            BufferAccess(b, "read", "stream", passes=passes),
-            BufferAccess(c, "write", "stream", passes=passes),
+            BufferAccess(a, "read", "stream", passes=NTIMES),
+            BufferAccess(b, "read", "stream", passes=NTIMES),
+            BufferAccess(c, "write", "stream", passes=NTIMES),
         ],
     )
 
 
-def gpu_triad(
-    allocator: str,
-    init_device: str = "cpu",
-    array_bytes: int = GPU_ARRAY_BYTES,
-    ntimes: int = NTIMES,
-    memory_gib: Optional[int] = None,
-) -> StreamResult:
-    """GPU TRIAD bandwidth for one allocator/init combination."""
-    apu = _make_apu_for(allocator, memory_gib)
+def _bandwidth(array_bytes: int, memory_ns: float) -> float:
+    return 3 * array_bytes * NTIMES / (memory_ns / 1e9)
+
+
+def _gpu_triad(
+    allocator: str, init_device: str, array_bytes: int, memory_gib: int
+) -> Tuple[float, int]:
+    """GPU TRIAD: ``(bandwidth_bytes_per_s, gpu_tlb_misses)``."""
+    apu = make_apu(memory_gib, xnack=wants_xnack(allocator))
     arrays = [allocate(apu, allocator, array_bytes) for _ in range(3)]
     for arr in arrays:
         apu.touch(arr, init_device)
 
-    engine = KernelEngine(apu)
-    rocprof, perf = RocProf(apu), PerfStat(apu)
+    rocprof = RocProf(apu)
     rocprof.start()
-    perf.start()
-    result = engine.run_gpu(_triad_spec(*arrays, passes=ntimes))
+    result = KernelEngine(apu).run_gpu(_triad_spec(*arrays))
     apu.streams.device_synchronize()
-    counters = rocprof.stop()
-    faults = perf.stop()
-
-    moved = 3 * array_bytes * ntimes
-    bandwidth = moved / (result.memory_ns / 1e9)
-    return StreamResult(
-        allocator,
-        "gpu",
-        init_device,
-        array_bytes,
-        bandwidth,
-        best_threads=0,
-        gpu_tlb_misses=counters.tlb_misses,
-        cpu_page_faults=faults.page_faults,
-    )
+    return _bandwidth(array_bytes, result.memory_ns), rocprof.stop().tlb_misses
 
 
-def cpu_triad(
-    allocator: str,
-    init_device: str = "cpu",
-    array_bytes: int = CPU_ARRAY_BYTES,
-    ntimes: int = NTIMES,
-    threads: Optional[Sequence[int]] = None,
-    memory_gib: Optional[int] = None,
-) -> StreamResult:
-    """CPU TRIAD: sweeps thread counts and reports the best (Fig. 3)."""
-    apu = _make_apu_for(allocator, memory_gib)
+def _cpu_triad(
+    allocator: str, init_device: str, array_bytes: int, memory_gib: int
+) -> Tuple[float, int]:
+    """CPU TRIAD over 1..cores threads: ``(best bandwidth, its threads)``."""
+    apu = make_apu(memory_gib, xnack=wants_xnack(allocator))
     arrays = [allocate(apu, allocator, array_bytes) for _ in range(3)]
-    perf = PerfStat(apu)
-    perf.start()
     for arr in arrays:
         apu.touch(arr, init_device)
 
     engine = KernelEngine(apu)
-    sweep = list(threads) if threads is not None else list(
-        range(1, apu.cpu.cores + 1)
-    )
-    best_bw, best_threads = 0.0, sweep[0]
-    for t in sweep:
-        result = engine.run_cpu(_triad_spec(*arrays, passes=ntimes), threads=t)
-        moved = 3 * array_bytes * ntimes
-        bandwidth = moved / (result.memory_ns / 1e9)
+    best_bw, best_threads = 0.0, 1
+    for t in range(1, apu.cpu.cores + 1):
+        result = engine.run_cpu(_triad_spec(*arrays), threads=t)
+        bandwidth = _bandwidth(array_bytes, result.memory_ns)
         if bandwidth > best_bw:
             best_bw, best_threads = bandwidth, t
-    faults = perf.stop()
-    return StreamResult(
-        allocator,
-        "cpu",
-        init_device,
-        array_bytes,
-        best_bw,
-        best_threads=best_threads,
-        gpu_tlb_misses=0,
-        cpu_page_faults=faults.page_faults,
-    )
+    return best_bw, best_threads
 
 
-def cpu_fault_count(
-    allocator: str,
-    xnack: bool,
-    init_device: str = "cpu",
-    array_bytes: int = CPU_ARRAY_BYTES,
-    ntimes: int = NTIMES,
-    memory_gib: int = 16,
-) -> PerfStatReport:
-    """Total CPU page faults in the CPU STREAM benchmark (Fig. 10).
+def triad(
+    case: str, memory_gib: int, array_bytes: Optional[int] = None
+) -> List[list]:
+    """Fig. 3: best TRIAD bandwidth of one ``device|allocator|init`` case.
 
-    Counts faults across allocation, initialisation and *ntimes* TRIAD
-    iterations, for an explicit XNACK mode (Fig. 10's three configs are
-    baseline XNACK=0, XNACK=1, and GPU init).
+    *array_bytes* defaults to the paper's size for the device.  One row
+    ``[device, allocator, init_device, bandwidth_bytes_per_s,
+    best_threads]``; ``best_threads`` is 0 on the GPU.
     """
+    device, allocator, init = case.split("|")
+    if device == "gpu":
+        bandwidth, _ = _gpu_triad(allocator, init,
+                                  array_bytes or GPU_ARRAY_BYTES, memory_gib)
+        threads = 0
+    else:
+        bandwidth, threads = _cpu_triad(allocator, init,
+                                        array_bytes or CPU_ARRAY_BYTES,
+                                        memory_gib)
+    return [[device, allocator, init, bandwidth, threads]]
+
+
+def tlb_misses(allocator: str, array_bytes: int, memory_gib: int) -> List[list]:
+    """Fig. 9: one row ``[allocator, gpu_tlb_misses,
+    bandwidth_bytes_per_s]`` of a CPU-initialised GPU TRIAD."""
+    bandwidth, misses = _gpu_triad(allocator, "cpu", array_bytes, memory_gib)
+    return [[allocator, misses, bandwidth]]
+
+
+def cpu_fault_count(config: str, array_bytes: int, memory_gib: int) -> List[list]:
+    """Fig. 10: total CPU page faults in the CPU STREAM benchmark.
+
+    Counts faults across allocation, initialisation and the TRIAD
+    iterations for one :data:`FIG10_CONFIGS` label.  One row
+    ``[config, allocator, xnack, init_device, page_faults]``.
+    """
+    allocator, xnack, init = FIG10_CONFIGS[config]
     apu = make_apu(memory_gib, xnack=xnack)
     perf = PerfStat(apu)
     perf.start()
     arrays = [allocate(apu, allocator, array_bytes) for _ in range(3)]
     for arr in arrays:
-        apu.touch(arr, init_device)
-    engine = KernelEngine(apu)
-    engine.run_cpu(_triad_spec(*arrays, passes=ntimes), threads=apu.cpu.cores)
-    return perf.stop()
+        apu.touch(arr, init)
+    KernelEngine(apu).run_cpu(_triad_spec(*arrays), threads=apu.cpu.cores)
+    return [[config, allocator, xnack, init, perf.stop().page_faults]]

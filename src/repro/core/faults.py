@@ -405,11 +405,10 @@ class FaultHandler:
 
         Each kind's burst is priced by the one fault model,
         :func:`repro.perf.faultmodel.fault_burst_time_ns`, with
-        *concurrency* as the CPU core count; eager maps and injected
-        XNACK pathologies add their own terms.
+        *concurrency* as the CPU core count; so are the injected XNACK
+        pathologies.  Eager maps add their own per-page term.
         """
         config = self._config
-        costs = config.fault_costs
         total = 0.0
         if report.cpu_faulted_pages:
             total += fault_burst_time_ns(
@@ -425,9 +424,13 @@ class FaultHandler:
             )
         total += report.eager_mapped_pages * config.policy.eager_map_page_ns
         # Injected XNACK pathologies: every dropped replay re-runs a full
-        # handler pass; storm replays re-service pages at the batched rate.
+        # one-page handler pass.  The frames exist after the first pass,
+        # so a storm's replays are one burst of PTE re-propagations.
         if report.xnack_retries:
-            total += report.xnack_retries * costs.gpu_major_single_latency_ns
-        if report.storm_replay_pages:
-            total += report.storm_replay_pages * costs.gpu_minor_batched_page_ns
+            total += report.xnack_retries * fault_burst_time_ns(
+                config, "gpu_major", 1
+            )
+        total += fault_burst_time_ns(
+            config, "gpu_minor", report.storm_replay_pages
+        )
         return total

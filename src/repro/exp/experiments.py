@@ -2,12 +2,12 @@
 study, the UVM extension, and the partition sweep.
 
 Each experiment is one :class:`~repro.exp.spec.ExperimentSpec` — a
-parameter grid plus a module-level runner — replacing the hand-written
-per-figure drivers that used to live in ``cli.py``, ``report.py`` and
-the benchmark modules.  Runners are intentionally small: they call the
-same ``repro.bench`` / ``repro.apps`` / ``repro.uvm`` /
-``repro.partition`` entry points the paper benchmarks always used, one
-grid point at a time, on a freshly built simulated node.
+parameter grid plus a module-level runner called once per grid point.
+The figure benchmarks' runners are the :mod:`repro.bench` functions
+themselves, each returning rows in its spec's ``columns`` order; the
+runners defined here (Table 1, the application study, the UVM
+extension, the partition sweep) call ``repro.core`` / ``repro.apps`` /
+``repro.uvm`` / ``repro.partition`` on a freshly built simulated node.
 
 All runners are deterministic (the simulator seeds every RNG), so a
 point's rows are a pure function of its parameters and the code — the
@@ -18,6 +18,14 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
+from ..bench import (
+    allocspeed,
+    hipbandwidth,
+    histogram,
+    multichase,
+    pagefault,
+    stream,
+)
 from ..hw.config import GiB, KiB, MiB
 from .registry import register
 from .spec import ExperimentSpec
@@ -60,23 +68,12 @@ FIG2_SIZES = (
 FIG2_QUICK_SIZES = (1 * KiB, 1 * MiB, 128 * MiB, 512 * MiB)
 
 
-def run_fig2(allocator: str, device: str, sizes, memory_gib: int):
-    from ..bench import multichase
-
-    samples = multichase.chase_curve(
-        allocator, device, sizes=list(sizes), memory_gib=memory_gib
-    )
-    return [
-        [s.allocator, s.device, s.size_bytes, s.latency_ns] for s in samples
-    ]
-
-
 register(ExperimentSpec.define(
     name="fig2",
     title="Pointer-chase latency",
     source="Fig. 2",
     columns=["allocator", "device", "size_bytes", "latency_ns"],
-    runner=run_fig2,
+    runner=multichase.chase_curve,
     grid={
         "allocator": [
             "malloc", "malloc+register", "hipMalloc", "hipHostMalloc",
@@ -120,27 +117,13 @@ def _fig3_cases() -> List[str]:
     return cases
 
 
-def run_fig3(case: str, memory_gib: int):
-    from ..bench import stream
-
-    device, allocator, init = case.split("|")
-    if device == "gpu":
-        r = stream.gpu_triad(allocator, init_device=init,
-                             memory_gib=memory_gib)
-    else:
-        r = stream.cpu_triad(allocator, init_device=init,
-                             memory_gib=memory_gib)
-    return [[r.device, r.allocator, r.init_device, r.bandwidth_bytes_per_s,
-             r.best_threads]]
-
-
 register(ExperimentSpec.define(
     name="fig3",
     title="STREAM TRIAD bandwidth",
     source="Fig. 3",
     columns=["device", "allocator", "init_device", "bandwidth_bytes_per_s",
              "best_threads"],
-    runner=run_fig3,
+    runner=stream.triad,
     grid={"case": _fig3_cases()},
     quick_grid={"case": [
         "gpu|hipMalloc|cpu", "gpu|malloc|cpu",
@@ -157,32 +140,13 @@ register(ExperimentSpec.define(
 # ----------------------------------------------------------------------
 
 
-def run_memcpy(transfer: str, sdma: bool, copy_bytes: int, memory_gib: int):
-    from ..bench import hipbandwidth
-
-    src, dst = {
-        label: (s, d) for label, s, d in hipbandwidth.COMBINATIONS
-    }[transfer]
-    bandwidth = hipbandwidth.measure_memcpy(
-        src, dst, sdma_enabled=sdma, copy_bytes=copy_bytes,
-        memory_gib=memory_gib,
-    )
-    return [[transfer, sdma, copy_bytes, bandwidth]]
-
-
 register(ExperimentSpec.define(
     name="memcpy",
     title="hipMemcpy bandwidth",
     source="Section 4.3",
     columns=["transfer", "sdma", "copy_bytes", "bandwidth_bytes_per_s"],
-    runner=run_memcpy,
-    grid={
-        "transfer": [
-            "malloc -> hipMalloc", "hipHostMalloc -> hipMalloc",
-            "hipMalloc -> hipMalloc",
-        ],
-        "sdma": [True, False],
-    },
+    runner=hipbandwidth.measure_memcpy,
+    grid={"transfer": list(hipbandwidth.TRANSFERS), "sdma": [True, False]},
     fixed={"copy_bytes": 256 * MiB, "memory_gib": 4},
     quick_fixed={"copy_bytes": 64 * MiB, "memory_gib": 4},
     description="Legacy copy-path bandwidth with the SDMA engine on/off.",
@@ -194,26 +158,16 @@ register(ExperimentSpec.define(
 # ----------------------------------------------------------------------
 
 
-def run_fig4(device: str, dtype: str, elements: int):
-    from ..bench import histogram
-
-    sweep = histogram.cpu_sweep if device == "cpu" else histogram.gpu_sweep
-    return [
-        [s.device, s.dtype, s.elements, s.threads, s.updates_per_s]
-        for s in sweep(elements, dtype)
-    ]
-
-
 register(ExperimentSpec.define(
     name="fig4",
     title="Atomics throughput (isolated)",
     source="Fig. 4",
     columns=["device", "dtype", "elements", "threads", "updates_per_s"],
-    runner=run_fig4,
+    runner=histogram.isolated_sweep,
     grid={
         "device": ["cpu", "gpu"],
         "dtype": ["uint64", "fp64"],
-        "elements": [1, 1 << 10, 1 << 20, 1 << 30],
+        "elements": histogram.ARRAY_SIZES,
     },
     quick_grid={
         "device": ["cpu", "gpu"],
@@ -230,20 +184,7 @@ register(ExperimentSpec.define(
 # ----------------------------------------------------------------------
 
 FIG5_CPU_THREADS = (1, 3, 6, 12, 24)
-FIG5_GPU_THREADS = (64, 640, 1280, 2304, 3328, 6400, 10496, 14592)
-
-
-def run_fig5(dtype: str, elements: int, cpu_threads, gpu_threads):
-    from ..bench import histogram
-
-    return [
-        [s.dtype, s.elements, s.cpu_threads, s.gpu_threads,
-         s.result.cpu_updates_per_s, s.result.gpu_updates_per_s,
-         s.result.cpu_relative, s.result.gpu_relative]
-        for s in histogram.hybrid_grid(
-            elements, dtype, list(cpu_threads), list(gpu_threads)
-        )
-    ]
+FIG5_GPU_THREADS = histogram.GPU_THREADS
 
 
 register(ExperimentSpec.define(
@@ -253,7 +194,7 @@ register(ExperimentSpec.define(
     columns=["dtype", "elements", "cpu_threads", "gpu_threads",
              "cpu_updates_per_s", "gpu_updates_per_s",
              "cpu_relative", "gpu_relative"],
-    runner=run_fig5,
+    runner=histogram.hybrid_grid,
     grid={"dtype": ["uint64", "fp64"], "elements": [1 << 10, 1 << 20]},
     quick_grid={"dtype": ["uint64"], "elements": [1 << 10, 1 << 20]},
     fixed={"cpu_threads": FIG5_CPU_THREADS, "gpu_threads": FIG5_GPU_THREADS},
@@ -270,21 +211,12 @@ FIG6_SIZES = (2, 32, 1 * KiB, 16 * KiB, 256 * KiB, 2 * MiB, 16 * MiB,
               128 * MiB, 1 * GiB)
 
 
-def run_fig6(allocator: str, sizes):
-    from ..bench import allocspeed
-
-    return [
-        [s.allocator, s.size_bytes, s.alloc_ns, s.free_ns]
-        for s in allocspeed.cost_sweep(allocator, sizes=list(sizes))
-    ]
-
-
 register(ExperimentSpec.define(
     name="fig6",
     title="Allocation / deallocation time",
     source="Fig. 6",
     columns=["allocator", "size_bytes", "alloc_ns", "free_ns"],
-    runner=run_fig6,
+    runner=allocspeed.cost_sweep,
     grid={"allocator": [
         "malloc", "hipMalloc", "hipHostMalloc",
         "hipMallocManaged(xnack=0)", "hipMallocManaged(xnack=1)",
@@ -303,23 +235,12 @@ FIG7_PAGE_COUNTS = (1, 10, 100, 1_000, 10_000, 100_000, 1_000_000,
                     10_000_000)
 
 
-def run_fig7(scenario: str, page_counts):
-    from ..bench import pagefault
-
-    return [
-        [s.scenario, s.pages, s.pages_per_s]
-        for s in pagefault.throughput_curve(
-            scenario, page_counts=list(page_counts)
-        )
-    ]
-
-
 register(ExperimentSpec.define(
     name="fig7",
     title="Page-fault throughput",
     source="Fig. 7",
     columns=["scenario", "pages", "pages_per_s"],
-    runner=run_fig7,
+    runner=pagefault.throughput_curve,
     grid={"scenario": ["gpu_major", "gpu_minor", "cpu", "cpu12"]},
     fixed={"page_counts": FIG7_PAGE_COUNTS},
     description="Throughput-vs-page-count curves for the four fault "
@@ -332,21 +253,12 @@ register(ExperimentSpec.define(
 # ----------------------------------------------------------------------
 
 
-def run_fig8(samples: int):
-    from ..bench import pagefault
-
-    return [
-        [s.scenario, s.mean_us, s.p50_us, s.p95_us]
-        for s in pagefault.latency_distributions(samples=samples)
-    ]
-
-
 register(ExperimentSpec.define(
     name="fig8",
     title="Single-fault latency",
     source="Fig. 8",
     columns=["fault_type", "mean_us", "p50_us", "p95_us"],
-    runner=run_fig8,
+    runner=pagefault.latency_distributions,
     fixed={"samples": 50_000},
     quick_fixed={"samples": 10_000},
     description="Latency distribution (mean/p50/p95) of resolving one "
@@ -359,25 +271,17 @@ register(ExperimentSpec.define(
 # ----------------------------------------------------------------------
 
 
-def run_fig9(allocator: str, array_bytes: int, memory_gib: int):
-    from ..bench import stream
-
-    r = stream.gpu_triad(allocator, array_bytes=array_bytes,
-                         memory_gib=memory_gib)
-    return [[r.allocator, r.gpu_tlb_misses, r.bandwidth_bytes_per_s]]
-
-
 register(ExperimentSpec.define(
     name="fig9",
     title="GPU TLB misses in TRIAD",
     source="Fig. 9",
     columns=["allocator", "gpu_tlb_misses", "bandwidth_bytes_per_s"],
-    runner=run_fig9,
+    runner=stream.tlb_misses,
     grid={"allocator": [
         "malloc", "malloc+register", "hipMalloc", "hipHostMalloc",
         "hipMallocManaged(xnack=0)",
     ]},
-    fixed={"array_bytes": 256 * MiB, "memory_gib": 16},
+    fixed={"array_bytes": stream.GPU_ARRAY_BYTES, "memory_gib": 16},
     quick_fixed={"array_bytes": 64 * MiB, "memory_gib": 16},
     description="rocprof translation-miss counter per allocator — the "
                 "adaptive-fragment signature behind hipMalloc's edge.",
@@ -388,43 +292,20 @@ register(ExperimentSpec.define(
 # Fig. 10 — CPU page faults in CPU STREAM
 # ----------------------------------------------------------------------
 
-FIG10_CONFIGS: Dict[str, Any] = {
-    # label -> (allocator, xnack, init_device)
-    "malloc / baseline": ("malloc", False, "cpu"),
-    "malloc / xnack": ("malloc", True, "cpu"),
-    "malloc / gpu-init": ("malloc", True, "gpu"),
-    "hipMalloc / baseline": ("hipMalloc", False, "cpu"),
-    "hipMalloc / gpu-init": ("hipMalloc", False, "gpu"),
-    "hipHostMalloc / baseline": ("hipHostMalloc", False, "cpu"),
-    "hipHostMalloc / gpu-init": ("hipHostMalloc", False, "gpu"),
-    "managed / xnack": ("hipMallocManaged(xnack=1)", True, "cpu"),
-}
-
-
-def run_fig10(config: str, array_bytes: int, memory_gib: int):
-    from ..bench import stream
-
-    allocator, xnack, init = FIG10_CONFIGS[config]
-    report = stream.cpu_fault_count(
-        allocator, xnack=xnack, init_device=init,
-        array_bytes=array_bytes, memory_gib=memory_gib,
-    )
-    return [[config, allocator, xnack, init, report.page_faults]]
-
 
 register(ExperimentSpec.define(
     name="fig10",
     title="CPU page faults in CPU STREAM",
     source="Fig. 10",
     columns=["config", "allocator", "xnack", "init_device", "page_faults"],
-    runner=run_fig10,
-    grid={"config": list(FIG10_CONFIGS)},
+    runner=stream.cpu_fault_count,
+    grid={"config": list(stream.FIG10_CONFIGS)},
     quick_grid={"config": [
         "malloc / baseline", "malloc / xnack", "hipMalloc / baseline",
         "hipMalloc / gpu-init", "hipHostMalloc / baseline",
         "managed / xnack",
     ]},
-    fixed={"array_bytes": 610 * MiB, "memory_gib": 16},
+    fixed={"array_bytes": stream.CPU_ARRAY_BYTES, "memory_gib": 16},
     quick_fixed={"array_bytes": 64 * MiB, "memory_gib": 16},
     description="perf-stat fault totals across allocation + init + "
                 "TRIAD, per allocator/XNACK/first-touch configuration.",

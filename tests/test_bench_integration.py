@@ -20,91 +20,83 @@ from repro.perf.faultmodel import fault_throughput_pages_per_s
 from repro.runtime import make_apu
 
 
+def _dicts(experiment, rows):
+    """Rows of a registered experiment's runner, keyed by its columns."""
+    columns = get_spec(experiment).columns
+    return [dict(zip(columns, row)) for row in rows]
+
+
+def _latencies(allocator, device, sizes, memory_gib):
+    rows = multichase.chase_curve(allocator, device, sizes, memory_gib)
+    return [r["latency_ns"] for r in _dicts("fig2", rows)]
+
+
 class TestMultichase:
     def test_curve_shape(self):
-        samples = multichase.chase_curve(
-            "hipMalloc", "gpu", sizes=[1 * KiB, 1 * MiB, 64 * MiB],
-            memory_gib=2,
+        latencies = _latencies(
+            "hipMalloc", "gpu", [1 * KiB, 1 * MiB, 64 * MiB], memory_gib=2
         )
-        latencies = [s.latency_ns for s in samples]
         assert latencies == sorted(latencies)
-        assert samples[0].latency_ns == pytest.approx(57, abs=2)
+        assert latencies[0] == pytest.approx(57, abs=2)
 
     def test_cpu_below_gpu(self):
-        cpu = multichase.chase_curve(
-            "hipMalloc", "cpu", sizes=[1 * MiB], memory_gib=2
-        )[0]
-        gpu = multichase.chase_curve(
-            "hipMalloc", "gpu", sizes=[1 * MiB], memory_gib=2
-        )[0]
-        assert cpu.latency_ns < gpu.latency_ns
+        (cpu,) = _latencies("hipMalloc", "cpu", [1 * MiB], memory_gib=2)
+        (gpu,) = _latencies("hipMalloc", "gpu", [1 * MiB], memory_gib=2)
+        assert cpu < gpu
 
     def test_malloc_penalty_near_ic_capacity(self):
-        malloc = multichase.chase_curve(
-            "malloc", "cpu", sizes=[512 * MiB], memory_gib=16
-        )[0]
-        hip = multichase.chase_curve(
-            "hipMalloc", "cpu", sizes=[512 * MiB], memory_gib=16
-        )[0]
-        assert malloc.latency_ns > hip.latency_ns + 10
+        (malloc,) = _latencies("malloc", "cpu", [512 * MiB], memory_gib=16)
+        (hip,) = _latencies("hipMalloc", "cpu", [512 * MiB], memory_gib=16)
+        assert malloc > hip + 10
 
     def test_unknown_allocator_rejected(self):
         with pytest.raises(ValueError):
-            multichase.chase_curve("cudaMalloc", "cpu", sizes=[1 * KiB])
+            multichase.chase_curve("cudaMalloc", "cpu", [1 * KiB], 2)
+
+
+def _triad(case, memory_gib):
+    (row,) = _dicts("fig3", stream.triad(case, memory_gib, 64 * MiB))
+    return row
+
+
+def _faults(config):
+    (row,) = _dicts("fig10", stream.cpu_fault_count(config, 16 * MiB, 2))
+    return row["page_faults"]
 
 
 class TestStream:
     def test_gpu_tiers(self):
-        hip = stream.gpu_triad("hipMalloc", array_bytes=64 * MiB, memory_gib=2)
-        host = stream.gpu_triad("hipHostMalloc", array_bytes=64 * MiB, memory_gib=2)
-        assert hip.bandwidth_bytes_per_s > host.bandwidth_bytes_per_s
+        hip = _triad("gpu|hipMalloc|cpu", memory_gib=2)
+        host = _triad("gpu|hipHostMalloc|cpu", memory_gib=2)
+        assert hip["bandwidth_bytes_per_s"] > host["bandwidth_bytes_per_s"]
 
     def test_cpu_best_threads(self):
-        result = stream.cpu_triad(
-            "hipMalloc", array_bytes=64 * MiB, memory_gib=2
-        )
-        assert result.best_threads == 24
-        result_b = stream.cpu_triad(
-            "malloc", array_bytes=64 * MiB, memory_gib=16
-        )
-        assert result_b.best_threads == 9
+        assert _triad("cpu|hipMalloc|cpu", memory_gib=2)["best_threads"] == 24
+        assert _triad("cpu|malloc|cpu", memory_gib=16)["best_threads"] == 9
 
     def test_fault_counter_scales_with_array(self):
-        report = stream.cpu_fault_count(
-            "malloc", xnack=False, array_bytes=16 * MiB, memory_gib=2
-        )
-        assert report.page_faults == 3 * (16 * MiB // 4096)
+        assert _faults("malloc / baseline") == 3 * (16 * MiB // 4096)
 
     def test_hipmalloc_far_fewer_cpu_faults(self):
-        hip_faults = stream.cpu_fault_count(
-            "hipMalloc", xnack=False, array_bytes=16 * MiB, memory_gib=2
-        ).page_faults
-        malloc_faults = stream.cpu_fault_count(
-            "malloc", xnack=False, array_bytes=16 * MiB, memory_gib=2
-        ).page_faults
-        assert malloc_faults > 50 * hip_faults
+        assert _faults("malloc / baseline") > 50 * _faults("hipMalloc / baseline")
 
     def test_tlb_miss_gap(self):
         malloc, hip = (
-            stream.gpu_triad(a, array_bytes=64 * MiB, memory_gib=2)
+            _dicts("fig9", stream.tlb_misses(a, 64 * MiB, 2))[0]["gpu_tlb_misses"]
             for a in ("malloc", "hipMalloc")
         )
-        assert malloc.gpu_tlb_misses > 5 * hip.gpu_tlb_misses
+        assert malloc > 5 * hip
 
 
 class TestHipBandwidth:
     def test_three_regimes(self):
-        slow = hipbandwidth.measure_memcpy(
-            "malloc", "hipMalloc", sdma_enabled=True, copy_bytes=64 * MiB,
-            memory_gib=2,
-        )
-        blit = hipbandwidth.measure_memcpy(
-            "malloc", "hipMalloc", sdma_enabled=False, copy_bytes=64 * MiB,
-            memory_gib=2,
-        )
-        d2d = hipbandwidth.measure_memcpy(
-            "hipMalloc", "hipMalloc", copy_bytes=64 * MiB, memory_gib=2
-        )
+        def bandwidth(transfer, sdma):
+            rows = hipbandwidth.measure_memcpy(transfer, sdma, 64 * MiB, 2)
+            return _dicts("memcpy", rows)[0]["bandwidth_bytes_per_s"]
+
+        slow = bandwidth("malloc -> hipMalloc", True)
+        blit = bandwidth("malloc -> hipMalloc", False)
+        d2d = bandwidth("hipMalloc -> hipMalloc", True)
         assert slow == pytest.approx(58e9, rel=0.1)
         assert blit == pytest.approx(850e9, rel=0.1)
         assert d2d == pytest.approx(1.9e12, rel=0.15)
@@ -113,14 +105,15 @@ class TestHipBandwidth:
 
 class TestHistogramBench:
     def test_sweeps_return_samples(self):
-        cpu = histogram.cpu_sweep(1 << 10, "uint64", threads=[1, 24])
-        gpu = histogram.gpu_sweep(1 << 10, "uint64", threads=[64, 3328])
-        assert len(cpu) == 2 and len(gpu) == 2
-        assert all(s.updates_per_s > 0 for s in cpu + gpu)
+        cpu = _dicts("fig4", histogram.isolated_sweep("cpu", "uint64", 1 << 10))
+        gpu = _dicts("fig4", histogram.isolated_sweep("gpu", "uint64", 1 << 10))
+        assert [r["threads"] for r in cpu] == list(histogram.CPU_THREADS)
+        assert [r["threads"] for r in gpu] == list(histogram.GPU_THREADS)
+        assert all(r["updates_per_s"] > 0 for r in cpu + gpu)
 
     def test_hybrid_grid_dimensions(self):
         grid = histogram.hybrid_grid(
-            1 << 10, "uint64", cpu_threads=[6], gpu_threads=[64, 3328]
+            "uint64", 1 << 10, cpu_threads=[6], gpu_threads=[64, 3328]
         )
         assert len(grid) == 2
 
@@ -147,23 +140,25 @@ class TestAllocSpeedBench:
     def test_cost_sweep_matches_live_timing(self):
         """The live allocators must charge what the models predict."""
         for allocator in ("malloc", "hipMalloc", "hipHostMalloc"):
-            model = allocspeed.cost_sweep(allocator, sizes=[1 * MiB])[0]
-            live = allocspeed.timed_loop(allocator, 1 * MiB, count=10, warmup=2)
-            assert live.alloc_ns == pytest.approx(model.alloc_ns, rel=0.01)
-            assert live.free_ns == pytest.approx(model.free_ns, rel=0.01)
+            (model,) = _dicts("fig6", allocspeed.cost_sweep(allocator, [1 * MiB]))
+            alloc_ns, free_ns = allocspeed.timed_loop(
+                allocator, 1 * MiB, count=10, warmup=2
+            )
+            assert alloc_ns == pytest.approx(model["alloc_ns"], rel=0.01)
+            assert free_ns == pytest.approx(model["free_ns"], rel=0.01)
 
     def test_malloc_fastest_small(self):
         rows = {
-            a: allocspeed.cost_sweep(a, sizes=[32])[0].alloc_ns
+            a: _dicts("fig6", allocspeed.cost_sweep(a, [32]))[0]["alloc_ns"]
             for a in dict(get_spec("fig6").grid)["allocator"]
         }
         assert min(rows, key=rows.get) == "malloc"
 
     def test_managed_xnack_constant(self):
-        rows = allocspeed.cost_sweep(
-            "hipMallocManaged(xnack=1)", sizes=[2, 1 * MiB, 1 << 30]
-        )
-        assert len({r.alloc_ns for r in rows}) == 1
+        rows = _dicts("fig6", allocspeed.cost_sweep(
+            "hipMallocManaged(xnack=1)", [2, 1 * MiB, 1 << 30]
+        ))
+        assert len({r["alloc_ns"] for r in rows}) == 1
 
 
 class TestPageFaultBench:
@@ -194,9 +189,12 @@ class TestPageFaultBench:
         )
 
     def test_latency_stats(self):
-        stats = {s.scenario: s for s in pagefault.latency_distributions(5_000)}
-        assert stats["cpu"].mean_us == pytest.approx(9.0, rel=0.05)
-        assert stats["gpu_major"].p95_us > stats["cpu"].p95_us
+        stats = {
+            r["fault_type"]: r
+            for r in _dicts("fig8", pagefault.latency_distributions(5_000))
+        }
+        assert stats["cpu"]["mean_us"] == pytest.approx(9.0, rel=0.05)
+        assert stats["gpu_major"]["p95_us"] > stats["cpu"]["p95_us"]
 
     def test_unknown_scenario(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import pytest
 from repro.core.faults import GPUMemoryAccessError
 from repro.core.address_space import GPU_ACCESS_NEVER
 from repro.hw.config import PAGE_SIZE
+from repro.inject import InjectionPlan, Injector, NthCall
 from repro.perf.faultmodel import (
     fault_burst_time_ns,
     sample_latency_distribution,
@@ -207,6 +208,27 @@ class TestOneFaultCostModel:
             ("gpu_major", costs.gpu_major_single_latency_ns),
         ):
             assert fault_burst_time_ns(config, kind, 1, cores=cores) == latency
+
+    @pytest.mark.parametrize("pages", [1, 100, 10_000])
+    @pytest.mark.parametrize("kind", ["gpu_major", "gpu_minor"])
+    def test_stormed_burst_equals_model(self, kind, pages):
+        # A factor-4 storm replays every faulted page three more times,
+        # and one dropped replay re-runs a one-page handler pass.
+        plan = InjectionPlan([
+            Injector("xnack.storm", "storm", NthCall(1),
+                     params={"factor": 4.0}),
+            Injector("xnack.retry", "drop", NthCall(1)),
+        ], seed=0, name="storm")
+        apu = make_apu(1, xnack=True, inject=plan)
+        report = self._burst(apu, kind, pages, apu.gpu.compute_units)
+        assert (report.storm_replay_pages, report.xnack_retries) == (
+            3 * pages, 1
+        )
+        assert report.service_time_ns == (
+            fault_burst_time_ns(apu.config, kind, pages)
+            + fault_burst_time_ns(apu.config, "gpu_major", 1)
+            + fault_burst_time_ns(apu.config, "gpu_minor", 3 * pages)
+        )
 
     def test_fig8_mean_is_the_one_page_cost(self, config):
         for kind in ("cpu", "gpu_minor", "gpu_major"):

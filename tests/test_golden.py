@@ -7,12 +7,21 @@ experiment and point; an intentional numeric change regenerates the
 file with :func:`repro.exp.update_golden`.
 """
 
+import contextlib
+import io
 import json
 
 import pytest
 
 from repro.cli import main
-from repro.exp import GOLDEN_PATH, Engine, ExperimentSpec, temporarily_registered
+from repro.exp import (
+    GOLDEN_PATH,
+    Engine,
+    ExperimentSpec,
+    experiment_names,
+    get_spec,
+    temporarily_registered,
+)
 from repro.exp import engine as engine_module
 from repro.exp.engine import golden_digests, verify_golden
 
@@ -27,15 +36,44 @@ CUBES = ExperimentSpec.define(
 )
 
 
-def test_quick_grid_matches_golden(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)  # the digests are found from any directory
-    assert main(["verify-bench", "--golden", "--quick"]) == 0
-    assert "golden_rows.json (quick grid): ok" in capsys.readouterr().out
+@pytest.fixture(scope="module")
+def quick_golden_run(tmp_path_factory):
+    """One ``verify-bench --golden --quick`` run: its exit status, its
+    output and the results of every experiment it computed."""
+    results = {}
+    run_many = Engine.run_many
+
+    def recording_run_many(self, *args, **kwargs):
+        out = run_many(self, *args, **kwargs)
+        results.update(out)
+        return out
+
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
+        # The digests are found from any directory.
+        mp.chdir(tmp_path_factory.mktemp("golden"))
+        mp.setattr(Engine, "run_many", recording_run_many)
+        status = main(["verify-bench", "--golden", "--quick"])
+    return status, out.getvalue(), results
+
+
+def test_quick_grid_matches_golden(quick_golden_run):
+    status, out, _ = quick_golden_run
+    assert status == 0
+    assert "golden_rows.json (quick grid): ok" in out
+
+
+def test_every_row_has_one_field_per_column(quick_golden_run):
+    _, _, results = quick_golden_run
+    assert sorted(results) == sorted(experiment_names())
+    for name, result in results.items():
+        width = len(get_spec(name).columns)
+        assert result.rows, name
+        for row in result.rows:
+            assert len(row) == width, (name, row)
 
 
 def test_golden_covers_both_grids_of_every_experiment():
-    from repro.exp import experiment_names
-
     golden = json.loads(GOLDEN_PATH.read_text())
     assert golden["numpy"].count(".") == 1  # the numpy series, e.g. "2.4"
     for grid in ("quick", "full"):

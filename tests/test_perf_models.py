@@ -7,7 +7,7 @@ These pin the paper's reported numbers as regression anchors: Fig. 2
 import numpy as np
 import pytest
 
-from repro.bench.stream import cpu_triad
+from repro.bench.stream import triad
 from repro.hw.config import GiB, KiB, MiB, default_config
 from repro.perf.atomics import (
     cpu_atomic_throughput,
@@ -88,14 +88,16 @@ class TestBandwidthModel:
             assert 1.6 <= hip / other <= 2.0
 
     def test_cpu_case_a_peak(self):
-        result = cpu_triad("hipMalloc", array_bytes=64 * MiB, memory_gib=2)
-        assert result.bandwidth_bytes_per_s == pytest.approx(208e9, rel=0.01)
-        assert result.best_threads == 24
+        (row,) = triad("cpu|hipMalloc|cpu", memory_gib=2, array_bytes=64 * MiB)
+        _, _, _, bandwidth, best_threads = row
+        assert bandwidth == pytest.approx(208e9, rel=0.01)
+        assert best_threads == 24
 
     def test_cpu_case_b_peak(self):
-        result = cpu_triad("malloc", array_bytes=64 * MiB, memory_gib=16)
-        assert result.bandwidth_bytes_per_s == pytest.approx(181e9, rel=0.01)
-        assert result.best_threads == 9
+        (row,) = triad("cpu|malloc|cpu", memory_gib=16, array_bytes=64 * MiB)
+        _, _, _, bandwidth, best_threads = row
+        assert bandwidth == pytest.approx(181e9, rel=0.01)
+        assert best_threads == 9
 
     def test_cpu_case_b_declines_past_knee(self, cfg):
         t = traits(balance=0.2)
