@@ -215,7 +215,7 @@ class RodiniaApp(abc.ABC):
             # checks.
             end_ns = apu.clock.now_ns
             for allocation in list(apu.memory.allocations):
-                apu.memory.free(allocation)
+                runtime.hipFree(allocation)
         total_s = (end_ns - start) / 1e9
         compute_s = apu.clock.region_ns("compute") / 1e9
         return AppResult(

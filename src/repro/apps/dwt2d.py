@@ -95,9 +95,9 @@ class Dwt2d(RodiniaApp):
         apu = runtime.apu
         image = runtime.array((dim, dim), np.float32, allocator, name="image")
         # Temporary decode buffers: raw 3-byte pixels + two float planes.
-        raw = apu.memory.malloc(dim * dim * 3, name="bmp_raw")
+        raw = runtime.malloc(dim * dim * 3, name="bmp_raw")
         planes = [
-            apu.memory.malloc(dim * dim * 4, name=f"plane{i}") for i in range(2)
+            runtime.malloc(dim * dim * 4, name=f"plane{i}") for i in range(2)
         ]
         apu.touch(raw, "cpu")
         for plane in planes:
@@ -110,8 +110,8 @@ class Dwt2d(RodiniaApp):
         runtime.runCpuKernel(init, threads=1)
         profiler.sample()  # the application's peak footprint is here
         for plane in planes:
-            apu.memory.free(plane)
-        apu.memory.free(raw)
+            runtime.hipFree(plane)
+        runtime.hipFree(raw)
         return image
 
     def _dwt_kernels(self, src_alloc, dst_alloc, dim: int, levels: int):

@@ -95,7 +95,7 @@ class NearestNeighbor(RodiniaApp):
     ) -> UnifiedVector:
         """I/O phase: stream the record files into a growing vector."""
         apu = runtime.apu
-        vector = UnifiedVector(apu, np.float32, allocator=allocator)
+        vector = UnifiedVector(runtime, np.float32, allocator=allocator)
         values = _records(records)
         for start in range(0, values.size, CHUNK_ELEMENTS):
             chunk = values[start : start + CHUNK_ELEMENTS]

@@ -11,7 +11,7 @@ the spec's ``columns`` order.
 * :mod:`~repro.bench.histogram` — coherence/atomics (Figs. 4-5)
 * :mod:`~repro.bench.allocspeed` — allocation speed (Fig. 6)
 * :mod:`~repro.bench.pagefault` — page-fault overhead (Figs. 7-8)
-* :mod:`~repro.bench.allocators` — the allocator names the drivers share
+* :mod:`~repro.bench.allocators` — the paper's allocator row labels
 """
 
 from . import allocspeed, hipbandwidth, histogram, multichase, pagefault, stream

@@ -1,34 +1,29 @@
-"""The benchmarks' allocator names, mapped onto the simulated memory manager.
+"""The paper's allocator row labels (Figs. 2, 3, 6, 9 and 10).
 
-Figs. 2, 3 and 6 label their series with these names; managed
-allocations are tagged with the XNACK mode they imply.
+Each label names one :class:`~repro.runtime.hip.HipRuntime` allocator
+and the XNACK mode its benchmark runs with; the runtime allocates.
 """
 
 from __future__ import annotations
 
-from ..core.allocators import Allocation
-from ..runtime.apu import APU
+from typing import Dict, Tuple
+
+#: Row label -> (runtime allocator name, XNACK).  Plain malloc runs with
+#: XNACK, as the GPU reaches pageable memory only through fault replay.
+_LABELS: Dict[str, Tuple[str, bool]] = {
+    "malloc": ("malloc", True),
+    "malloc+register": ("malloc+register", False),
+    "hipMalloc": ("hipMalloc", False),
+    "hipHostMalloc": ("hipHostMalloc", False),
+    "hipMallocManaged(xnack=0)": ("hipMallocManaged", False),
+    "hipMallocManaged(xnack=1)": ("hipMallocManaged", True),
+    "__managed__": ("managed_static", False),
+}
 
 
-def allocate(apu: APU, allocator: str, size: int) -> Allocation:
-    """Allocate *size* bytes on *apu* the way *allocator* does."""
-    mem = apu.memory
-    if allocator == "malloc":
-        return mem.malloc(size)
-    if allocator == "malloc+register":
-        return mem.host_register(mem.malloc(size))
-    if allocator == "hipMalloc":
-        return mem.hip_malloc(size)
-    if allocator == "hipHostMalloc":
-        return mem.hip_host_malloc(size)
-    if allocator.startswith("hipMallocManaged"):
-        return mem.hip_malloc_managed(size)
-    if allocator == "__managed__":
-        return mem.managed_static(size)
-    raise ValueError(f"unknown allocator {allocator!r}")
-
-
-def wants_xnack(allocator: str) -> bool:
-    """Whether *allocator*'s benchmark runs with XNACK (GPU page-fault
-    replay) enabled: plain malloc needs it for GPU access at all."""
-    return allocator in ("malloc", "hipMallocManaged(xnack=1)")
+def resolve(label: str) -> Tuple[str, bool]:
+    """``(runtime allocator name, XNACK)`` of a row label."""
+    try:
+        return _LABELS[label]
+    except KeyError:
+        raise ValueError(f"unknown allocator {label!r}") from None

@@ -13,44 +13,32 @@ Two modes are provided:
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..core import allocators as alloc_costs
-from ..hw.config import MI300AConfig, default_config
+from ..hw.config import default_config
 from ..runtime.apu import APU, make_apu
-from .allocators import allocate
+from ..runtime.hip import HipRuntime
+from .allocators import resolve
 
 
-def _cost_functions(
-    config: MI300AConfig, allocator: str
-) -> tuple[Callable[[int], float], Callable[[int], float]]:
-    if allocator == "malloc":
-        return (
-            lambda s: alloc_costs.malloc_cost_ns(config, s),
-            lambda s: alloc_costs.malloc_free_cost_ns(config, s),
-        )
-    if allocator == "hipMalloc":
-        return (
-            lambda s: alloc_costs.hip_malloc_cost_ns(config, s),
-            lambda s: alloc_costs.hip_free_cost_ns(config, s),
-        )
-    if allocator == "hipHostMalloc":
-        return (
-            lambda s: alloc_costs.pinned_alloc_cost_ns(config, s, managed=False),
-            lambda s: alloc_costs.pinned_free_cost_ns(config, s),
-        )
-    if allocator == "hipMallocManaged(xnack=0)":
-        return (
-            lambda s: alloc_costs.pinned_alloc_cost_ns(config, s, managed=True),
-            lambda s: alloc_costs.pinned_free_cost_ns(config, s),
-        )
-    if allocator == "hipMallocManaged(xnack=1)":
-        costs = config.allocator_costs
-        return (
-            lambda s: costs.managed_xnack_alloc_ns,
-            lambda s: costs.managed_xnack_free_ns,
-        )
-    raise ValueError(f"unknown allocator {allocator!r}")
+#: Row label -> its (alloc, free) cost models, each ``f(config, size)``.
+_COST_MODELS = {
+    "malloc": (alloc_costs.malloc_cost_ns, alloc_costs.malloc_free_cost_ns),
+    "hipMalloc": (alloc_costs.hip_malloc_cost_ns, alloc_costs.hip_free_cost_ns),
+    "hipHostMalloc": (
+        lambda c, s: alloc_costs.pinned_alloc_cost_ns(c, s, managed=False),
+        alloc_costs.pinned_free_cost_ns,
+    ),
+    "hipMallocManaged(xnack=0)": (
+        lambda c, s: alloc_costs.pinned_alloc_cost_ns(c, s, managed=True),
+        alloc_costs.pinned_free_cost_ns,
+    ),
+    "hipMallocManaged(xnack=1)": (
+        lambda c, s: c.allocator_costs.managed_xnack_alloc_ns,
+        lambda c, s: c.allocator_costs.managed_xnack_free_ns,
+    ),
+}
 
 
 def cost_sweep(allocator: str, sizes: Sequence[int]) -> List[list]:
@@ -59,8 +47,12 @@ def cost_sweep(allocator: str, sizes: Sequence[int]) -> List[list]:
     One row ``[allocator, size_bytes, alloc_ns, free_ns]`` per size, the
     times per call.
     """
-    alloc_fn, free_fn = _cost_functions(default_config(), allocator)
-    return [[allocator, size, alloc_fn(size), free_fn(size)] for size in sizes]
+    if allocator not in _COST_MODELS:
+        raise ValueError(f"unknown allocator {allocator!r}")
+    alloc_fn, free_fn = _COST_MODELS[allocator]
+    config = default_config()
+    return [[allocator, size, alloc_fn(config, size), free_fn(config, size)]
+            for size in sizes]
 
 
 def timed_loop(
@@ -77,22 +69,20 @@ def timed_loop(
     the simulated clock around each loop.  Returns the per-call
     ``(alloc_ns, free_ns)``.
     """
+    name, xnack = resolve(allocator)
     if apu is None:
-        needed_gib = max(2, (size_bytes * count >> 30) + 1)
-        apu = make_apu(
-            needed_gib, xnack=allocator.endswith("(xnack=1)")
-        )
-    mem = apu.memory
+        apu = make_apu(max(2, (size_bytes * count >> 30) + 1), xnack=xnack)
+    runtime = HipRuntime(apu)
     for _ in range(warmup):
-        mem.free(allocate(apu, allocator, size_bytes))
+        runtime.hipFree(runtime.allocate(size_bytes, name))
 
     start = apu.clock.now_ns
-    chunks = [allocate(apu, allocator, size_bytes) for _ in range(count)]
+    chunks = [runtime.allocate(size_bytes, name) for _ in range(count)]
     alloc_ns = (apu.clock.now_ns - start) / count
 
     start = apu.clock.now_ns
     for chunk in chunks:
-        mem.free(chunk)
+        runtime.hipFree(chunk)
     free_ns = (apu.clock.now_ns - start) / count
 
     return alloc_ns, free_ns

@@ -11,9 +11,7 @@ from __future__ import annotations
 
 from typing import List
 
-from ..runtime.apu import make_apu
-from ..runtime.hip import HipRuntime
-from .allocators import allocate
+from ..runtime.hip import make_runtime
 
 #: The paper's transfers: label -> (source, destination allocator).
 TRANSFERS = {
@@ -33,13 +31,13 @@ def measure_memcpy(
 
     One row ``[transfer, sdma, copy_bytes, bandwidth_bytes_per_s]``.
     """
-    apu = make_apu(memory_gib, xnack=True)
-    runtime = HipRuntime(apu, sdma_enabled=sdma)
-    src, dst = (allocate(apu, allocator, copy_bytes)
+    runtime = make_runtime(memory_gib, xnack=True, sdma_enabled=sdma)
+    clock = runtime.apu.clock
+    src, dst = (runtime.allocate(copy_bytes, allocator)
                 for allocator in TRANSFERS[transfer])
     runtime.hipMemcpy(dst, src, copy_bytes)  # warm-up
-    start = apu.clock.now_ns
+    start = clock.now_ns
     for _ in range(ITERATIONS):
         runtime.hipMemcpy(dst, src, copy_bytes)
-    elapsed_s = (apu.clock.now_ns - start) / 1e9
+    elapsed_s = (clock.now_ns - start) / 1e9
     return [[transfer, sdma, copy_bytes, copy_bytes * ITERATIONS / elapsed_s]]

@@ -13,8 +13,8 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from ..perf.latency import chase_latency_ns
-from ..runtime.apu import make_apu
-from .allocators import allocate, wants_xnack
+from ..runtime.hip import make_runtime
+from .allocators import resolve
 
 
 def chase_curve(
@@ -26,8 +26,10 @@ def chase_curve(
     isolates runs on one APU).  One row
     ``[allocator, device, size_bytes, latency_ns]`` per size.
     """
-    apu = make_apu(memory_gib, xnack=wants_xnack(allocator))
-    allocation = allocate(apu, allocator, max(sizes))
+    name, xnack = resolve(allocator)
+    runtime = make_runtime(memory_gib, xnack=xnack)
+    apu = runtime.apu
+    allocation = runtime.allocate(max(sizes), name)
     apu.touch(allocation, "cpu")
 
     frames = allocation.vma.resident_frames()

@@ -28,6 +28,7 @@ from ..perf.faultmodel import (
     sample_latency_distribution,
 )
 from ..runtime.apu import APU, make_apu
+from ..runtime.hip import HipRuntime
 
 
 def throughput_curve(scenario: Scenario, page_counts: Sequence[int]) -> List[list]:
@@ -55,23 +56,21 @@ def measured_throughput(
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}")
     if apu is None:
-        needed_gib = max(2, (pages * PAGE_SIZE >> 30) * 2 + 1)
-        apu = make_apu(needed_gib, xnack=True)
+        apu = make_apu(max(2, (pages * PAGE_SIZE >> 30) * 2 + 1), xnack=True)
+    runtime = HipRuntime(apu)
     kind, cores = SCENARIOS[scenario]
     if kind == "cpu":
         device, concurrency = "cpu", cores
     else:
         device, concurrency = "gpu", apu.gpu.compute_units
-    buffer = apu.memory.malloc(
-        pages * PAGE_SIZE, name=f"faultbench-{scenario}"
-    )
+    buffer = runtime.malloc(pages * PAGE_SIZE, name=f"faultbench-{scenario}")
     if kind == "gpu_minor":
         apu.touch(buffer, "cpu", concurrency=12)  # pre-fault, untimed
 
     start = apu.clock.now_ns
     apu.touch(buffer, device, concurrency=concurrency)
     elapsed_s = (apu.clock.now_ns - start) / 1e9
-    apu.memory.free(buffer)
+    runtime.hipFree(buffer)
     if elapsed_s <= 0:
         raise RuntimeError("fault burst took no simulated time")
     return pages / elapsed_s

@@ -15,9 +15,10 @@ from typing import List, Optional, Tuple
 from ..hw.config import MiB
 from ..profiling.perfstat import PerfStat
 from ..profiling.rocprof import RocProf
-from ..runtime.apu import make_apu
+from ..core.allocators import Allocation
+from ..runtime.hip import HipRuntime, make_runtime
 from ..runtime.kernels import BufferAccess, KernelEngine, KernelSpec
-from .allocators import allocate, wants_xnack
+from .allocators import resolve
 
 #: Array sizes from the paper's method section.
 GPU_ARRAY_BYTES = 256 * MiB
@@ -54,14 +55,24 @@ def _bandwidth(array_bytes: int, memory_ns: float) -> float:
     return 3 * array_bytes * NTIMES / (memory_ns / 1e9)
 
 
+def _triad_arrays(
+    runtime: HipRuntime, name: str, init_device: str, array_bytes: int
+) -> List[Allocation]:
+    """TRIAD's three arrays from *name*, first-touched on *init_device*."""
+    arrays = [runtime.allocate(array_bytes, name) for _ in range(3)]
+    for arr in arrays:
+        runtime.apu.touch(arr, init_device)
+    return arrays
+
+
 def _gpu_triad(
     allocator: str, init_device: str, array_bytes: int, memory_gib: int
 ) -> Tuple[float, int]:
     """GPU TRIAD: ``(bandwidth_bytes_per_s, gpu_tlb_misses)``."""
-    apu = make_apu(memory_gib, xnack=wants_xnack(allocator))
-    arrays = [allocate(apu, allocator, array_bytes) for _ in range(3)]
-    for arr in arrays:
-        apu.touch(arr, init_device)
+    name, xnack = resolve(allocator)
+    runtime = make_runtime(memory_gib, xnack=xnack)
+    apu = runtime.apu
+    arrays = _triad_arrays(runtime, name, init_device, array_bytes)
 
     rocprof = RocProf(apu)
     rocprof.start()
@@ -74,10 +85,10 @@ def _cpu_triad(
     allocator: str, init_device: str, array_bytes: int, memory_gib: int
 ) -> Tuple[float, int]:
     """CPU TRIAD over 1..cores threads: ``(best bandwidth, its threads)``."""
-    apu = make_apu(memory_gib, xnack=wants_xnack(allocator))
-    arrays = [allocate(apu, allocator, array_bytes) for _ in range(3)]
-    for arr in arrays:
-        apu.touch(arr, init_device)
+    name, xnack = resolve(allocator)
+    runtime = make_runtime(memory_gib, xnack=xnack)
+    apu = runtime.apu
+    arrays = _triad_arrays(runtime, name, init_device, array_bytes)
 
     engine = KernelEngine(apu)
     best_bw, best_threads = 0.0, 1
@@ -125,11 +136,10 @@ def cpu_fault_count(config: str, array_bytes: int, memory_gib: int) -> List[list
     ``[config, allocator, xnack, init_device, page_faults]``.
     """
     allocator, xnack, init = FIG10_CONFIGS[config]
-    apu = make_apu(memory_gib, xnack=xnack)
+    runtime = make_runtime(memory_gib, xnack=xnack)
+    apu = runtime.apu
     perf = PerfStat(apu)
     perf.start()
-    arrays = [allocate(apu, allocator, array_bytes) for _ in range(3)]
-    for arr in arrays:
-        apu.touch(arr, init)
+    arrays = _triad_arrays(runtime, resolve(allocator)[0], init, array_bytes)
     KernelEngine(apu).run_cpu(_triad_spec(*arrays), threads=apu.cpu.cores)
     return [[config, allocator, xnack, init, perf.stop().page_faults]]

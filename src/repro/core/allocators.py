@@ -378,11 +378,6 @@ class MemoryManager:
         observable performance signature the paper associates with
         on-demand layouts.
         """
-        if kind not in (
-            AllocatorKind.HIP_HOST_MALLOC,
-            AllocatorKind.HIP_MALLOC_MANAGED,
-        ):
-            raise ValueError(f"no degraded-mode path for {kind}")
         managed = kind is AllocatorKind.HIP_MALLOC_MANAGED
         cost = pinned_alloc_cost_ns(self._config, size, managed=managed)
         self._clock.advance(cost)

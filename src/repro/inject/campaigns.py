@@ -58,7 +58,7 @@ def _standard() -> List[Injector]:
         Injector("sdma.transfer", "stall", NthCall(1), params={"factor": 6.0}),
         Injector("sdma.transfer", "failure", NthCall(3)),
         Injector("xnack.retry", "drop", CallWindow(1, 4), times=3),
-        Injector("xnack.storm", "storm", NthCall(2), params={"factor": 4.0}),
+        Injector("xnack.storm", "storm", NthCall(1), params={"factor": 4.0}),
     ]
 
 

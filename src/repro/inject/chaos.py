@@ -1,6 +1,6 @@
 """The chaos harness: run applications under named injection campaigns.
 
-For every selected (app, variant) pair the harness runs a clean
+For every variant of every selected app the harness runs a clean
 baseline, then the same workload with a fresh seeded
 :class:`~repro.inject.InjectionPlan` attached, and then asserts the
 campaign's contract:
@@ -50,16 +50,6 @@ def _small_params(app_name: str) -> Optional[Dict[str, int]]:
     from ..analyze import SMALL_PARAMS
 
     return SMALL_PARAMS.get(app_name)
-
-
-def _chosen_variants(app) -> List[str]:
-    """The explicit baseline plus the first unified variant of an app."""
-    variants = ["explicit"]
-    for variant in app.variants:
-        if variant != "explicit":
-            variants.append(variant)
-            break
-    return variants
 
 
 def _classify_error(exc: BaseException) -> Dict[str, Any]:
@@ -161,7 +151,7 @@ def run_campaign(
     runs: List[Dict[str, Any]] = []
     for app_name in apps:
         app = ALL_APPS[app_name]()
-        for variant in _chosen_variants(app):
+        for variant in app.variants:
             runs.append(
                 run_one(
                     campaign, app_name, variant, seed,

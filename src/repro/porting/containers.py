@@ -7,7 +7,7 @@ faults on it, the paper's nn outlier in Fig. 11), or the developer
 plumbs a custom allocator through (hipMalloc-backed, fast but invasive).
 
 :class:`UnifiedVector` models a ``std::vector`` with geometric growth
-over the simulated allocators, supporting both choices via the
+over the HIP runtime's allocators, supporting both choices via the
 *allocator* argument — the ``std::allocator`` API swap the paper
 recommends for optimal nn performance.
 """
@@ -19,7 +19,14 @@ from typing import Iterable
 import numpy as np
 
 from ..core.allocators import Allocation
-from ..runtime.apu import APU
+from ..runtime.hip import HipRuntime
+
+#: The allocators a vector may use, and the name each gives its storage.
+STORAGE_NAMES = {
+    "malloc": "std::vector",
+    "hipMalloc": "std::vector<hip>",
+    "hipHostMalloc": "std::vector<pinned>",
+}
 
 
 class UnifiedVector:
@@ -35,16 +42,16 @@ class UnifiedVector:
 
     def __init__(
         self,
-        apu: APU,
+        runtime: HipRuntime,
         dtype: np.dtype | str = np.float32,
         allocator: str = "malloc",
         initial_capacity: int = 16,
     ) -> None:
         if initial_capacity <= 0:
             raise ValueError("capacity must be positive")
-        if allocator not in ("malloc", "hipMalloc", "hipHostMalloc"):
+        if allocator not in STORAGE_NAMES:
             raise ValueError(f"unsupported vector allocator {allocator!r}")
-        self._apu = apu
+        self._runtime = runtime
         self._allocator = allocator
         self._dtype = np.dtype(dtype)
         self._size = 0
@@ -54,13 +61,10 @@ class UnifiedVector:
         self.reallocations = 0
 
     def _allocate(self, capacity: int) -> Allocation:
-        nbytes = max(1, capacity * self._dtype.itemsize)
-        mem = self._apu.memory
-        if self._allocator == "malloc":
-            return mem.malloc(nbytes, name="std::vector")
-        if self._allocator == "hipMalloc":
-            return mem.hip_malloc(nbytes, name="std::vector<hip>")
-        return mem.hip_host_malloc(nbytes, name="std::vector<pinned>")
+        return self._runtime.allocate(
+            max(1, capacity * self._dtype.itemsize), self._allocator,
+            STORAGE_NAMES[self._allocator],
+        )
 
     @property
     def allocation(self) -> Allocation:
@@ -89,7 +93,7 @@ class UnifiedVector:
         self._data[self._size] = value
         # First touch of the element's page happens on the CPU.
         offset = self._size * self._dtype.itemsize
-        self._apu.touch(
+        self._runtime.apu.touch(
             self._allocation, "cpu", offset_bytes=offset,
             size_bytes=self._dtype.itemsize,
         )
@@ -109,7 +113,7 @@ class UnifiedVector:
         self._data[self._size : needed] = values
         if len(values):
             start = self._size * self._dtype.itemsize
-            self._apu.touch(
+            self._runtime.apu.touch(
                 self._allocation, "cpu", offset_bytes=start,
                 size_bytes=max(1, len(values) * self._dtype.itemsize),
             )
@@ -124,9 +128,9 @@ class UnifiedVector:
         if self._size:
             # The copy touches both buffers on the CPU.
             nbytes = max(1, self._size * self._dtype.itemsize)
-            self._apu.touch(old_allocation, "cpu", size_bytes=nbytes)
-            self._apu.touch(self._allocation, "cpu", size_bytes=nbytes)
-        self._apu.memory.free(old_allocation)
+            self._runtime.apu.touch(old_allocation, "cpu", size_bytes=nbytes)
+            self._runtime.apu.touch(self._allocation, "cpu", size_bytes=nbytes)
+        self._runtime.hipFree(old_allocation)
         self._capacity = new_capacity
         self.reallocations += 1
 
@@ -137,7 +141,7 @@ class UnifiedVector:
 
     def free(self) -> None:
         """Release the backing allocation."""
-        self._apu.memory.free(self._allocation)
+        self._runtime.hipFree(self._allocation)
         self._size = 0
         self._capacity = 0
 

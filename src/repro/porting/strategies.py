@@ -12,8 +12,8 @@ code from the explicit model (Listing 1) to the unified model
   documents the transformation and validates chunk schedules;
 * **Stack variables** → :class:`StackFlag` (GPU-writable host scalar with
   a lifetime guard);
-* **Static variables** → managed statics via
-  :meth:`MemoryManager.managed_static` (performance caveat applies) or
+* **Static variables** → managed statics via the runtime's
+  ``managed_static`` allocator (performance caveat applies) or
   restructuring to dynamic allocation;
 * **Hidden allocator** → :class:`~repro.porting.containers.UnifiedVector`
   with a pluggable allocator.

@@ -13,7 +13,7 @@ from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from ..core.allocators import Allocation, AllocatorKind
+from ..core.allocators import Allocation, AllocatorKind, MemoryManager
 from ..core.physical import OutOfMemoryError, TransientAllocationError
 from ..hw.hbm import UncorrectableECCError
 from ..partition import LogicalDevice, PartitionConfig
@@ -49,6 +49,19 @@ ALLOC_RETRY_LIMIT = 4
 ALLOC_BACKOFF_NS = 50_000.0
 
 BufferLike = Union[Allocation, DeviceArray]
+
+#: Table 1's allocators by name, the runtime's one name -> path table:
+#: the memory-manager path, whether it homes frames on the current
+#: device (NPS4), and whether it may degrade to scattered frames.
+#: ``malloc+register`` then takes :meth:`HipRuntime.hipHostRegister`.
+ALLOCATORS = {
+    "malloc": (MemoryManager.malloc, False, False),
+    "malloc+register": (MemoryManager.malloc, False, False),
+    "hipMalloc": (MemoryManager.hip_malloc, True, False),
+    "hipHostMalloc": (MemoryManager.hip_host_malloc, True, True),
+    "hipMallocManaged": (MemoryManager.hip_malloc_managed, True, True),
+    "managed_static": (MemoryManager.managed_static, False, False),
+}
 
 
 class HipError(RuntimeError):
@@ -239,23 +252,46 @@ class HipRuntime:
                     return allocation
             raise self._error(hipErrorOutOfMemory, f"{name}: {last}") from last
 
+    def allocate(
+        self, nbytes: int, allocator: str = "hipMalloc", name: str = ""
+    ) -> Allocation:
+        """Allocate *nbytes* through a named allocator (a key of
+        :data:`ALLOCATORS`), labelled *name* (default: the allocator's
+        name).  Every attempt takes the recovery ladder; a failed one
+        leaves nothing allocated."""
+        if allocator not in ALLOCATORS:
+            raise self._error(
+                hipErrorInvalidValue, f"unknown allocator {allocator!r}"
+            )
+        name = name or allocator
+        path, placed, degrades = ALLOCATORS[allocator]
+        mem = self.apu.memory
+        placement = {"frame_range": self._frame_range()} if placed else {}
+        degraded = None
+        if degrades:  # the same kind, from scattered frames
+            degraded = lambda: mem.up_front_degraded(  # noqa: E731
+                nbytes, name, AllocatorKind(allocator), **placement
+            )
+        allocation = self._alloc_with_recovery(
+            lambda: path(mem, nbytes, name=name, **placement),
+            size=nbytes, name=name, degraded=degraded,
+        )
+        if allocator != "malloc+register":
+            return allocation
+        try:
+            return self.hipHostRegister(allocation)
+        except HipError:
+            self.hipFree(allocation)  # leave nothing allocated
+            raise
+
     def hipMalloc(self, nbytes: int, name: str = "hipMalloc") -> Allocation:
         """Allocate device-style memory (up-front, contiguous).
 
-        Hardened: transient failures retry with backoff and hard
-        failures trigger one defragment-then-retry, but hipMalloc never
-        downgrades to a scattered layout — device code depends on its
-        large fragments — so persistent shortage surfaces as
-        ``hipErrorOutOfMemory``.
+        hipMalloc never downgrades to a scattered layout — device code
+        depends on its large fragments — so persistent shortage
+        surfaces as ``hipErrorOutOfMemory``.
         """
-        frame_range = self._frame_range()
-        return self._alloc_with_recovery(
-            lambda: self.apu.memory.hip_malloc(
-                nbytes, name=name, frame_range=frame_range
-            ),
-            size=nbytes,
-            name=name,
-        )
+        return self.allocate(nbytes, "hipMalloc", name)
 
     def hipHostMalloc(self, nbytes: int, name: str = "hipHostMalloc") -> Allocation:
         """Allocate page-locked host-style memory (up-front, pinned).
@@ -264,47 +300,33 @@ class HipRuntime:
         scattered frames (pageable-style layout) and records the
         degradation rather than failing the call.
         """
-        frame_range = self._frame_range()
-        return self._alloc_with_recovery(
-            lambda: self.apu.memory.hip_host_malloc(
-                nbytes, name=name, frame_range=frame_range
-            ),
-            size=nbytes,
-            name=name,
-            degraded=lambda: self.apu.memory.up_front_degraded(
-                nbytes, name, AllocatorKind.HIP_HOST_MALLOC, frame_range
-            ),
-        )
+        return self.allocate(nbytes, "hipHostMalloc", name)
 
     def hipMallocManaged(self, nbytes: int, name: str = "managed") -> Allocation:
         """Allocate managed memory (mode depends on XNACK, Table 1).
 
-        The XNACK=0 up-front path can downgrade to pinned scattered
-        frames under pressure, like :meth:`hipHostMalloc`; the XNACK=1
-        path is on-demand and allocates nothing up-front.
+        The XNACK=0 up-front path can downgrade like
+        :meth:`hipHostMalloc`; the XNACK=1 path is on-demand and
+        allocates nothing up-front.
         """
-        frame_range = self._frame_range()
-        degraded = None
-        if not self.apu.memory.xnack_enabled:
-            degraded = lambda: self.apu.memory.up_front_degraded(  # noqa: E731
-                nbytes, name, AllocatorKind.HIP_MALLOC_MANAGED, frame_range
-            )
-        return self._alloc_with_recovery(
-            lambda: self.apu.memory.hip_malloc_managed(
-                nbytes, name=name, frame_range=frame_range
-            ),
-            size=nbytes,
-            name=name,
-            degraded=degraded,
-        )
+        return self.allocate(nbytes, "hipMallocManaged", name)
 
     def malloc(self, nbytes: int, name: str = "malloc") -> Allocation:
         """libc malloc (exposed here for side-by-side benchmarks)."""
-        return self.apu.memory.malloc(nbytes, name=name)
+        return self.allocate(nbytes, "malloc", name)
 
     def hipHostRegister(self, buffer: BufferLike) -> Allocation:
-        """Pin an existing malloc'd range and map it for the GPU."""
-        return self.apu.memory.host_register(_allocation(buffer))
+        """Pin an existing malloc'd range and map it for the GPU, through
+        the recovery ladder (a buffer malloc did not make is
+        ``hipErrorInvalidValue``)."""
+        allocation = _allocation(buffer)
+        try:
+            return self._alloc_with_recovery(
+                lambda: self.apu.memory.host_register(allocation),
+                size=allocation.size_bytes, name=allocation.vma.name,
+            )
+        except ValueError as failure:
+            raise self._error(hipErrorInvalidValue, str(failure)) from failure
 
     def hipFree(self, buffer: BufferLike) -> None:
         """Free any allocation (dispatches the right deallocator).
@@ -348,35 +370,13 @@ class HipRuntime:
         allocator: str = "hipMalloc",
         name: str = "",
     ) -> DeviceArray:
-        """Allocate a typed array through a named allocator.
-
-        *allocator* is one of ``malloc``, ``hipMalloc``, ``hipHostMalloc``,
-        ``hipMallocManaged``, ``malloc+register``, ``managed_static``.
-        """
+        """Allocate a typed array through a named allocator (see
+        :meth:`allocate`)."""
         shape_tuple = (shape,) if isinstance(shape, int) else tuple(shape)
         nbytes = int(np.prod(shape_tuple)) * np.dtype(dtype).itemsize
-        nbytes = max(nbytes, 1)
-        mem = self.apu.memory
-        label = name or allocator
-        # The HIP-named allocators go through the hardened entry points so
-        # typed arrays get the same recovery ladder as raw allocations.
-        if allocator == "malloc":
-            alloc = mem.malloc(nbytes, name=label)
-        elif allocator == "hipMalloc":
-            alloc = self.hipMalloc(nbytes, name=label)
-        elif allocator == "hipHostMalloc":
-            alloc = self.hipHostMalloc(nbytes, name=label)
-        elif allocator == "hipMallocManaged":
-            alloc = self.hipMallocManaged(nbytes, name=label)
-        elif allocator == "malloc+register":
-            alloc = mem.host_register(mem.malloc(nbytes, name=label))
-        elif allocator == "managed_static":
-            alloc = mem.managed_static(nbytes, name=label)
-        else:
-            raise self._error(
-                hipErrorInvalidValue, f"unknown allocator {allocator!r}"
-            )
-        return DeviceArray(alloc, shape, dtype)
+        return DeviceArray(
+            self.allocate(max(nbytes, 1), allocator, name), shape, dtype
+        )
 
     # ------------------------------------------------------------------
     # Copies
@@ -481,8 +481,16 @@ class HipRuntime:
         # pageable memory from the CPU side before programming the DMA.
         if nbytes <= 0:
             return
-        self.apu.touch(src, "cpu", offset_bytes=src_offset, size_bytes=nbytes)
-        self.apu.touch(dst, "cpu", offset_bytes=dst_offset, size_bytes=nbytes)
+        try:
+            self.apu.touch(src, "cpu", offset_bytes=src_offset, size_bytes=nbytes)
+            self.apu.touch(dst, "cpu", offset_bytes=dst_offset, size_bytes=nbytes)
+        except OutOfMemoryError as failure:
+            raise self._first_touch_error(failure) from failure
+
+    def _first_touch_error(self, failure: OutOfMemoryError) -> HipError:
+        # The fault handler's reclaim retries ran out: a first-touch
+        # frame shortage surfaces as a typed out-of-memory error.
+        return self._error(hipErrorOutOfMemory, f"first touch: {failure}")
 
     def _copy_duration(
         self, dst: Allocation, src: Allocation, nbytes: int
@@ -545,7 +553,8 @@ class HipRuntime:
         """Launch a declared kernel on the GPU (asynchronous).
 
         An injected uncorrectable HBM frame error during the kernel's
-        accesses surfaces as ``hipErrorECCNotCorrectable``.
+        accesses surfaces as ``hipErrorECCNotCorrectable``, a first-touch
+        frame shortage as ``hipErrorOutOfMemory``.
         """
         try:
             return self._engine.run_gpu(spec, stream)
@@ -553,10 +562,15 @@ class HipRuntime:
             raise self._error(
                 hipErrorECCNotCorrectable, str(failure)
             ) from failure
+        except OutOfMemoryError as failure:
+            raise self._first_touch_error(failure) from failure
 
     def runCpuKernel(self, spec: KernelSpec, threads: int = 1) -> KernelResult:
         """Run a declared kernel on CPU threads (synchronous)."""
-        return self._engine.run_cpu(spec, threads)
+        try:
+            return self._engine.run_cpu(spec, threads)
+        except OutOfMemoryError as failure:
+            raise self._first_touch_error(failure) from failure
 
     # ------------------------------------------------------------------
     # Streams, events, synchronisation

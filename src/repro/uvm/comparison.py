@@ -22,9 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-
-from ..runtime.apu import make_apu
-from ..runtime.kernels import BufferAccess, KernelEngine, KernelSpec
+from ..runtime.hip import make_runtime
+from ..runtime.kernels import BufferAccess, KernelSpec
 from .config import UVMConfig
 from .system import UVMSystem
 
@@ -96,19 +95,19 @@ def run_upm(
     """Unified model on the simulated MI300A: no movement at all."""
     if memory_gib is None:
         memory_gib = max(2, (working_set_bytes >> 30) * 2 + 1)
-    apu = make_apu(memory_gib, xnack=True)
-    engine = KernelEngine(apu)
-    buffer = apu.memory.hip_malloc(working_set_bytes, "unified")
+    runtime = make_runtime(memory_gib, xnack=True)
+    apu = runtime.apu
+    buffer = runtime.hipMalloc(working_set_bytes, "unified")
     start = apu.clock.now_ns
     for _ in range(iterations):
-        engine.run_cpu(
+        runtime.runCpuKernel(
             KernelSpec("update", [BufferAccess(buffer, "readwrite")]),
             threads=apu.cpu.cores,
         )
-        engine.run_gpu(
+        runtime.launchKernel(
             KernelSpec("compute", [BufferAccess(buffer, "read")])
         )
-        apu.streams.device_synchronize()
+        runtime.hipDeviceSynchronize()
     return ModelResult("upm/MI300A", (apu.clock.now_ns - start) / 1e6, 0)
 
 

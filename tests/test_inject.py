@@ -28,9 +28,11 @@ from repro.inject import (
     run_campaign,
     run_one,
 )
+from repro.porting import UnifiedVector
 from repro.runtime.hip import (
     ALLOC_BACKOFF_NS,
     ALLOC_RETRY_LIMIT,
+    ALLOCATORS,
     HipError,
     hipErrorECCNotCorrectable,
     hipErrorInvalidValue,
@@ -265,6 +267,60 @@ class TestErrorSurface:
             hipErrorOutOfMemory
         )
         assert HipError("something went wrong").code == hipErrorUnknown
+
+
+class TestExhaustedFrameAllocator:
+    """Every named allocation and first touch fails typed, leaking nothing."""
+
+    @pytest.mark.parametrize("xnack", [False, True])
+    @pytest.mark.parametrize(
+        "case",
+        [*ALLOCATORS, "vector:hipMalloc", "vector:hipHostMalloc"],
+    )
+    def test_failures_are_typed_out_of_memory_and_leak_nothing(
+        self, case, xnack
+    ):
+        hip = make_runtime(memory_gib=1, xnack=xnack)
+        if case.startswith("vector:"):
+            # The first storage is made before the plan attaches, so the
+            # failing allocation is the vector's growth.
+            vector = UnifiedVector(hip, allocator=case.split(":")[1])
+            vector.extend(range(4))
+        plan = _plan(Injector("physical.alloc", "transient", Always(),
+                              times=10_000))
+        plan.attach(hip.apu)
+        codes = []
+
+        def attempt(call):
+            try:
+                return call()
+            except HipError as failure:
+                codes.append(failure.code)
+                return None
+
+        if case.startswith("vector:"):
+            attempt(lambda: vector.extend(range(1 << 12)))
+        else:
+            buffer = attempt(lambda: hip.allocate(1 << 20, case))
+            if buffer is None:  # a failed attempt leaves nothing live
+                assert hip.apu.memory.allocations == []
+            else:
+                attempt(lambda: hip.hipMemcpy(buffer, buffer, 4096))
+                attempt(lambda: hip.hipMemcpyAsync(buffer, buffer, 4096))
+                attempt(lambda: hip.runCpuKernel(KernelSpec(
+                    "cpu-touch", [BufferAccess(buffer, "write", "touch")],
+                )))
+                # Pageable memory without XNACK is illegal on the GPU
+                # (a fatal access, not an allocation failure).
+                if xnack or case != "malloc":
+                    attempt(lambda: hip.launchKernel(KernelSpec(
+                        "gpu-touch", [BufferAccess(buffer, "read", "touch")],
+                    )))
+        assert codes and set(codes) == {hipErrorOutOfMemory}
+        for allocation in list(hip.apu.memory.allocations):
+            hip.hipFree(allocation)
+        plan.teardown()
+        assert check_invariants(hip.apu) == []
 
 
 # ----------------------------------------------------------------------
@@ -556,12 +612,14 @@ class TestChaosHarness:
             assert report["ok"], (name, report["runs"])
 
     def test_standard_campaign_across_all_six_ports(self):
-        """Satellite: every Rodinia port, both memory models, recovers."""
+        """Every variant of every Rodinia port recovers."""
         report = run_campaign("standard", seed=7)
         apps = {run["app"] for run in report["runs"]}
         assert apps == {"backprop", "dwt2d", "heartwall", "hotspot", "nn",
                         "srad_v1"}
-        assert len(report["runs"]) == 12  # explicit + one unified each
+        # Two variants each, plus nn's unified-hipalloc and heartwall's
+        # unified-v2.
+        assert len(report["runs"]) == 14
         for run in report["runs"]:
             assert run["ok"], (run["app"], run["variant"], run["error"])
             assert run["checksum_matches"]

@@ -123,8 +123,8 @@ class TestStackFlag:
 
 
 class TestUnifiedVector:
-    def test_push_back_growth(self, apu):
-        vec = UnifiedVector(apu, np.float32, initial_capacity=2)
+    def test_push_back_growth(self, hip):
+        vec = UnifiedVector(hip, np.float32, initial_capacity=2)
         for i in range(10):
             vec.push_back(float(i))
         assert vec.size == 10
@@ -132,46 +132,46 @@ class TestUnifiedVector:
         assert vec.reallocations >= 2
         assert np.array_equal(vec.data, np.arange(10, dtype=np.float32))
 
-    def test_extend(self, apu):
-        vec = UnifiedVector(apu, np.float32, initial_capacity=4)
+    def test_extend(self, hip):
+        vec = UnifiedVector(hip, np.float32, initial_capacity=4)
         vec.extend(range(100))
         assert vec.size == 100
         assert vec.data[99] == 99.0
 
-    def test_default_allocator_is_pageable(self, apu):
-        vec = UnifiedVector(apu)
+    def test_default_allocator_is_pageable(self, hip):
+        vec = UnifiedVector(hip)
         vec.extend(range(10))
         assert vec.allocation.kind is AllocatorKind.MALLOC
 
-    def test_hip_allocator_variant(self, apu):
-        vec = UnifiedVector(apu, allocator="hipMalloc")
+    def test_hip_allocator_variant(self, hip):
+        vec = UnifiedVector(hip, allocator="hipMalloc")
         vec.extend(range(10))
         assert vec.allocation.kind is AllocatorKind.HIP_MALLOC
 
-    def test_growth_frees_old_buffer(self, apu):
-        vec = UnifiedVector(apu, np.float32, initial_capacity=2)
+    def test_growth_frees_old_buffer(self, hip):
+        vec = UnifiedVector(hip, np.float32, initial_capacity=2)
         old_allocation = vec.allocation
         vec.extend(range(100))
-        assert old_allocation not in apu.memory.allocations
+        assert old_allocation not in hip.apu.memory.allocations
 
-    def test_cpu_pages_touched(self, apu):
-        vec = UnifiedVector(apu, np.float64, initial_capacity=1024)
+    def test_cpu_pages_touched(self, hip):
+        vec = UnifiedVector(hip, np.float64, initial_capacity=1024)
         vec.extend(range(1024))
         assert vec.allocation.vma.resident_pages() >= 2
 
-    def test_reserve_avoids_reallocation(self, apu):
-        vec = UnifiedVector(apu, np.float32, initial_capacity=4)
+    def test_reserve_avoids_reallocation(self, hip):
+        vec = UnifiedVector(hip, np.float32, initial_capacity=4)
         vec.reserve(1000)
         grows_before = vec.reallocations
         vec.extend(range(1000))
         assert vec.reallocations == grows_before
 
-    def test_unsupported_allocator_rejected(self, apu):
+    def test_unsupported_allocator_rejected(self, hip):
         with pytest.raises(ValueError):
-            UnifiedVector(apu, allocator="stack")
+            UnifiedVector(hip, allocator="stack")
 
-    def test_free(self, apu):
-        vec = UnifiedVector(apu)
+    def test_free(self, hip):
+        vec = UnifiedVector(hip)
         vec.extend(range(10))
         vec.free()
         assert len(vec) == 0
