@@ -275,7 +275,8 @@ class TestExhaustedFrameAllocator:
     @pytest.mark.parametrize("xnack", [False, True])
     @pytest.mark.parametrize(
         "case",
-        [*ALLOCATORS, "vector:hipMalloc", "vector:hipHostMalloc"],
+        [*ALLOCATORS, "vector:malloc", "vector:hipMalloc",
+         "vector:hipHostMalloc"],
     )
     def test_failures_are_typed_out_of_memory_and_leak_nothing(
         self, case, xnack
@@ -319,6 +320,33 @@ class TestExhaustedFrameAllocator:
         assert codes and set(codes) == {hipErrorOutOfMemory}
         for allocation in list(hip.apu.memory.allocations):
             hip.hipFree(allocation)
+        plan.teardown()
+        assert check_invariants(hip.apu) == []
+
+    @pytest.mark.parametrize("append", [
+        lambda vector: vector.push_back(4.0),       # touches a new page
+        lambda vector: vector.extend(range(1024)),  # touches a new page
+        lambda vector: vector.extend(range(4096)),  # grows first
+    ], ids=["push_back", "extend", "extend-grow"])
+    def test_malloc_vector_first_touch_is_typed_and_keeps_its_state(
+        self, append
+    ):
+        hip = make_runtime(memory_gib=1)
+        vector = UnifiedVector(hip, initial_capacity=2048)
+        vector.extend(range(1024))  # fills the first page
+        storage = vector.allocation
+        plan = _plan(Injector("physical.alloc", "transient", Always(),
+                              times=10_000))
+        plan.attach(hip.apu)
+        with pytest.raises(HipError) as failure:
+            append(vector)
+        assert failure.value.code == hipErrorOutOfMemory
+        assert hip.hipPeekAtLastError() == hipErrorOutOfMemory
+        # A failed append keeps the old storage and appends nothing.
+        assert vector.allocation is storage
+        assert vector.data.tolist() == list(range(1024))
+        assert hip.apu.memory.allocations == [storage]
+        vector.free()
         plan.teardown()
         assert check_invariants(hip.apu) == []
 

@@ -122,11 +122,32 @@ class TestEvents:
             Event("ghost").elapsed_since(recorded)
 
     def test_host_event_synchronize_unrecorded_rejected(self):
-        from repro.runtime.hip import make_runtime
+        from repro.runtime.hip import (
+            HipError,
+            hipErrorInvalidResourceHandle,
+            make_runtime,
+        )
 
         hip = make_runtime(memory_gib=1)
-        with pytest.raises(UnrecordedEventError, match="limbo"):
+        with pytest.raises(HipError, match="limbo") as failure:
             hip.hipEventSynchronize(hip.hipEventCreate("limbo"))
+        assert failure.value.code == hipErrorInvalidResourceHandle
+        assert hip.hipPeekAtLastError() == hipErrorInvalidResourceHandle
+
+    def test_stream_wait_unrecorded_event_is_typed(self):
+        from repro.runtime.hip import (
+            HipError,
+            hipErrorInvalidResourceHandle,
+            make_runtime,
+        )
+
+        hip = make_runtime(memory_gib=1)
+        stream = hip.hipStreamCreate("s")
+        with pytest.raises(HipError, match="orphan") as failure:
+            hip.hipStreamWaitEvent(stream, hip.hipEventCreate("orphan"))
+        assert failure.value.code == hipErrorInvalidResourceHandle
+        assert hip.hipPeekAtLastError() == hipErrorInvalidResourceHandle
+        assert stream.available_at_ns == hip.apu.clock.now_ns
 
     def test_host_event_synchronize_advances_clock(self):
         from repro.runtime.hip import make_runtime
