@@ -19,7 +19,7 @@ from typing import Iterable
 import numpy as np
 
 from ..core.allocators import Allocation
-from ..runtime.hip import HipRuntime
+from ..runtime.hip import HipError, HipRuntime
 
 #: The allocators a vector may use, and the name each gives its storage.
 STORAGE_NAMES = {
@@ -93,7 +93,7 @@ class UnifiedVector:
         self._data[self._size] = value
         # First touch of the element's page happens on the CPU.
         offset = self._size * self._dtype.itemsize
-        self._runtime.apu.touch(
+        self._runtime.touch(
             self._allocation, "cpu", offset_bytes=offset,
             size_bytes=self._dtype.itemsize,
         )
@@ -113,23 +113,29 @@ class UnifiedVector:
         self._data[self._size : needed] = values
         if len(values):
             start = self._size * self._dtype.itemsize
-            self._runtime.apu.touch(
+            self._runtime.touch(
                 self._allocation, "cpu", offset_bytes=start,
                 size_bytes=max(1, len(values) * self._dtype.itemsize),
             )
         self._size = needed
 
     def _grow(self, new_capacity: int) -> None:
+        """Reallocate; a failed growth frees the new storage and leaves
+        the vector as it was."""
         old_allocation = self._allocation
-        old_data = self._data
-        self._allocation = self._allocate(new_capacity)
-        self._data = np.zeros(new_capacity, dtype=self._dtype)
-        self._data[: self._size] = old_data[: self._size]
+        allocation = self._allocate(new_capacity)
         if self._size:
             # The copy touches both buffers on the CPU.
             nbytes = max(1, self._size * self._dtype.itemsize)
-            self._runtime.apu.touch(old_allocation, "cpu", size_bytes=nbytes)
-            self._runtime.apu.touch(self._allocation, "cpu", size_bytes=nbytes)
+            try:
+                self._runtime.touch(old_allocation, "cpu", size_bytes=nbytes)
+                self._runtime.touch(allocation, "cpu", size_bytes=nbytes)
+            except HipError:
+                self._runtime.hipFree(allocation)
+                raise
+        data = np.zeros(new_capacity, dtype=self._dtype)
+        data[: self._size] = self._data[: self._size]
+        self._allocation, self._data = allocation, data
         self._runtime.hipFree(old_allocation)
         self._capacity = new_capacity
         self.reallocations += 1

@@ -15,6 +15,7 @@ from .hip import (
     HipRuntime,
     hipErrorECCNotCorrectable,
     hipErrorInvalidDevice,
+    hipErrorInvalidResourceHandle,
     hipErrorInvalidValue,
     hipErrorOutOfMemory,
     hipErrorUnknown,
@@ -63,6 +64,7 @@ __all__ = [
     "copy_path",
     "hipErrorECCNotCorrectable",
     "hipErrorInvalidDevice",
+    "hipErrorInvalidResourceHandle",
     "hipErrorInvalidValue",
     "hipErrorOutOfMemory",
     "hipErrorUnknown",

@@ -40,6 +40,7 @@ hipSuccess = "hipSuccess"
 hipErrorOutOfMemory = "hipErrorOutOfMemory"
 hipErrorInvalidValue = "hipErrorInvalidValue"
 hipErrorInvalidDevice = "hipErrorInvalidDevice"
+hipErrorInvalidResourceHandle = "hipErrorInvalidResourceHandle"
 hipErrorECCNotCorrectable = "hipErrorECCNotCorrectable"
 hipErrorUnknown = "hipErrorUnknown"
 
@@ -481,9 +482,22 @@ class HipRuntime:
         # pageable memory from the CPU side before programming the DMA.
         if nbytes <= 0:
             return
+        self.touch(src, "cpu", offset_bytes=src_offset, size_bytes=nbytes)
+        self.touch(dst, "cpu", offset_bytes=dst_offset, size_bytes=nbytes)
+
+    def touch(
+        self,
+        buffer: Allocation,
+        device: str,
+        offset_bytes: int = 0,
+        size_bytes: Optional[int] = None,
+    ) -> None:
+        """Touch a byte range of *buffer* from *device* (host-side code
+        such as a container's element writes).  A first-touch frame
+        shortage surfaces as ``hipErrorOutOfMemory``."""
         try:
-            self.apu.touch(src, "cpu", offset_bytes=src_offset, size_bytes=nbytes)
-            self.apu.touch(dst, "cpu", offset_bytes=dst_offset, size_bytes=nbytes)
+            self.apu.touch(buffer, device, offset_bytes=offset_bytes,
+                           size_bytes=size_bytes)
         except OutOfMemoryError as failure:
             raise self._first_touch_error(failure) from failure
 
@@ -589,20 +603,27 @@ class HipRuntime:
         self.apu.streams.resolve(stream).record_event(event)
 
     def hipStreamWaitEvent(self, stream: Optional[Stream], event: Event) -> None:
-        """Make a stream wait for an event."""
-        self.apu.streams.resolve(stream).wait_event(event)
+        """Make a stream wait for an event; an event never recorded is
+        ``hipErrorInvalidResourceHandle``."""
+        try:
+            self.apu.streams.resolve(stream).wait_event(event)
+        except UnrecordedEventError as failure:
+            raise self._error(
+                hipErrorInvalidResourceHandle, str(failure)
+            ) from failure
 
     def hipEventSynchronize(self, event: Event) -> None:
         """Block the host until the event's point on its stream passes.
 
-        Raises :class:`~repro.runtime.stream.UnrecordedEventError` for an
-        event that was never recorded (real HIP would spin forever or
-        return ``hipErrorInvalidResourceHandle``).
+        An event that was never recorded is
+        ``hipErrorInvalidResourceHandle`` (real HIP would spin forever or
+        return that code).
         """
         if event.timestamp_ns is None:
-            raise UnrecordedEventError(
+            raise self._error(
+                hipErrorInvalidResourceHandle,
                 f"hipEventSynchronize on unrecorded event {event.name!r}: "
-                "record the event before blocking on it"
+                "record the event before blocking on it",
             )
         self.apu.clock.advance_to(event.timestamp_ns)
         if self.apu.trace is not None:
