@@ -1,8 +1,8 @@
-"""The run-scoped numerics memo (repro.memo).
+"""The run-scoped memo (repro.memo).
 
 Within one engine run the explicit and unified variants of an app feed
 their kernels the same inputs, so the memo computes each numeric chain
-once.  These tests check that a memoised run is bit-identical to a
+once; Fig. 2's CPU and GPU curves of one allocator share one set-up.  These tests check that a memoised run is bit-identical to a
 memo-less one, that the lookup compares the exact input bytes, that the
 memo lives exactly as long as one ``Engine.run_many``, and that it
 stays within its byte budget.
@@ -16,9 +16,11 @@ import pytest
 
 from repro import memo
 from repro.apps import ALL_APPS, backprop, dwt2d, heartwall, hotspot, nn, srad
+from repro.bench import multichase
 from repro.exp import GOLDEN_PATH, Engine, ExperimentSpec, temporarily_registered
 from repro.exp.engine import golden_digests
 from repro.exp.experiments import APP_QUICK_PARAMS
+from repro.hw.config import KiB, MiB
 
 #: Each app's kernel chain: the memoised call a unified variant must
 #: take from the memo after its explicit baseline ran.
@@ -211,3 +213,63 @@ def test_pool_workers_match_one_worker_and_the_quick_golden():
     assert pooled.ok and pooled.rows == serial.rows
     golden = json.loads(GOLDEN_PATH.read_text())["quick"]["apps"]
     assert golden_digests({"apps": pooled})["apps"] == golden
+
+
+# ----------------------------------------------------------------------
+# Fig. 2: one set-up per allocator per run
+# ----------------------------------------------------------------------
+
+CURVES = qualname(multichase._curves)
+FIG2_SIZES = (1 * KiB, 1 * MiB, 64 * MiB)
+
+
+@pytest.mark.parametrize("order", [("cpu", "gpu"), ("gpu", "cpu")])
+def test_fig2_second_device_is_a_hit_with_the_unscoped_rows(order):
+    plain = {device: multichase.chase_curve("malloc", device, FIG2_SIZES, 2)
+             for device in order}
+    # The devices' curves differ, so a swapped curve cannot pass.
+    assert [r[3] for r in plain["cpu"]] != [r[3] for r in plain["gpu"]]
+    with memo.scope() as m:
+        first = multichase.chase_curve("malloc", order[0], FIG2_SIZES, 2)
+        assert (m.misses[CURVES], m.hits[CURVES]) == (1, 0)
+        second = multichase.chase_curve("malloc", order[1], FIG2_SIZES, 2)
+        assert (m.misses[CURVES], m.hits[CURVES]) == (1, 1)
+        assert m.nbytes == 0  # floats only: no APU, no frame arrays
+    assert [first, second] == [plain[order[0]], plain[order[1]]]
+
+
+def test_fig2_list_and_tuple_sizes_give_the_same_rows():
+    rows = multichase.chase_curve("hipMalloc", "cpu", FIG2_SIZES, 2)
+    assert multichase.chase_curve("hipMalloc", "cpu", list(FIG2_SIZES), 2) == rows
+    with memo.scope() as m:
+        assert multichase.chase_curve("hipMalloc", "cpu", FIG2_SIZES, 2) == rows
+        assert multichase.chase_curve(
+            "hipMalloc", "cpu", list(FIG2_SIZES), 2) == rows
+        assert (m.misses[CURVES], m.hits[CURVES]) == (1, 1)
+
+
+def test_fig2_unknown_device_and_allocator_still_raise_in_a_scope():
+    with memo.scope() as m:
+        with pytest.raises(ValueError, match="device"):
+            multichase.chase_curve("malloc", "npu", FIG2_SIZES, 2)
+        assert m.misses[CURVES] == 0  # rejected before any set-up
+        for device in ("cpu", "gpu"):
+            with pytest.raises(ValueError, match="allocator"):
+                multichase.chase_curve("cudaMalloc", device, FIG2_SIZES, 2)
+
+
+def test_fig2_quick_grid_boots_once_per_allocator_and_matches_golden():
+    boots = []
+    real = multichase.make_runtime
+
+    def counting(*args, **kwargs):
+        boots.append(args)
+        return real(*args, **kwargs)
+
+    with mock.patch.object(multichase, "make_runtime", counting):
+        result = Engine().run("fig2", quick=True)
+    allocators = {point.point.params["allocator"] for point in result.points}
+    assert result.ok and len(boots) == len(allocators) == 2
+    assert len(result.points) == 2 * len(allocators)
+    golden = json.loads(GOLDEN_PATH.read_text())["quick"]["fig2"]
+    assert golden_digests({"fig2": result})["fig2"] == golden
