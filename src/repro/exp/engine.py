@@ -22,6 +22,7 @@ import hashlib
 import json
 import signal
 import subprocess
+import sys
 import threading
 import time
 import traceback
@@ -33,6 +34,11 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
+
+try:
+    import resource
+except ImportError:  # not on Windows: peak RSS then reads 0
+    resource = None
 
 from .. import memo
 from .registry import get_spec
@@ -93,6 +99,14 @@ def _normalize_payload(raw: Any) -> Dict[str, Any]:
     return json.loads(json.dumps(payload))
 
 
+def _peak_rss_bytes() -> int:
+    """This process's resident-set high-water mark (``ru_maxrss``)."""
+    if resource is None:
+        return 0
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak if sys.platform == "darwin" else peak * 1024
+
+
 class PointTimeoutError(RuntimeError):
     """A point exceeded its per-point wall-clock budget."""
 
@@ -139,6 +153,8 @@ def execute_point(
     Returns ``(payload, wall_seconds)``; a raising runner yields an
     ``{"error": traceback, "params": ...}`` payload so failures survive
     the trip back from a worker process with the point that caused them.
+    Either payload carries the process's ``peak_rss_bytes`` after the
+    point.
     ``KeyboardInterrupt`` and ``SystemExit`` propagate — an operator's
     Ctrl-C must stop the sweep, not become one more failed point.
     """
@@ -151,7 +167,9 @@ def execute_point(
         raise
     except BaseException:  # noqa: BLE001 — the traceback is the product
         payload = {"error": traceback.format_exc(), "params": dict(params)}
-    return payload, time.perf_counter() - start
+    wall_s = time.perf_counter() - start
+    payload["peak_rss_bytes"] = _peak_rss_bytes()
+    return payload, wall_s
 
 
 @dataclass
@@ -162,6 +180,8 @@ class PointResult:
     rows: List[List[Any]] = field(default_factory=list)
     sim_time_ns: float = 0.0
     wall_s: float = 0.0
+    #: The running process's ``ru_maxrss`` after the point, in bytes.
+    peak_rss_bytes: int = 0
     error: Optional[str] = None
 
     @property
@@ -210,6 +230,11 @@ class ExperimentResult:
     @property
     def sim_time_ns(self) -> float:
         return sum(p.sim_time_ns for p in self.points)
+
+    @property
+    def peak_rss_bytes(self) -> int:
+        """The highest ``ru_maxrss`` any of its points' processes reached."""
+        return max((p.peak_rss_bytes for p in self.points), default=0)
 
     def to_payload(self) -> Dict[str, Any]:
         """The per-experiment JSON artifact."""
@@ -320,13 +345,16 @@ class Engine:
     def _to_point_result(
         point: Point, payload: Dict[str, Any], wall_s: float
     ) -> PointResult:
+        peak_rss = payload.get("peak_rss_bytes", 0)
         if "error" in payload:
-            return PointResult(point=point, wall_s=wall_s, error=payload["error"])
+            return PointResult(point=point, wall_s=wall_s,
+                               peak_rss_bytes=peak_rss, error=payload["error"])
         return PointResult(
             point=point,
             rows=payload.get("rows", []),
             sim_time_ns=float(payload.get("sim_time_ns", 0.0)),
             wall_s=wall_s,
+            peak_rss_bytes=peak_rss,
         )
 
     def _execute(
@@ -438,6 +466,7 @@ def bench_payload(
             "failed_points": len(result.failures),
             "rows": len(result.rows),
             "wall_s": round(result.wall_s, 6),
+            "peak_rss_bytes": result.peak_rss_bytes,
             "sim_time_s": result.sim_time_ns / 1e9,
             "ok": result.ok,
         }
@@ -490,8 +519,9 @@ def verify_bench(
     """Validate a BENCH payload (or file); returns a list of problems.
 
     Checks the schema version, provenance fields, that every expected
-    experiment (default: the full registry) is present, and that none
-    failed.  An empty return value means the artifact is sound.
+    experiment (default: the full registry) is present with its
+    ``peak_rss_bytes``, and that none failed.  An empty return value
+    means the artifact is sound.
     """
     from .registry import experiment_names
 
@@ -519,6 +549,8 @@ def verify_bench(
             problems.append(f"experiment {name!r} missing from BENCH output")
         elif not experiments[name].get("ok", False):
             problems.append(f"experiment {name!r} recorded a failure")
+        elif "peak_rss_bytes" not in experiments[name]:
+            problems.append(f"experiment {name!r} has no peak_rss_bytes")
     return problems
 
 

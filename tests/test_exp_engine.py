@@ -80,6 +80,7 @@ class TestExecutePoint:
     def test_returns_rows_and_wall_time(self):
         with temporarily_registered(SQUARES):
             payload, wall_s = execute_point("squares", {"value": 3, "scale": 2})
+        assert payload.pop("peak_rss_bytes") > 0
         assert payload == {"rows": [[3, 18]], "sim_time_ns": 0.0}
         assert wall_s >= 0.0
 
@@ -212,6 +213,9 @@ class TestArtifacts:
         assert bench["workers"] == 2 and bench["quick"] is True
         assert bench["experiments"]["squares"]["ok"] is True
         assert bench["experiments"]["squares"]["points"] == 3
+        assert bench["experiments"]["squares"]["peak_rss_bytes"] == max(
+            p.peak_rss_bytes for p in results["squares"].points
+        ) > 0
 
     def test_verify_bench_accepts_sound_artifact(self, tmp_path):
         bench_path = write_artifacts(
@@ -235,6 +239,14 @@ class TestArtifacts:
         payload["schema_version"] = "0"
         problems = verify_bench(payload, expected=["flaky"])
         assert any("schema_version" in p for p in problems)
+
+    def test_verify_bench_flags_missing_peak_rss(self):
+        payload = bench_payload(self._results(), workers=1, wall_s=0.1,
+                                quick=True)
+        assert verify_bench(payload, expected=["squares"]) == []
+        del payload["experiments"]["squares"]["peak_rss_bytes"]
+        problems = verify_bench(payload, expected=["squares"])
+        assert problems == ["experiment 'squares' has no peak_rss_bytes"]
 
     def test_verify_bench_unreadable_file(self, tmp_path):
         problems = verify_bench(tmp_path / "missing.json", expected=[])
