@@ -88,7 +88,7 @@ register(ExperimentSpec.define(
     fixed={"sizes": FIG2_SIZES, "memory_gib": 16},
     quick_fixed={"sizes": FIG2_QUICK_SIZES, "memory_gib": 16},
     description="Latency-vs-size curves per allocator and device "
-                "(one fresh APU per curve).",
+                "(one fresh APU per allocator per run).",
 ))
 
 

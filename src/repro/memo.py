@@ -1,4 +1,4 @@
-"""Run-scoped memo of the Rodinia ports' numerics.
+"""Run-scoped memo of pure, seeded computations that several points read.
 
 The explicit and unified variants of an app differ in allocations and
 copies, never in their kernels, so within one engine run they feed the
@@ -7,6 +7,13 @@ function compute once per distinct input: :meth:`Engine.run_many
 <repro.exp.Engine.run_many>` makes a fresh :class:`Memo` current for the
 whole run (forked pool workers inherit it empty) and drops it when the
 run returns.  Outside a run there is no memo and every call computes.
+
+A bench runner may use it the same way when its points share a pure,
+seeded set-up that they read without writing: Fig. 2's CPU and GPU
+curves of one allocator come from one APU boot and first touch
+(:func:`repro.bench.multichase.chase_curve`).  Such an entry returns
+plain values, never the simulator objects it built, since the budget
+counts arrays only.
 
 The key is the function plus the exact value of every argument:
 

@@ -2,10 +2,11 @@
 
 Within one engine run the explicit and unified variants of an app feed
 their kernels the same inputs, so the memo computes each numeric chain
-once; Fig. 2's CPU and GPU curves of one allocator share one set-up.  These tests check that a memoised run is bit-identical to a
-memo-less one, that the lookup compares the exact input bytes, that the
-memo lives exactly as long as one ``Engine.run_many``, and that it
-stays within its byte budget.
+once; Fig. 2's CPU and GPU curves of one allocator share one set-up.
+These tests check that a memoised run is bit-identical to a memo-less
+one, that the lookup compares the exact input bytes, that the memo
+lives exactly as long as one ``Engine.run_many``, and that it stays
+within its byte budget.
 """
 
 import json
