@@ -13,6 +13,7 @@ from repro.hw.clock import SimClock
 from repro.hw.config import KiB, MiB
 from repro.perf.latency import ic_hit_fraction_for_frames
 from repro.runtime.arrays import DeviceArray
+from repro.runtime.kernels import BufferAccess, KernelSpec
 from repro.runtime.sdma import memcpy_bandwidth_bytes_per_s, memcpy_time_ns
 from hypothesis import given, settings, strategies as st
 
@@ -159,6 +160,45 @@ class TestEvents:
         hip.hipEventRecord(event, stream)
         hip.hipEventSynchronize(event)
         assert hip.apu.clock.now_ns >= 2_000.0
+
+    @pytest.mark.parametrize(
+        "call",
+        ["record", "wait", "sync", "memcpy_async", "launch"],
+    )
+    def test_foreign_stream_rejected(self, call):
+        """A stream from another runtime is an invalid handle here.
+
+        No call may read or move the other runtime's timeline, nor its
+        own: both clocks and both streams stay where they were.
+        """
+        from repro.runtime.hip import (
+            HipError,
+            hipErrorInvalidResourceHandle,
+            make_runtime,
+        )
+
+        a, b = make_runtime(memory_gib=1), make_runtime(memory_gib=1)
+        foreign = b.hipStreamCreate("theirs")
+        foreign.enqueue(5_000.0)
+        done = a.hipEventCreate("done")
+        a.hipEventRecord(done)
+        buf = a.hipMalloc(4096)
+        spec = KernelSpec("k", [BufferAccess(buf, "read")])
+        calls = {
+            "record": lambda: a.hipEventRecord(a.hipEventCreate("e"), foreign),
+            "wait": lambda: a.hipStreamWaitEvent(foreign, done),
+            "sync": lambda: a.hipStreamSynchronize(foreign),
+            "memcpy_async": lambda: a.hipMemcpyAsync(buf, buf, 4096, foreign),
+            "launch": lambda: a.launchKernel(spec, foreign),
+        }
+        clock_a = a.apu.clock.now_ns
+        with pytest.raises(HipError, match="theirs") as failure:
+            calls[call]()
+        assert failure.value.code == hipErrorInvalidResourceHandle
+        assert a.hipPeekAtLastError() == hipErrorInvalidResourceHandle
+        assert a.apu.clock.now_ns == clock_a
+        assert b.apu.clock.now_ns == 0.0
+        assert foreign.available_at_ns == 5_000.0
 
 
 class TestCrossStreamOrdering:
