@@ -430,12 +430,12 @@ class HipRuntime:
         src_offset: int = 0,
     ) -> None:
         """Asynchronous copy on a stream."""
+        resolved = self._stream(stream)
         dst_alloc, src_alloc = _allocation(dst), _allocation(src)
         if nbytes is None:
             nbytes = min(dst_alloc.size_bytes, src_alloc.size_bytes)
         self._resolve_copy_faults(dst_alloc, src_alloc, nbytes, dst_offset, src_offset)
         duration = self._copy_duration(dst_alloc, src_alloc, nbytes)
-        resolved = self.apu.streams.resolve(stream)
         resolved.enqueue(duration)
         self._emit_memcpy(
             dst_alloc, src_alloc, nbytes, dst_offset, src_offset,
@@ -571,7 +571,7 @@ class HipRuntime:
         frame shortage as ``hipErrorOutOfMemory``.
         """
         try:
-            return self._engine.run_gpu(spec, stream)
+            return self._engine.run_gpu(spec, self._stream(stream))
         except UncorrectableECCError as failure:
             raise self._error(
                 hipErrorECCNotCorrectable, str(failure)
@@ -590,6 +590,16 @@ class HipRuntime:
     # Streams, events, synchronisation
     # ------------------------------------------------------------------
 
+    def _stream(self, stream: Optional[Stream]) -> Stream:
+        """Resolve *stream* (None is the default stream); a stream another
+        runtime created is ``hipErrorInvalidResourceHandle``."""
+        if stream is not None and stream not in self.apu.streams:
+            raise self._error(
+                hipErrorInvalidResourceHandle,
+                f"stream {stream.name!r} belongs to another runtime",
+            )
+        return self.apu.streams.resolve(stream)
+
     def hipStreamCreate(self, name: str = "") -> Stream:
         """Create a new stream."""
         return self.apu.streams.create(name)
@@ -600,13 +610,14 @@ class HipRuntime:
 
     def hipEventRecord(self, event: Event, stream: Optional[Stream] = None) -> None:
         """Record an event on a stream."""
-        self.apu.streams.resolve(stream).record_event(event)
+        self._stream(stream).record_event(event)
 
     def hipStreamWaitEvent(self, stream: Optional[Stream], event: Event) -> None:
         """Make a stream wait for an event; an event never recorded is
         ``hipErrorInvalidResourceHandle``."""
+        stream = self._stream(stream)
         try:
-            self.apu.streams.resolve(stream).wait_event(event)
+            stream.wait_event(event)
         except UnrecordedEventError as failure:
             raise self._error(
                 hipErrorInvalidResourceHandle, str(failure)
@@ -633,7 +644,7 @@ class HipRuntime:
 
     def hipStreamSynchronize(self, stream: Optional[Stream] = None) -> None:
         """Block the host until a stream drains."""
-        self.apu.streams.resolve(stream).synchronize()
+        self._stream(stream).synchronize()
 
     def hipDeviceSynchronize(self) -> None:
         """Block the host until all streams drain."""
