@@ -2,9 +2,9 @@
 
 This package is the subject of the paper's system-software study: the
 physical frame allocator, the two page tables and their HMM mirror, the
-fragment-aware TLBs, the page-fault handler with XNACK semantics, the
-seven memory allocators of Table 1, and the (mutually inconsistent)
-memory-usage reporting interfaces.
+fragment-aware GPU TLB's miss count, the page-fault handler with XNACK
+semantics, the seven memory allocators of Table 1, and the (mutually
+inconsistent) memory-usage reporting interfaces.
 """
 
 from .address_space import (
@@ -53,7 +53,7 @@ from .meminfo import (
 from .page import NO_FRAME
 from .page_table import GPUPageTable, HMMMirror, PageTableStats, SystemPageTable
 from .physical import OutOfMemoryError, PhysicalMemory
-from .tlb import TLB, TLBStats, streaming_tlb_misses
+from .tlb import streaming_tlb_misses
 
 __all__ = [
     "AddressSpace",
@@ -74,8 +74,6 @@ __all__ = [
     "PageTableStats",
     "PhysicalMemory",
     "SystemPageTable",
-    "TLB",
-    "TLBStats",
     "UsageSnapshot",
     "VMA",
     "allocator_table",

@@ -19,6 +19,7 @@ from typing import Iterator, List, Tuple
 import numpy as np
 
 from ..hw.config import PAGE_SIZE
+from .fragments import compute_fragments
 from .page import NO_FRAME
 
 #: Where the simulated process's mmap region starts.
@@ -63,8 +64,35 @@ class VMA:
         self.sys_valid = np.zeros(npages, dtype=bool)
         #: Present (mirrored) in the GPU page table.
         self.gpu_valid = np.zeros(npages, dtype=bool)
-        #: GPU PTE fragment exponent (meaningful where gpu_valid).
-        self.fragment = np.zeros(npages, dtype=np.int8)
+        self._fragment = np.zeros(npages, dtype=np.int8)
+        #: Fragment scans owed by GPU maps, in map order: (first mapped
+        #: page, the mapping table's stats).  Run on first read.
+        self.owed_scans: List[Tuple[int, object]] = []
+
+    @property
+    def fragment(self) -> np.ndarray:
+        """GPU PTE fragment exponent per page (meaningful where gpu_valid).
+
+        Runs the owed scans first, in map order, once per maximal
+        GPU-valid region.  GPU maps only grow those regions until an
+        unmap, which reads this first, so each region's scan yields the
+        values the map-time scans would have left.
+        """
+        if self.owed_scans:
+            edges = np.diff(self.gpu_valid, prepend=False, append=False)
+            bounds = np.flatnonzero(edges)  # region starts and ends, paired
+            scanned = set()
+            for first, stats in self.owed_scans:
+                k = int(np.searchsorted(bounds, first, side="right")) - 1
+                if k not in scanned:
+                    scanned.add(k)
+                    lo, hi = int(bounds[k]), int(bounds[k + 1])
+                    self._fragment[lo:hi] = compute_fragments(
+                        self.frames[lo:hi], self.base_vpn + lo
+                    )
+                    stats.fragment_scans += 1
+            self.owed_scans.clear()
+        return self._fragment
 
     @property
     def end(self) -> int:

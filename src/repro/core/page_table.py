@@ -12,8 +12,9 @@ The authoritative per-page state lives in each :class:`~.address_space.VMA`
 bookkeeping counters the experiments observe:
 
 * :class:`SystemPageTable` — CPU-side mapping, minor/major fault targets.
-* :class:`GPUPageTable` — GPU-side mirror with fragment computation on map
-  (the amdgpu opportunistic fragment scan, paper Section 3.2).
+* :class:`GPUPageTable` — GPU-side mirror with the amdgpu opportunistic
+  fragment scan (paper Section 3.2): owed at map, run at first read of
+  ``VMA.fragment``; values are those of the map-time scan.
 * :class:`HMMMirror` — propagation and invalidation between the two.
 """
 
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .address_space import VMA
-from .fragments import compute_fragments, contiguous_runs
+from .fragments import contiguous_runs
 from .page import NO_FRAME
 
 
@@ -109,10 +110,10 @@ class GPUPageTable:
         """Mirror *count* already-backed pages into the GPU table.
 
         Every target page must have a physical frame (the GPU table never
-        invents backing).  After setting the valid bits, the amdgpu-style
-        fragment scan recomputes fragment exponents over each contiguous
-        GPU-valid region touching the mapped range, so neighbouring pages
-        mapped earlier can coalesce into larger fragments.
+        invents backing).  The amdgpu-style fragment scan over the
+        GPU-valid region around the range is owed, not run: the first
+        read of ``vma.fragment`` runs it, so neighbouring pages mapped
+        earlier or later coalesce into larger fragments.
         """
         SystemPageTable._check_range(vma, first_page, count)
         sl = slice(first_page, first_page + count)
@@ -120,36 +121,26 @@ class GPUPageTable:
             raise ValueError("GPU-mapping pages without physical backing")
         vma.gpu_valid[sl] = True
         self.stats.mapped_pages += count
-        self._rescan_fragments(vma, first_page, count)
+        vma.owed_scans.append((first_page, self.stats))
 
     def unmap_range(self, vma: VMA, first_page: int, count: int) -> None:
-        """Drop *count* pages from the GPU table (TLB shootdown implied)."""
+        """Drop *count* pages from the GPU table (TLB shootdown implied).
+
+        Owed scans run before the valid bits clear, as they would have at
+        map time; unmapping the whole VMA drops them instead.
+        """
         SystemPageTable._check_range(vma, first_page, count)
         sl = slice(first_page, first_page + count)
         removed = int(vma.gpu_valid[sl].sum())
-        vma.gpu_valid[sl] = False
+        if count == vma.npages:
+            vma.owed_scans.clear()
         vma.fragment[sl] = 0
+        vma.gpu_valid[sl] = False
         self.stats.unmapped_pages += removed
 
     def is_present(self, vma: VMA, page_index: int) -> bool:
         """True when the page is mapped in the GPU table."""
         return bool(vma.gpu_valid[page_index])
-
-    def _rescan_fragments(self, vma: VMA, first_page: int, count: int) -> None:
-        """Recompute fragments over the GPU-valid region around a mapping."""
-        # Extend to the surrounding contiguous gpu_valid region so adjacent
-        # earlier mappings merge with the new pages.
-        lo = first_page
-        while lo > 0 and vma.gpu_valid[lo - 1]:
-            lo -= 1
-        hi = first_page + count
-        while hi < vma.npages and vma.gpu_valid[hi]:
-            hi += 1
-        region = slice(lo, hi)
-        vma.fragment[region] = compute_fragments(
-            vma.frames[region], vma.base_vpn + lo
-        )
-        self.stats.fragment_scans += 1
 
 
 class HMMMirror:
@@ -184,7 +175,7 @@ class HMMMirror:
         SystemPageTable._check_range(vma, first_page, count)
         sl = slice(first_page, first_page + count)
         needed = vma.sys_valid[sl] & ~vma.gpu_valid[sl]
-        # Map each contiguous needed run so the fragment rescan sees it.
+        # Map each contiguous needed run so the fragment scan sees it.
         idx = np.flatnonzero(needed)
         for s, n in contiguous_runs(idx):
             self._gpu.map_range(vma, first_page + int(idx[s]), n)

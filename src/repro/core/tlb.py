@@ -1,4 +1,4 @@
-"""TLB models: CPU TLB and fragment-aware GPU TLB.
+"""The fragment-aware GPU TLB's miss count for streaming kernels.
 
 The GPU L1 TLB can store a single entry for a whole *fragment* (an aligned
 power-of-two run of pages), so the reach of its limited entry count
@@ -9,63 +9,13 @@ fragments are not used in the CPU page table, paper Section 5.4).
 The kernel engine counts Fig. 9's GPU TLB misses with
 :func:`streaming_tlb_misses`, a closed form over the GPU page table's
 fragment exponents for long sequential streams (the STREAM TRIAD access
-pattern), so it never walks tens of millions of pages.  :class:`TLB` is
-an exact LRU simulation; no APU builds one, and the tests use it as the
-reference the closed form must match.
+pattern), so it never walks tens of millions of pages.  The tests hold
+it to an exact LRU simulation.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass
-
 import numpy as np
-
-from ..hw.config import TLBGeometry
-
-
-@dataclass
-class TLBStats:
-    """Hit/miss counters of one TLB instance."""
-
-    hits: int = 0
-    misses: int = 0
-
-
-class TLB:
-    """LRU translation cache, optionally fragment-aware."""
-
-    def __init__(self, geometry: TLBGeometry) -> None:
-        if geometry.entries <= 0:
-            raise ValueError("TLB needs at least one entry")
-        self._geometry = geometry
-        self._entries: "OrderedDict[int, None]" = OrderedDict()
-        self.stats = TLBStats()
-
-    def _tag(self, vpn: int, fragment_exponent: int) -> int:
-        if self._geometry.fragment_aware and fragment_exponent > 0:
-            # One entry covers the whole aligned fragment block.  Tags are
-            # disambiguated by folding the exponent in, since blocks of
-            # different sizes must not alias.
-            return ((vpn >> fragment_exponent) << 6) | fragment_exponent
-        return (vpn << 6) | 0
-
-    def access(self, vpn: int, fragment_exponent: int = 0) -> bool:
-        """Translate one page access; returns True on hit."""
-        tag = self._tag(vpn, fragment_exponent)
-        if tag in self._entries:
-            self._entries.move_to_end(tag)
-            self.stats.hits += 1
-            return True
-        self.stats.misses += 1
-        self._entries[tag] = None
-        if len(self._entries) > self._geometry.entries:
-            self._entries.popitem(last=False)
-        return False
-
-    def flush(self) -> None:
-        """Invalidate all entries (TLB shootdown)."""
-        self._entries.clear()
 
 
 def streaming_tlb_misses(

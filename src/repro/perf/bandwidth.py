@@ -21,8 +21,7 @@ at 9 threads and degrading with more cores).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from typing import Callable, Union
 
 from ..hw.config import KiB, MI300AConfig
 
@@ -34,15 +33,38 @@ LARGE_FRAGMENT_BYTES = 32 * KiB
 #: "case B" for CPU streaming (biased Infinity Cache slice usage).
 BALANCED_THRESHOLD = 0.8
 
+#: A trait's value, or a function of no arguments that computes it.
+Trait = Union[float, Callable[[], float]]
 
-@dataclass(frozen=True)
+
 class BufferTraits:
-    """The allocator-determined properties the bandwidth model reads."""
+    """The allocator-determined properties the bandwidth model reads.
 
-    on_demand: bool
-    uncached: bool
-    average_fragment_bytes: float
-    channel_balance: float
+    ``average_fragment_bytes`` and ``channel_balance`` are computed on
+    first read when given as functions: only the GPU model reads the
+    one, only the CPU model the other.
+    """
+
+    def __init__(self, on_demand: bool, uncached: bool,
+                 average_fragment_bytes: Trait, channel_balance: Trait) -> None:
+        self.on_demand = on_demand
+        self.uncached = uncached
+        self._fragment = average_fragment_bytes
+        self._balance = channel_balance
+
+    @property
+    def average_fragment_bytes(self) -> float:
+        """Average GPU fragment size in bytes over the mapped pages."""
+        if callable(self._fragment):
+            self._fragment = self._fragment()
+        return self._fragment
+
+    @property
+    def channel_balance(self) -> float:
+        """Channel-histogram balance score of the resident frames."""
+        if callable(self._balance):
+            self._balance = self._balance()
+        return self._balance
 
     @property
     def balanced(self) -> bool:

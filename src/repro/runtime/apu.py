@@ -113,23 +113,22 @@ class APU:
     # ------------------------------------------------------------------
 
     def buffer_traits(self, allocation: Allocation) -> BufferTraits:
-        """Derive the bandwidth-model traits of a buffer from live state."""
+        """Derive the bandwidth-model traits of a buffer from live state.
+
+        The fragment average and the channel balance are computed on
+        first read, so a model that reads neither pays for neither (no
+        GPU-mapped page averages 0.0, no resident frame balances 1.0).
+        """
         vma = allocation.vma
-        gpu_mapped = vma.gpu_valid
-        if gpu_mapped.any():
-            avg_fragment = average_fragment_bytes(vma.fragment[gpu_mapped])
-        else:
-            avg_fragment = 0.0
-        frames = vma.resident_frames()
-        if frames.size:
-            balance = channel_balance(self.hbm_map.channel_histogram(frames))
-        else:
-            balance = 1.0
         return BufferTraits(
             on_demand=allocation.on_demand,
             uncached=vma.uncached,
-            average_fragment_bytes=avg_fragment,
-            channel_balance=balance,
+            average_fragment_bytes=lambda: average_fragment_bytes(
+                vma.fragment[vma.gpu_valid]
+            ),
+            channel_balance=lambda: channel_balance(
+                self.hbm_map.channel_histogram(vma.resident_frames())
+            ),
         )
 
     # ------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.fragments import (
     average_fragment_bytes,
@@ -10,6 +11,9 @@ from repro.core.fragments import (
     distinct_fragments,
     fragment_histogram,
 )
+from repro.runtime.hip import make_runtime
+
+from tests.oracles import reference_fragments
 
 
 class TestContiguousRuns:
@@ -130,3 +134,34 @@ class TestAggregates:
 
     def test_average_fragment_empty(self):
         assert average_fragment_bytes(np.array([], dtype=np.int8)) == 0.0
+
+
+class TestClosedForm:
+    """compute_fragments against the page-by-page closed form."""
+
+    @given(
+        runs=st.lists(
+            st.tuples(st.integers(0, 1 << 16), st.integers(1, 300)),
+            min_size=1, max_size=10,
+        ),
+        base_vpn=st.integers(0, 1 << 20),
+        max_exponent=st.sampled_from([3, 9, 31]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_random_runs(self, runs, base_vpn, max_exponent):
+        frames = np.concatenate([np.arange(s, s + n) for s, n in runs])
+        assert np.array_equal(
+            compute_fragments(frames, base_vpn, max_exponent),
+            reference_fragments(frames, base_vpn, max_exponent),
+        )
+
+    @pytest.mark.parametrize("allocator", ["malloc", "hipMalloc", "hipHostMalloc"])
+    def test_allocator_layouts(self, allocator):
+        runtime = make_runtime(2, xnack=True)
+        buf = runtime.allocate(4 << 20, allocator)
+        runtime.touch(buf, "cpu")
+        vma = buf.vma
+        assert np.array_equal(
+            compute_fragments(vma.frames, vma.base_vpn),
+            reference_fragments(vma.frames, vma.base_vpn),
+        )

@@ -21,11 +21,13 @@ from hypothesis import given, settings, strategies as st
 from repro.core.address_space import AddressSpace
 from repro.core.fragments import compute_fragments, distinct_fragments
 from repro.core.physical import PhysicalMemory
-from repro.core.tlb import TLB, streaming_tlb_misses
+from repro.core.tlb import streaming_tlb_misses
 from repro.hw.config import PAGE_SIZE, TLBGeometry, small_config
 from repro.hw.hbm import HBMSubsystem
 from repro.perf.latency import _chase_walk_ns
 from repro.runtime.apu import make_apu
+
+from tests.oracles import TLB
 
 SMALL_CFG = small_config(1 << 30)
 

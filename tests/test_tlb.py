@@ -1,10 +1,13 @@
-"""Unit tests for the TLB models (repro.core.tlb)."""
+"""Unit tests for the streaming TLB closed form (repro.core.tlb) and
+the exact LRU TLB it is held to (tests.oracles)."""
 
 import numpy as np
 import pytest
 
-from repro.core.tlb import TLB, streaming_tlb_misses
+from repro.core.tlb import streaming_tlb_misses
 from repro.hw.config import TLBGeometry
+
+from tests.oracles import TLB
 
 
 def make_tlb(entries=4, fragment_aware=False):
