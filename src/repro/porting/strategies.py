@@ -136,7 +136,7 @@ class StackFlag:
 
     def gpu_write(self, value: float, stream: Optional[Stream] = None) -> None:
         """Record a kernel-side write (takes effect on the stream)."""
-        resolved = self._runtime.apu.streams.resolve(stream)
+        resolved = self._runtime.resolve_stream(stream)
         self._pending.append(resolved)
         self.value = value
 

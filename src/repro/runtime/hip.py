@@ -430,7 +430,7 @@ class HipRuntime:
         src_offset: int = 0,
     ) -> None:
         """Asynchronous copy on a stream."""
-        resolved = self._stream(stream)
+        resolved = self.resolve_stream(stream)
         dst_alloc, src_alloc = _allocation(dst), _allocation(src)
         if nbytes is None:
             nbytes = min(dst_alloc.size_bytes, src_alloc.size_bytes)
@@ -571,7 +571,7 @@ class HipRuntime:
         frame shortage as ``hipErrorOutOfMemory``.
         """
         try:
-            return self._engine.run_gpu(spec, self._stream(stream))
+            return self._engine.run_gpu(spec, self.resolve_stream(stream))
         except UncorrectableECCError as failure:
             raise self._error(
                 hipErrorECCNotCorrectable, str(failure)
@@ -590,7 +590,7 @@ class HipRuntime:
     # Streams, events, synchronisation
     # ------------------------------------------------------------------
 
-    def _stream(self, stream: Optional[Stream]) -> Stream:
+    def resolve_stream(self, stream: Optional[Stream]) -> Stream:
         """Resolve *stream* (None is the default stream); a stream another
         runtime created is ``hipErrorInvalidResourceHandle``."""
         if stream is not None and stream not in self.apu.streams:
@@ -610,12 +610,12 @@ class HipRuntime:
 
     def hipEventRecord(self, event: Event, stream: Optional[Stream] = None) -> None:
         """Record an event on a stream."""
-        self._stream(stream).record_event(event)
+        self.resolve_stream(stream).record_event(event)
 
     def hipStreamWaitEvent(self, stream: Optional[Stream], event: Event) -> None:
         """Make a stream wait for an event; an event never recorded is
         ``hipErrorInvalidResourceHandle``."""
-        stream = self._stream(stream)
+        stream = self.resolve_stream(stream)
         try:
             stream.wait_event(event)
         except UnrecordedEventError as failure:
@@ -644,7 +644,7 @@ class HipRuntime:
 
     def hipStreamSynchronize(self, stream: Optional[Stream] = None) -> None:
         """Block the host until a stream drains."""
-        self._stream(stream).synchronize()
+        self.resolve_stream(stream).synchronize()
 
     def hipDeviceSynchronize(self) -> None:
         """Block the host until all streams drain."""

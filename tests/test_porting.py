@@ -109,6 +109,23 @@ class TestStackFlag:
         assert flag.read() == 0.0
         assert hip.apu.clock.now_ns >= 1_000.0
 
+    def test_foreign_stream_rejected(self, hip):
+        from repro.runtime.hip import (
+            HipError,
+            hipErrorInvalidResourceHandle,
+            make_runtime,
+        )
+
+        other = make_runtime(memory_gib=1)
+        foreign = other.hipStreamCreate("theirs")
+        foreign.enqueue(5_000.0)
+        flag = StackFlag(hip, initial=1.0)
+        with pytest.raises(HipError, match="theirs") as failure:
+            flag.gpu_write(0.0, foreign)
+        assert failure.value.code == hipErrorInvalidResourceHandle
+        assert flag.read() == 1.0
+        assert other.apu.clock.now_ns == 0.0
+
     def test_scope_exit_with_pending_write_rejected(self, hip):
         flag = StackFlag(hip)
         flag.gpu_write(1.0)
