@@ -49,9 +49,10 @@ def _dataset(n: int):
 
 
 @memoised
-def _train(x: np.ndarray, w1: np.ndarray, w2: np.ndarray):
-    """The numerically real training step: ``(new_w1, new_w2, output)``."""
-    n = len(x)
+def _train(n: int):
+    """The numerically real training step on the seeded dataset:
+    ``(new_w1, new_w2, output)``."""
+    x, w1, w2 = _dataset(n)
     w1, w2 = w1.copy(), w2.copy()
     hidden = _sigmoid(x @ w1 / n)
     output = _sigmoid(hidden @ w2)
@@ -141,7 +142,7 @@ class Backprop(RodiniaApp):
             runtime.launchKernel(forward)
             runtime.hipDeviceSynchronize()
             runtime.hipMemcpy(h_hidden, d_h)  # hidden partial sums back
-            new_w1, new_w2, out = _train(h_x.np, h_w1.np, h_w2.np)
+            new_w1, new_w2, out = _train(n)
             runtime.launchKernel(adjust)
             runtime.hipDeviceSynchronize()
             runtime.hipMemcpy(h_w1, d_w1)  # adjusted weights back
@@ -149,7 +150,7 @@ class Backprop(RodiniaApp):
         h_w1.np[:] = new_w1
         h_w2.np[:] = new_w2
         self._write_output(runtime, h_w1)
-        return float(np.abs(new_w1).sum() + np.abs(new_w2).sum() + out)
+        return float(np.abs(h_w1.np).sum() + np.abs(h_w2.np).sum() + out)
 
     @staticmethod
     def _write_output(runtime: HipRuntime, weights: DeviceArray) -> None:
@@ -167,11 +168,11 @@ class Backprop(RodiniaApp):
             forward, adjust = self._kernels(x, w1, hidden)
             runtime.launchKernel(forward)
             runtime.hipDeviceSynchronize()
-            new_w1, new_w2, out = _train(x.np, w1.np, w2.np)
+            new_w1, new_w2, out = _train(n)
             runtime.launchKernel(adjust)
             runtime.hipDeviceSynchronize()
             profiler.sample()
         w1.np[:] = new_w1
         w2.np[:] = new_w2
         self._write_output(runtime, w1)
-        return float(np.abs(new_w1).sum() + np.abs(new_w2).sum() + out)
+        return float(np.abs(w1.np).sum() + np.abs(w2.np).sum() + out)

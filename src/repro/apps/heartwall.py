@@ -46,7 +46,6 @@ PIXEL_NS = 0.03
 PREP_NS = 0.25
 
 
-@memoised
 def _preprocess_frame(rng: np.random.Generator, shape) -> np.ndarray:
     """Generate + filter one ultrasound frame (numerically real)."""
     frame = rng.random(shape, dtype=np.float32)
@@ -61,7 +60,6 @@ def _preprocess_frame(rng: np.random.Generator, shape) -> np.ndarray:
     return out
 
 
-@memoised
 def _track(frame: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Move each tracked point toward its patch's brightest pixel."""
     h, w = frame.shape
@@ -73,6 +71,13 @@ def _track(frame: np.ndarray, points: np.ndarray) -> np.ndarray:
         out.append((min(max(y0 + dy, TEMPLATE), h - TEMPLATE - 1),
                     min(max(x0 + dx, TEMPLATE), w - TEMPLATE - 1)))
     return np.array(out, dtype=points.dtype).reshape(points.shape)
+
+
+@memoised
+def _next_frame(rng: np.random.Generator, shape, points: np.ndarray):
+    """The next pre-processed frame and the points tracked on it."""
+    frame = _preprocess_frame(rng, shape)
+    return frame, _track(frame, points)
 
 
 class Heartwall(RodiniaApp):
@@ -138,7 +143,7 @@ class Heartwall(RodiniaApp):
             for _ in range(frames):
                 # CPU pre-processing of the next frame overlaps the GPU
                 # kernel still running on the previous one.
-                frame = _preprocess_frame(rng, (dim, dim))
+                frame, points = _next_frame(rng, (dim, dim), points)
                 h_frame.np[:] = frame
                 runtime.runCpuKernel(self._prep_spec(h_frame.allocation, dim))
                 runtime.hipMemcpyAsync(d_frame, h_frame, stream=copy_stream)
@@ -155,7 +160,6 @@ class Heartwall(RodiniaApp):
                 tracked = runtime.hipEventCreate("tracked")
                 runtime.hipEventRecord(tracked)
                 runtime.hipStreamWaitEvent(copy_stream, tracked)
-                points = _track(frame, points)
             runtime.hipDeviceSynchronize()
             profiler.sample()
         return float(points.sum())
@@ -174,12 +178,11 @@ class Heartwall(RodiniaApp):
 
         with apu.clock.region("compute"):
             for _ in range(frames):
-                frame = _preprocess_frame(rng, (dim, dim))
+                frame, points = _next_frame(rng, (dim, dim), points)
                 frame_buf.np[:] = frame
                 runtime.runCpuKernel(self._prep_spec(frame_buf.allocation, dim))
                 runtime.launchKernel(self._track_spec(frame_buf.allocation, dim))
                 runtime.hipDeviceSynchronize()
-                points = _track(frame, points)
             runtime.hipDeviceSynchronize()
             profiler.sample()
         return float(points.sum())
@@ -202,7 +205,7 @@ class Heartwall(RodiniaApp):
 
         with apu.clock.region("compute"):
             for _ in range(frames):
-                frame = _preprocess_frame(rng, (dim, dim))
+                frame, points = _next_frame(rng, (dim, dim), points)
                 target = buffers.back
                 guard = guards.get(id(target.allocation))
                 if guard is not None:
@@ -220,7 +223,6 @@ class Heartwall(RodiniaApp):
                 done = runtime.hipEventCreate("tracked")
                 runtime.hipEventRecord(done, compute_stream)
                 guards[id(buffers.front.allocation)] = done
-                points = _track(frame, points)
             runtime.hipStreamSynchronize(compute_stream)
             profiler.sample()
         return float(points.sum())

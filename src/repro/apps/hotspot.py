@@ -58,8 +58,10 @@ def _inputs(grid: int):
 
 
 @memoised
-def _simulate(temp: np.ndarray, power: np.ndarray, iterations: int):
-    """The temperature after *iterations* stencil steps."""
+def _simulate(grid: int, iterations: int):
+    """The temperature of the seeded grids after *iterations* stencil
+    steps."""
+    temp, power = _inputs(grid)
     for _ in range(iterations):
         temp = _stencil_step(temp, power)
     return temp
@@ -107,12 +109,12 @@ class Hotspot(RodiniaApp):
             compute_ns=grid * grid * CELL_NS,
         )
 
-    def _iterate(self, runtime, temp_np, power_np, iterations: int,
+    def _iterate(self, runtime, grid: int, iterations: int,
                  spec_ab: KernelSpec, spec_ba: KernelSpec) -> np.ndarray:
         for i in range(iterations):
             runtime.launchKernel(spec_ab if i % 2 == 0 else spec_ba)
         runtime.hipDeviceSynchronize()
-        return _simulate(temp_np, power_np, iterations)
+        return _simulate(grid, iterations)
 
     # ------------------------------------------------------------------
 
@@ -135,9 +137,7 @@ class Hotspot(RodiniaApp):
             spec_ba = self._kernel(
                 d_out.allocation, d_power.allocation, d_temp.allocation, grid
             )
-            result = self._iterate(
-                runtime, h_temp.np, h_power.np, iterations, spec_ab, spec_ba
-            )
+            result = self._iterate(runtime, grid, iterations, spec_ab, spec_ba)
             d_final = d_out if iterations % 2 else d_temp
             d_final.np[:] = result
             runtime.hipMemcpy(h_temp, d_final)
@@ -160,11 +160,9 @@ class Hotspot(RodiniaApp):
             spec_ba = self._kernel(
                 out.allocation, power.allocation, temp.allocation, grid
             )
-            result = self._iterate(
-                runtime, temp.np, power.np, iterations, spec_ab, spec_ba
-            )
+            result = self._iterate(runtime, grid, iterations, spec_ab, spec_ba)
             final = out if iterations % 2 else temp
             final.np[:] = result
             profiler.sample()
         simulate_io(apu, temp.nbytes)
-        return float(result.mean())
+        return float(final.np.mean())

@@ -53,8 +53,10 @@ def _records(records: int) -> np.ndarray:
 
 
 @memoised
-def _nearest(coords: np.ndarray, k: int) -> float:
-    """Sum of the *k* smallest distances from the query point."""
+def _nearest(records: int, k: int) -> float:
+    """Sum of the *k* smallest distances from the query point over the
+    seeded records."""
+    coords = _records(records)
     lat = coords[0::2]
     lng = coords[1::2]
     dist = np.sqrt((lat - QUERY_LAT) ** 2 + (lng - QUERY_LNG) ** 2)
@@ -141,7 +143,7 @@ class NearestNeighbor(RodiniaApp):
             )
             runtime.hipDeviceSynchronize()
             runtime.hipMemcpy(h_dist, d_dist)
-            checksum = _nearest(vector.data, k)
+            checksum = _nearest(count, k)
             profiler.sample()
         simulate_io(apu, 4096)  # print the k nearest records
         return checksum
@@ -161,7 +163,7 @@ class NearestNeighbor(RodiniaApp):
                 self._kernel(vector.allocation, dist.allocation, nbytes, count)
             )
             runtime.hipDeviceSynchronize()
-            checksum = _nearest(vector.data, k)
+            checksum = _nearest(count, k)
             profiler.sample()
         simulate_io(apu, 4096)
         return checksum

@@ -75,9 +75,10 @@ def _image(dim: int) -> np.ndarray:
 
 
 @memoised
-def _denoise(image: np.ndarray, iterations: int) -> np.ndarray:
-    """*image* after *iterations* SRAD updates, computed in float64."""
-    result = image.astype(np.float64)
+def _denoise(dim: int, iterations: int) -> np.ndarray:
+    """The seeded image after *iterations* SRAD updates, computed in
+    float64."""
+    result = _image(dim).astype(np.float64)
     for _ in range(iterations):
         result = _srad_iteration(result)
     return result.astype(np.float32)
@@ -148,7 +149,7 @@ class SradV1(RodiniaApp):
                 runtime.launchKernel(prepare)
                 runtime.launchKernel(update)
             runtime.hipDeviceSynchronize()
-            d_image.np[:] = _denoise(h_image.np, iterations)
+            d_image.np[:] = _denoise(dim, iterations)
             runtime.hipMemcpy(h_image, d_image)
             profiler.sample()
         simulate_io(apu, h_image.nbytes)
@@ -178,7 +179,7 @@ class SradV1(RodiniaApp):
                         1.0 if i < iterations else 0.0
                     )
                 runtime.hipDeviceSynchronize()
-            image.np[:] = _denoise(image.np, i)
+            image.np[:] = _denoise(dim, i)
             profiler.sample()
         simulate_io(apu, image.nbytes)
         return float(image.np.mean())

@@ -1,35 +1,29 @@
 """Run-scoped memo of pure, seeded computations that several points read.
 
 The explicit and unified variants of an app differ in allocations and
-copies, never in their kernels, so within one engine run they feed the
-same numpy functions the same inputs.  :func:`memoised` lets such a pure
-function compute once per distinct input: :meth:`Engine.run_many
+copies, never in their kernels, so within one engine run they compute
+the same functions of the same seeds.  :func:`memoised` computes such a
+function once per distinct argument value: :meth:`Engine.run_many
 <repro.exp.Engine.run_many>` makes a fresh :class:`Memo` current for the
-whole run (forked pool workers inherit it empty) and drops it when the
-run returns.  Outside a run there is no memo and every call computes.
+run (forked pool workers inherit it empty) and drops it when the run
+returns.  Outside a run every call computes.  A bench runner may share a
+pure, seeded set-up the same way (Fig. 2's
+:func:`repro.bench.multichase.chase_curve`); it returns plain values,
+never simulator objects, since the budget counts arrays only.
 
-A bench runner may use it the same way when its points share a pure,
-seeded set-up that they read without writing: Fig. 2's CPU and GPU
-curves of one allocator come from one APU boot and first touch
-(:func:`repro.bench.multichase.chase_curve`).  Such an entry returns
-plain values, never the simulator objects it built, since the budget
-counts arrays only.
+The key is the function plus the value of every argument: a
+``np.random.Generator`` by its ``bit_generator.state`` (a hit sets the
+generator to the state the call would have left), scalars, strings and
+tuples by value (floats by ``hex()``, so ``-0.0`` and ``0.0`` differ),
+and arrays by dtype, shape and ``tobytes()``, which suits small arrays
+only: a chain takes the scalars that seed its inputs and calls its
+memoised generator itself, a hit inside a run.
 
-The key is the function plus the exact value of every argument:
-
-* arrays by dtype, shape and bytes.  A sampled fingerprint picks the
-  bucket, then the bytes are compared word for word; a compare reads
-  each byte once and is an order of magnitude cheaper than a digest.
-* ``np.random.Generator`` by its ``bit_generator.state``.  A hit sets
-  the generator to the state the call would have left.
-* scalars, strings and tuples of them by value (floats by ``hex()``, so
-  ``-0.0`` and ``0.0`` differ).
-
-Results are stored and returned read-only, never copied.  The memo owns
-a read-only copy of every key array, shared with any equal array it
-already holds, so a kernel fed a generator's output costs no second
-copy.  Its bytes stay within :data:`BUDGET_BYTES`, evicting the least
-recently used entries; an entry larger than the budget is not stored.
+Results are stored and returned read-only, never copied.  Their bytes
+stay within :data:`BUDGET_BYTES`, evicting the least recently used
+entries; an entry larger than the budget is not stored.  Evicting an
+entry also evicts those computed from it (the memoised calls their miss
+made), so a chain's result never outlives its inputs in the memo.
 
 A memoised function must not write its arguments, and its result must
 depend on nothing but them.
@@ -41,48 +35,17 @@ import contextlib
 import contextvars
 import functools
 from collections import Counter, OrderedDict
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-#: Bytes the memo may hold: keys and results, each array counted once.
-#: The full-grid dwt2d image and its transform (256 MiB each) fit.
+#: Bytes of results the memo may hold.  The full-grid dwt2d image and
+#: its transform (256 MiB each) fit.
 BUDGET_BYTES = 512 << 20
-
-#: Bytes sampled, evenly spaced, into an array's fingerprint.
-FINGERPRINT_SAMPLES = 256
-
-#: Bytes compared per step: the temporary stays cache-sized, and a
-#: mismatch stops the compare early.
-COMPARE_BLOCK = 1 << 20
 
 _CURRENT: contextvars.ContextVar[Optional["Memo"]] = contextvars.ContextVar(
     "repro_memo", default=None
 )
-
-
-def _words(array: np.ndarray) -> np.ndarray:
-    """The bytes of contiguous *array* as a flat vector of words."""
-    flat = array.reshape(-1).view(np.uint8)
-    return flat.view(np.uint64) if flat.size % 8 == 0 else flat
-
-
-def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether equal-sized contiguous arrays hold the same bytes."""
-    if a is b:
-        return True
-    x, y = _words(a), _words(b)
-    step = COMPARE_BLOCK // x.itemsize
-    return all(
-        np.array_equal(x[i : i + step], y[i : i + step])
-        for i in range(0, x.size, step)
-    )
-
-
-def _fingerprint(array: np.ndarray) -> Tuple[str, Tuple[int, ...], int]:
-    flat = array.reshape(-1).view(np.uint8)
-    stride = max(1, flat.size // FINGERPRINT_SAMPLES)
-    return array.dtype.str, array.shape, hash(flat[::stride].tobytes())
 
 
 def _rng_state(rng: np.random.Generator) -> Any:
@@ -95,11 +58,15 @@ def _rng_state(rng: np.random.Generator) -> Any:
     return freeze(rng.bit_generator.state)
 
 
-def _scalar_key(value: Any) -> Any:
+def _key(value: Any) -> Any:
+    if isinstance(value, np.ndarray):
+        return ("array", value.dtype.str, value.shape, value.tobytes())
+    if isinstance(value, np.random.Generator):
+        return ("rng", _rng_state(value))
     if isinstance(value, float):
         return ("float", value.hex())
     if isinstance(value, tuple):
-        return tuple(_scalar_key(v) for v in value)
+        return tuple(_key(v) for v in value)
     if value is None or isinstance(value, (bool, int, str, np.integer)):
         return (type(value).__name__, value)
     raise TypeError(f"memoised argument of unsupported type {type(value)!r}")
@@ -118,122 +85,61 @@ def _frozen(value: Any, inputs: List[np.ndarray]) -> Any:
     return value
 
 
-def _arrays_of(value: Any) -> List[np.ndarray]:
+def _nbytes(value: Any) -> int:
     if isinstance(value, tuple):
-        return [a for v in value for a in _arrays_of(v)]
-    return [value] if isinstance(value, np.ndarray) else []
-
-
-class _Entry:
-    __slots__ = ("bucket", "arrays", "rng_after", "value")
-
-    def __init__(self, bucket, arrays, rng_after, value):
-        self.bucket = bucket
-        self.arrays = arrays
-        self.rng_after = rng_after
-        self.value = value
-
-    def owned(self) -> List[np.ndarray]:
-        """The distinct arrays the entry holds: its keys and results."""
-        return list({id(a): a for a in [*self.arrays,
-                                         *_arrays_of(self.value)]}.values())
+        return sum(_nbytes(v) for v in value)
+    return value.nbytes if isinstance(value, np.ndarray) else 0
 
 
 class Memo:
-    """One run's memo: buckets of entries, LRU-ordered, byte-bounded."""
+    """One run's memo: entries by key, LRU-ordered, byte-bounded."""
 
     def __init__(self):
-        #: Bytes held, each array counted once.
+        #: Bytes of the results held.
         self.nbytes = 0
         #: Hits and misses per memoised function (``module.qualname``).
         self.hits: Counter = Counter()
         self.misses: Counter = Counter()
-        self._buckets: Dict[Any, List[_Entry]] = {}
-        self._lru: "OrderedDict[int, _Entry]" = OrderedDict()
-        # Every array the memo holds, by fingerprint, and the number of
-        # entries holding each (by id).
-        self._pool: Dict[Any, List[np.ndarray]] = {}
-        self._refs: Dict[int, int] = {}
+        # key -> (result, generator states after, bytes, keys it read)
+        self._entries: "OrderedDict[Any, Tuple]" = OrderedDict()
+        # The keys each miss being computed has called, innermost last.
+        self._reading: List[List[Any]] = []
 
     def call(self, fn: Callable, name: str, args: Tuple) -> Any:
         """*fn(*args)*, from the memo when an equal call is held."""
-        parts: List[Any] = [fn]
-        arrays: List[np.ndarray] = []
-        rngs: List[np.random.Generator] = []
-        for arg in args:
-            if isinstance(arg, np.ndarray):
-                arrays.append(np.ascontiguousarray(arg))
-                parts.append(_fingerprint(arrays[-1]))
-            elif isinstance(arg, np.random.Generator):
-                rngs.append(arg)
-                parts.append(("rng", _rng_state(arg)))
-            else:
-                parts.append(_scalar_key(arg))
-        bucket = tuple(parts)
-        for entry in self._buckets.get(bucket, ()):
-            if all(map(_same_bytes, entry.arrays, arrays)):
-                self.hits[name] += 1
-                self._lru.move_to_end(id(entry))
-                for rng, state in zip(rngs, entry.rng_after):
-                    rng.bit_generator.state = state
-                return entry.value
+        key = (fn, *map(_key, args))
+        if self._reading:
+            self._reading[-1].append(key)
+        rngs = [a for a in args if isinstance(a, np.random.Generator)]
+        if key in self._entries:
+            self.hits[name] += 1
+            self._entries.move_to_end(key)
+            value, rng_after, _, _ = self._entries[key]
+            for rng, state in zip(rngs, rng_after):
+                rng.bit_generator.state = state
+            return value
         self.misses[name] += 1
-        value = _frozen(fn(*args),
-                        [a for a in args if isinstance(a, np.ndarray)])
-        self._store(_Entry(bucket, arrays,
-                           [rng.bit_generator.state for rng in rngs], value))
+        self._reading.append([])
+        try:
+            value = fn(*args)
+        finally:
+            read = self._reading.pop()
+        value = _frozen(value, [a for a in args if isinstance(a, np.ndarray)])
+        nbytes = _nbytes(value)
+        if nbytes <= BUDGET_BYTES:
+            self._entries[key] = (value, [rng.bit_generator.state
+                                          for rng in rngs], nbytes, read)
+            self.nbytes += nbytes
+            while self.nbytes > BUDGET_BYTES:
+                self._evict(next(iter(self._entries)))
         return value
 
-    # -- storage --------------------------------------------------------
-
-    def _store(self, entry: _Entry) -> None:
-        """Hold *entry*, its key arrays as read-only copies shared with
-        equal arrays already held, then evict the least recently used
-        entries down to the budget."""
-        held = [self._held(a) for a in entry.arrays]
-        entry.arrays = [a if mine is None else mine
-                        for a, mine in zip(entry.arrays, held)]
-        if sum(a.nbytes for a in entry.owned()) > BUDGET_BYTES:
-            return
-        for i, mine in enumerate(held):
-            if mine is None:
-                entry.arrays[i] = entry.arrays[i].copy()
-                entry.arrays[i].flags.writeable = False
-        for array in entry.owned():
-            if id(array) not in self._refs:
-                self._refs[id(array)] = 0
-                self._pool.setdefault(_fingerprint(array), []).append(array)
-                self.nbytes += array.nbytes
-            self._refs[id(array)] += 1
-        self._buckets.setdefault(entry.bucket, []).append(entry)
-        self._lru[id(entry)] = entry
-        while self.nbytes > BUDGET_BYTES:
-            self._evict(next(iter(self._lru.values())))
-
-    def _held(self, array: np.ndarray) -> Optional[np.ndarray]:
-        """The memo's own array with *array*'s bytes, if it holds one."""
-        for mine in self._pool.get(_fingerprint(array), ()):
-            if _same_bytes(mine, array):
-                return mine
-        return None
-
-    def _evict(self, entry: _Entry) -> None:
-        del self._lru[id(entry)]
-        bucket = self._buckets[entry.bucket]
-        bucket.remove(entry)
-        if not bucket:
-            del self._buckets[entry.bucket]
-        for array in entry.owned():
-            self._refs[id(array)] -= 1
-            if self._refs[id(array)] == 0:
-                del self._refs[id(array)]
-                fingerprint = _fingerprint(array)
-                pool = [a for a in self._pool[fingerprint] if a is not array]
-                if pool:
-                    self._pool[fingerprint] = pool
-                else:
-                    del self._pool[fingerprint]
-                self.nbytes -= array.nbytes
+    def _evict(self, key: Any) -> None:
+        """Drop *key*'s entry and every entry computed from it."""
+        self.nbytes -= self._entries.pop(key)[2]
+        for other in [k for k, e in self._entries.items() if key in e[3]]:
+            if other in self._entries:
+                self._evict(other)
 
 
 @contextlib.contextmanager

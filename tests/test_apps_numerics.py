@@ -20,7 +20,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.apps import ALL_APPS, common
+from repro import make_runtime
+from repro.apps import ALL_APPS, common, nn
 from repro.apps.dwt2d import _haar_level, dwt_forward
 from repro.apps.heartwall import TEMPLATE, _preprocess_frame, _track
 from repro.apps.hotspot import AMB_TEMP, CAP, RX, RY, RZ, _stencil_step
@@ -174,6 +175,16 @@ def test_output_is_bit_identical(size, app, variant):
     assert result.total_time_s.hex() == total
     assert result.compute_time_s.hex() == compute
     assert result.peak_memory_bytes == peak
+
+
+@pytest.mark.parametrize("allocator", ["malloc", "hipMalloc"])
+def test_nn_vector_holds_the_seeded_records(allocator):
+    """``_nearest`` reads the seeded records, not the variant's vector,
+    so the vector the record loader builds must hold exactly them."""
+    records = (nn.CHUNK_ELEMENTS // 2) + 3  # two read chunks, one partial
+    vector = nn.NearestNeighbor()._build_records(
+        make_runtime(memory_gib=1), records, allocator)
+    assert_same_bytes(vector.data, nn._records(records))
 
 
 # ----------------------------------------------------------------------
