@@ -150,6 +150,22 @@ def test_scalars_key_by_exact_value():
             ident([1, 2])
 
 
+def test_arrays_key_by_dtype_shape_and_bytes():
+    @memo.memoised
+    def first(a):
+        return float(a.flat[0])
+
+    a = np.zeros(4, np.int64)
+    changed = a.copy()
+    changed[3] = 1
+    with memo.scope() as m:
+        first(a)
+        first(a.copy())  # equal bytes: a hit
+        for other in (a.reshape(2, 2), a.view(np.float64), changed):
+            first(other)
+    assert (m.hits[qualname(first)], m.misses[qualname(first)]) == (1, 4)
+
+
 def test_the_memo_holds_results_only():
     @memo.memoised
     def make(n):
