@@ -7,18 +7,16 @@ Section 3.2).  The amdgpu driver sets the 5-bit PTE fragment field
 opportunistically by scanning for maximal contiguous page ranges when it
 maps pages.
 
-This module reproduces that scan with whole-array numpy code.  Given the
-physical frames backing a virtually contiguous page range, it:
-
-1. finds maximal runs where frames are physically contiguous (constant
-   ``frame - vpn`` delta); pages of single-page runs keep exponent 0,
-2. decomposes all multi-page runs at once, in passes: each pass emits,
-   for every unfinished run, the largest power-of-two block that starts
-   at the run's position, is aligned in both the virtual and the physical
-   address space, and fits in the rest of the run.  The delta's own
-   alignment caps every block, so a run takes at most about 2 x 32
-   passes, however long it is, and
-3. assigns each page the exponent of its covering block.
+This module reproduces that scan with whole-array numpy code.  A page's
+exponent is that of the largest naturally aligned power-of-two block
+around it that is virtually and physically contiguous and aligned in
+both address spaces (the blocks the driver's greedy walk over each
+contiguous run emits).  The scan tests blocks level by level: a block of
+``2**k`` pages qualifies when both of its halves did and the second
+half's frames follow the first's from a frame aligned to ``2**k``.  A
+page's exponent is the number of levels whose block around it
+qualifies; the scan stops at the first level where none does, so
+scattered layouts cost one or two levels.
 
 Up-front allocators produce long aligned runs and therefore large
 fragments; on-demand first-touch order produces mostly single-page runs
@@ -30,20 +28,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..hw.config import MAX_FRAGMENT_EXPONENT
-
-
-def _trailing_zeros(values: np.ndarray) -> np.ndarray:
-    """Number of trailing zero bits per element (0 input -> 63)."""
-    v = values.astype(np.int64)
-    # (v & -v) - 1 sets exactly the bits below the lowest set bit; for 0
-    # it sets all 64, capped to 63.
-    below = ((v & -v) - 1).view(np.uint64)
-    return np.minimum(np.bitwise_count(below), 63)
-
-
-def _floor_log2(values: np.ndarray) -> np.ndarray:
-    """``floor(log2(v))`` per positive element (exact below 2**53)."""
-    return np.frexp(values.astype(np.float64))[1].astype(np.int64) - 1
 
 
 def _run_bounds(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -83,31 +67,40 @@ def compute_fragments(
         int8 array of the same length: entry i covers ``2**exp[i]`` pages.
     """
     frames = np.asarray(frames, dtype=np.int64)
-    starts, lengths = _run_bounds(frames)
-    multi = lengths > 1
-    # Single-page runs (the scattered case) keep exponent 0.
-    pos, end = starts[multi], starts[multi] + lengths[multi]
-    # A run's frame - vpn delta is constant, so min(tz(vpn), tz(pfn)) is
-    # min(tz(vpn), tz(delta)): the delta's alignment caps every block.
-    cap = np.minimum(_trailing_zeros(frames[pos] - (base_vpn + pos)), max_exponent)
-    # Each emitted span adds its exponent at its first page and removes it
-    # past its last, so a running sum yields every page's exponent.
-    steps = np.zeros(len(frames) + 1, dtype=np.int8)
-    while pos.size:  # one greedy block per unfinished run per pass
-        remaining = end - pos
-        exp = np.minimum(
-            np.minimum(_trailing_zeros(base_vpn + pos), _floor_log2(remaining)),
-            cap,
-        )
-        # A block at the cap leaves the next position aligned to the cap,
-        # so every further whole cap-sized block is emitted in this pass.
-        size = np.where(exp == cap, remaining >> exp << exp, 1 << exp)
-        steps[pos] += exp
-        pos = pos + size
-        steps[pos] -= exp
-        live = pos < end
-        pos, end, cap = pos[live], end[live], cap[live]
-    return np.cumsum(steps[:-1], dtype=np.int8)
+    n = len(frames)
+    top = min(max_exponent, n.bit_length() - 1)  # no block outgrows the range
+    # Pad the range at both ends to whole aligned blocks of the top level
+    # (and of 8 pages); padding pages belong to no block.
+    align = 1 << max(top, 3)
+    lead = base_vpn & (align - 1)
+    width = -(-(lead + n) // align) * align
+    first = np.zeros(width, dtype=np.int64)  # first frame of each block
+    first[lead : lead + n] = frames
+    whole = np.zeros(width, dtype=bool)
+    whole[lead : lead + n] = True
+    levels = []
+    for k in range(1, top + 1):
+        # A block of 2**k pages is whole when both halves are and the
+        # second half's frames follow the first's, from a frame aligned
+        # to 2**k (so the block is aligned in both address spaces).
+        lo, hi = first[0::2], first[1::2]
+        whole = (whole[0::2] & whole[1::2] & (hi - lo == 1 << (k - 1))
+                 & (lo & ((1 << k) - 1) == 0))
+        if not whole.any():
+            break
+        levels.append(whole)
+        first = lo
+    # A page's exponent counts the levels whose block around it is whole.
+    # Levels past the third add up at 8-page resolution; then that sum
+    # and each of the first three levels spread over their pages as 8-,
+    # 2-, 4- and 8-byte words whose bytes are all equal.
+    count = np.zeros(width >> max(len(levels), 3), dtype=np.uint64)
+    for level in reversed(levels[3:]):
+        count = np.repeat(count + level, 2)
+    exps = np.zeros(width, dtype=np.int8)
+    for spread, word in zip([count] + levels[:3], ["u8", "u2", "u4", "u8"]):
+        exps += (spread.astype(word) * (np.iinfo(word).max // 255)).view(np.int8)
+    return exps[lead : lead + n]
 
 
 def fragment_histogram(exponents: np.ndarray) -> dict[int, int]:

@@ -1,9 +1,8 @@
 """Differential tests for the whole-array core allocation paths.
 
 Each vectorised path in ``repro.core`` is checked against a plain
-reference written the obvious way: the per-run greedy fragment scan and
-its trailing-zero count, the float-sum fragment count, the full-bitmap
-aligned-chunk search, ``np.unique``-based dedup of scattered draws, and
+reference written the obvious way: the per-run greedy fragment scan,
+the float-sum fragment count, the full-bitmap aligned-chunk search, ``np.unique``-based dedup of scattered draws, and
 the frame-by-frame (bool-index) claims of chunks and scattered runs.
 """
 
@@ -12,7 +11,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.fragments import (
-    _trailing_zeros,
     compute_fragments,
     contiguous_runs,
     distinct_fragments,
@@ -105,33 +103,6 @@ class TestFragmentsDifferential:
         assert len(compute_fragments(np.array([], dtype=np.int64), 0)) == 0
         assert compute_fragments(np.array([8]), 8).tolist() == [0]
         assert compute_fragments(np.array([8, 9]), 8).tolist() == [1, 1]
-
-
-def frexp_trailing_zeros(values):
-    """Trailing zeros through the exponent of the lowest set bit."""
-    v = np.asarray(values, dtype=np.int64)
-    lowest = (v & -v).astype(np.float64)
-    return np.where(v == 0, 63, np.frexp(lowest)[1].astype(np.int64) - 1)
-
-
-INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
-
-
-class TestTrailingZerosDifferential:
-    def test_edge_values(self):
-        values = np.array([0, 1, 2, 3, 1 << 31, 1 << 62, INT64_MAX, -1, -2,
-                           -12, -(1 << 40), -(1 << 62), INT64_MIN])
-        got = _trailing_zeros(values)
-        np.testing.assert_array_equal(got, frexp_trailing_zeros(values))
-        assert got.tolist() == [63, 0, 1, 0, 31, 62, 0, 0, 1, 2, 40, 62, 63]
-
-    @given(st.lists(st.integers(INT64_MIN, INT64_MAX), max_size=200))
-    @settings(max_examples=200, deadline=None)
-    def test_matches_frexp_form(self, values):
-        values = np.array(values, dtype=np.int64)
-        got = _trailing_zeros(values)
-        np.testing.assert_array_equal(got, frexp_trailing_zeros(values))
-        assert got.tolist() == [_tz(int(v)) for v in values]
 
 
 def float_distinct_fragments(exponents):
