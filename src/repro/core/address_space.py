@@ -14,7 +14,7 @@ benchmarks reach 40 GiB) remain cheap to represent.
 from __future__ import annotations
 
 import bisect
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -41,11 +41,16 @@ class VMA:
         name: str = "",
         pinned: bool = False,
         uncached: bool = False,
+        frames: Optional[np.ndarray] = None,
     ) -> None:
         if start % PAGE_SIZE:
             raise ValueError(f"VMA start {start:#x} not page aligned")
         if npages <= 0:
             raise ValueError(f"VMA needs at least one page, got {npages}")
+        if frames is None:
+            frames = np.full(npages, NO_FRAME, dtype=np.int64)
+        elif len(frames) != npages:
+            raise ValueError(f"{len(frames)} frames for a VMA of {npages} pages")
         self.start = start
         self.npages = npages
         self.name = name
@@ -59,7 +64,8 @@ class VMA:
         #: Whether physical backing is deferred to first touch.
         self.on_demand = False
         #: Physical frame per page; NO_FRAME when no physical backing yet.
-        self.frames = np.full(npages, NO_FRAME, dtype=np.int64)
+        #: An up-front VMA is created with its frames.
+        self.frames = np.asarray(frames, dtype=np.int64)
         #: Present in the system (CPU) page table.
         self.sys_valid = np.zeros(npages, dtype=bool)
         #: Present (mirrored) in the GPU page table.
@@ -165,12 +171,14 @@ class AddressSpace:
         pinned: bool = False,
         uncached: bool = False,
         alignment: int = PAGE_SIZE,
+        frames: Optional[np.ndarray] = None,
     ) -> VMA:
         """Reserve a fresh virtual range of at least *size* bytes.
 
         The range is rounded up to whole pages and aligned to *alignment*
         (power of two, >= page size).  Mirrors anonymous ``mmap``: no
-        physical memory is allocated here.
+        physical memory is allocated here; *frames*, one per page, backs
+        the range with frames the caller already holds.
         """
         if size <= 0:
             raise ValueError(f"mmap size must be positive, got {size}")
@@ -179,7 +187,8 @@ class AddressSpace:
         npages = -(-size // PAGE_SIZE)
         start = (self._next_va + alignment - 1) & ~(alignment - 1)
         self._next_va = start + npages * PAGE_SIZE
-        vma = VMA(start, npages, name=name, pinned=pinned, uncached=uncached)
+        vma = VMA(start, npages, name=name, pinned=pinned, uncached=uncached,
+                  frames=frames)
         idx = bisect.bisect_left(self._starts, start)
         self._vmas.insert(idx, vma)
         self._starts.insert(idx, start)

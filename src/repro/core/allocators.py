@@ -47,7 +47,7 @@ from .address_space import (
 from .faults import FaultHandler
 from .page import NO_FRAME
 from .page_table import HMMMirror
-from .physical import OutOfMemoryError, PhysicalMemory
+from .physical import PhysicalMemory
 
 
 class AllocatorKind(enum.Enum):
@@ -339,25 +339,22 @@ class MemoryManager:
         low fault counts).  *frame_range* confines the frames to one NUMA
         domain's window.
         """
-        vma = self._as.mmap(size, name=name, pinned=True)
+        # Frames first: mmap touches neither the pool nor its RNG, and an
+        # allocation that fails leaves no address range behind.
+        npages = _pages(size)
+        if layout == "scattered":
+            frames = self._physical.alloc_scattered(
+                npages, pair_fraction=0.0, frame_range=frame_range
+            )
+        else:
+            chunk_bytes = self._config.policy.up_front_contiguity_bytes
+            chunk_pages = chunk_bytes // PAGE_SIZE if layout == "chunks" else 2
+            frames = self._physical.alloc_chunks(
+                npages, max(1, chunk_pages), frame_range=frame_range
+            )
+        vma = self._as.mmap(size, name=name, pinned=True, frames=frames)
         vma.gpu_access = GPU_ACCESS_ALWAYS
         vma.on_demand = False
-        try:
-            if layout == "scattered":
-                frames = self._physical.alloc_scattered(
-                    vma.npages, pair_fraction=0.0, frame_range=frame_range
-                )
-            else:
-                chunk_bytes = self._config.policy.up_front_contiguity_bytes
-                chunk_pages = chunk_bytes // PAGE_SIZE if layout == "chunks" else 2
-                frames = self._physical.alloc_chunks(
-                    vma.npages, max(1, chunk_pages), frame_range=frame_range
-                )
-        except OutOfMemoryError:
-            # A failed frame allocation must not leak the address range.
-            self._as.munmap(vma)
-            raise
-        vma.frames[:] = frames
         self._hmm.gpu.map_range(vma, 0, vma.npages)
         return vma
 

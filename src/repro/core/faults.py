@@ -26,7 +26,7 @@ load per page over large arrays); counters record both fault *events*
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, Optional
 
 import numpy as np
 
@@ -171,20 +171,20 @@ class FaultHandler:
         self, vma: VMA, first_page: int, count: int, report: FaultReport
     ) -> None:
         sl = slice(first_page, first_page + count)
-        missing_pte = ~vma.sys_valid[sl]
-        if not missing_pte.any():
+        mapped = vma.sys_valid[sl]
+        if mapped.all():
             return
+        missing = ~mapped
         have_frame = vma.frames[sl] != NO_FRAME
 
         # Pages needing physical allocation: on-demand first touch.
-        need_alloc = missing_pte & ~have_frame
-        n_alloc = int(need_alloc.sum())
+        need_alloc = missing & ~have_frame
+        n_alloc = int(np.count_nonzero(need_alloc))
         if n_alloc:
             frames = self._alloc_with_reclaim(
                 lambda: self._physical.alloc_scattered(n_alloc), vma
             )
-            idx = first_page + np.flatnonzero(need_alloc)
-            self._map_cpu_pages(vma, idx, frames)
+            self._map_cpu_pages(vma, first_page, need_alloc, n_alloc, frames)
             # One fault event per page: anonymous memory faults in
             # page-sized increments on the CPU.
             report.cpu_fault_events += n_alloc
@@ -192,17 +192,20 @@ class FaultHandler:
 
         # Pages already backed (up-front allocation or GPU first touch):
         # install PTEs with fault-around batching.
-        need_map = missing_pte & have_frame
-        n_map = int(need_map.sum())
+        need_map = missing & have_frame
+        n_map = int(np.count_nonzero(need_map))
         if n_map:
             granularity = self._cpu_fault_around_pages(vma)
-            idx = first_page + np.flatnonzero(need_map)
-            self._map_cpu_pages(vma, idx, vma.frames[idx])
-            # One event per aligned fault-around window touched; idx is
-            # sorted, so distinct windows are where idx // granularity steps.
-            report.cpu_fault_events += 1 + int(
-                np.count_nonzero(np.diff(idx // granularity))
-            )
+            idx = self._map_cpu_pages(vma, first_page, need_map, n_map)
+            # One event per aligned fault-around window touched: a whole
+            # range spans its end windows, and sorted indices step to a
+            # new window where idx // granularity changes.
+            if idx is None:
+                last = first_page + count - 1
+                events = last // granularity - first_page // granularity + 1
+            else:
+                events = 1 + int(np.count_nonzero(np.diff(idx // granularity)))
+            report.cpu_fault_events += events
             report.cpu_faulted_pages += n_map
 
         self.counters.cpu_fault_events += report.cpu_fault_events
@@ -218,12 +221,33 @@ class FaultHandler:
             propagated = self._hmm.propagate_range(vma, first_page, count)
             report.eager_mapped_pages += propagated
 
-    def _map_cpu_pages(self, vma: VMA, indices: np.ndarray, frames: np.ndarray) -> None:
-        """Install system PTEs for scattered page indices (run-batched)."""
-        for s, n in contiguous_runs(indices):
+    def _map_cpu_pages(
+        self,
+        vma: VMA,
+        first_page: int,
+        pages: np.ndarray,
+        npages: int,
+        frames: Optional[np.ndarray] = None,
+    ) -> Optional[np.ndarray]:
+        """Install system PTEs for the *npages* pages set in mask *pages*.
+
+        *frames* (default: the pages' own) back them in page order.  A
+        mask set over the whole range is mapped as one run and returns
+        None; otherwise each contiguous run is mapped and the VMA page
+        indices are returned.
+        """
+        if npages == len(pages):
+            sl = slice(first_page, first_page + npages)
             self._hmm.system.map_range(
-                vma, int(indices[s]), np.asarray(frames[s : s + n], dtype=np.int64)
+                vma, first_page, vma.frames[sl] if frames is None else frames
             )
+            return None
+        idx = first_page + np.flatnonzero(pages)
+        if frames is None:
+            frames = vma.frames[idx]
+        for s, n in contiguous_runs(idx):
+            self._hmm.system.map_range(vma, int(idx[s]), frames[s : s + n])
+        return idx
 
     def _cpu_fault_around_pages(self, vma: VMA) -> int:
         """Fault-around batch size for mapping already-backed pages."""
@@ -268,8 +292,8 @@ class FaultHandler:
         self, vma: VMA, first_page: int, count: int, report: FaultReport
     ) -> None:
         sl = slice(first_page, first_page + count)
-        not_gpu_mapped = ~vma.gpu_valid[sl]
-        if not not_gpu_mapped.any():
+        gpu_mapped = vma.gpu_valid[sl]
+        if gpu_mapped.all():
             vma.gpu_touched = True
             return
         if not self.xnack_enabled:
@@ -283,14 +307,15 @@ class FaultHandler:
         report.xnack_retries = self._xnack_replay_retries(
             vma, first_page, count
         )
-        have_frame = vma.frames[sl] != NO_FRAME
+        not_gpu_mapped = ~gpu_mapped
+        n_faulted = int(np.count_nonzero(not_gpu_mapped))
 
         # Major faults: allocate physical frames in contiguous chunks (the
         # driver batches GPU faults and grabs larger blocks than the CPU
         # anon path — the reason GPU-first-touched malloc memory ends up
         # channel-balanced, Section 5.4).
-        need_alloc = not_gpu_mapped & ~have_frame
-        n_alloc = int(need_alloc.sum())
+        need_alloc = not_gpu_mapped & (vma.frames[sl] == NO_FRAME)
+        n_alloc = int(np.count_nonzero(need_alloc))
         if n_alloc:
             chunk_pages = max(
                 1, self._config.policy.up_front_contiguity_bytes // PAGE_SIZE
@@ -298,14 +323,11 @@ class FaultHandler:
             frames = self._alloc_with_reclaim(
                 lambda: self._physical.alloc_chunks(n_alloc, chunk_pages), vma
             )
-            idx = first_page + np.flatnonzero(need_alloc)
-            self._map_cpu_pages(vma, idx, frames)
+            self._map_cpu_pages(vma, first_page, need_alloc, n_alloc, frames)
             report.gpu_major_pages += n_alloc
 
         # Minor faults: backed and CPU-mapped, just propagate PTEs.
-        minor = not_gpu_mapped & ~need_alloc
-        n_minor = int(minor.sum())
-        report.gpu_minor_pages += n_minor
+        report.gpu_minor_pages += n_faulted - n_alloc
 
         # Both flavours end with HMM propagation into the GPU table.
         self._hmm.propagate_range(vma, first_page, count)

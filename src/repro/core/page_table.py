@@ -65,7 +65,8 @@ class SystemPageTable:
         if not fresh.all():
             # Pages already have physical backing (e.g. GPU faulted first);
             # the provided frames must agree with it.
-            if not np.array_equal(existing[~fresh], np.asarray(frames)[~fresh]):
+            backed = ~fresh if fresh.any() else slice(None)
+            if not np.array_equal(existing[backed], np.asarray(frames)[backed]):
                 raise ValueError("conflicting physical frames for mapped pages")
         vma.frames[sl] = frames
         vma.sys_valid[sl] = True
@@ -175,12 +176,17 @@ class HMMMirror:
         SystemPageTable._check_range(vma, first_page, count)
         sl = slice(first_page, first_page + count)
         needed = vma.sys_valid[sl] & ~vma.gpu_valid[sl]
-        # Map each contiguous needed run so the fragment scan sees it.
-        idx = np.flatnonzero(needed)
-        for s, n in contiguous_runs(idx):
-            self._gpu.map_range(vma, first_page + int(idx[s]), n)
-        self._gpu.stats.propagated_ptes += idx.size
-        return int(idx.size)
+        n_needed = int(np.count_nonzero(needed))
+        # Map a wholly needed range as one run, otherwise each contiguous
+        # needed run, so the fragment scan sees it.
+        if n_needed == count:
+            self._gpu.map_range(vma, first_page, count)
+        elif n_needed:
+            idx = np.flatnonzero(needed)
+            for s, n in contiguous_runs(idx):
+                self._gpu.map_range(vma, first_page + int(idx[s]), n)
+        self._gpu.stats.propagated_ptes += n_needed
+        return n_needed
 
     def invalidate_range(self, vma: VMA, first_page: int, count: int) -> int:
         """Remove GPU entries for the range (MMU-notifier path).
