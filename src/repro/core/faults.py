@@ -14,9 +14,10 @@ Fault taxonomy on MI300A (paper Sections 2.3, 3.1 and 5.2):
   allocates frames (in larger contiguous chunks than the CPU path) and
   propagates PTEs through HMM.  Without XNACK the access is fatal.
 
-* **GPU minor fault** — the page is backed and present in the system
-  table but absent from the GPU table; HMM propagates the PTE.  Faster
-  than a major fault (Figs. 7-8) since no allocation happens.
+* **GPU minor fault** — the page is backed but absent from the GPU
+  table; HMM propagates the PTE (an up-front page without a CPU PTE is
+  mapped into the GPU table directly).  Faster than a major fault
+  (Figs. 7-8) since no allocation happens.
 
 The handler operates on whole touched ranges (the benchmarks touch one
 load per page over large arrays); counters record both fault *events*
@@ -326,11 +327,13 @@ class FaultHandler:
             self._map_cpu_pages(vma, first_page, need_alloc, n_alloc, frames)
             report.gpu_major_pages += n_alloc
 
-        # Minor faults: backed and CPU-mapped, just propagate PTEs.
+        # Minor faults: backed already, they only need a GPU PTE.
         report.gpu_minor_pages += n_faulted - n_alloc
 
-        # Both flavours end with HMM propagation into the GPU table.
-        self._hmm.propagate_range(vma, first_page, count)
+        # Both flavours end with every faulted page in the GPU table,
+        # with or without a CPU PTE (an up-front buffer's pages have
+        # none until the CPU touches them).
+        self._hmm.map_pages(vma, first_page, not_gpu_mapped, n_faulted)
         vma.gpu_touched = True
 
         report.storm_replay_pages = self._retry_storm_pages(vma, report)

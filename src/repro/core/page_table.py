@@ -176,17 +176,25 @@ class HMMMirror:
         SystemPageTable._check_range(vma, first_page, count)
         sl = slice(first_page, first_page + count)
         needed = vma.sys_valid[sl] & ~vma.gpu_valid[sl]
-        n_needed = int(np.count_nonzero(needed))
-        # Map a wholly needed range as one run, otherwise each contiguous
-        # needed run, so the fragment scan sees it.
-        if n_needed == count:
-            self._gpu.map_range(vma, first_page, count)
-        elif n_needed:
-            idx = np.flatnonzero(needed)
+        return self.map_pages(
+            vma, first_page, needed, int(np.count_nonzero(needed))
+        )
+
+    def map_pages(
+        self, vma: VMA, first_page: int, pages: np.ndarray, npages: int
+    ) -> int:
+        """Map the *npages* backed pages set in mask *pages* (page
+        *first_page* onwards) into the GPU table; returns *npages*."""
+        # Map a wholly set mask as one run, otherwise each contiguous
+        # run, so the fragment scan sees it.
+        if npages == len(pages):
+            self._gpu.map_range(vma, first_page, npages)
+        elif npages:
+            idx = np.flatnonzero(pages)
             for s, n in contiguous_runs(idx):
                 self._gpu.map_range(vma, first_page + int(idx[s]), n)
-        self._gpu.stats.propagated_ptes += n_needed
-        return n_needed
+        self._gpu.stats.propagated_ptes += npages
+        return npages
 
     def invalidate_range(self, vma: VMA, first_page: int, count: int) -> int:
         """Remove GPU entries for the range (MMU-notifier path).

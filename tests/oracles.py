@@ -219,7 +219,12 @@ class PerPageFaultHandler(FaultHandler):
         minor = not_gpu_mapped & ~need_alloc
         report.gpu_minor_pages += int(minor.sum())
 
-        self._hmm.propagate_range(vma, first_page, count)
+        # Every faulted page is backed now: map each into the GPU table,
+        # whether or not it has a CPU PTE.
+        idx = first_page + np.flatnonzero(not_gpu_mapped)
+        for s, n in contiguous_runs(idx):
+            self._hmm.gpu.map_range(vma, int(idx[s]), n)
+        self._hmm.gpu.stats.propagated_ptes += idx.size
         vma.gpu_touched = True
 
         report.storm_replay_pages = self._retry_storm_pages(vma, report)

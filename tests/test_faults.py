@@ -94,6 +94,20 @@ class TestGPUFaults:
         assert report.gpu_minor_pages == 16
         assert report.gpu_major_pages == 0
 
+    def test_minor_fault_maps_page_without_cpu_pte(self, apu):
+        # hipMalloc pages are GPU-mapped with no CPU PTE; after an
+        # invalidation the first GPU touch re-maps them, once.
+        buf = apu.memory.hip_malloc(200 * PAGE_SIZE)
+        assert not buf.vma.sys_valid.any() and buf.vma.gpu_valid.all()
+        apu.hmm.invalidate_range(buf.vma, 20, 50)
+        first = apu.faults.touch_range(buf.vma, 0, 200, "gpu")
+        assert (first.gpu_minor_pages, first.gpu_major_pages) == (50, 0)
+        assert buf.vma.gpu_valid.all()
+        assert not buf.vma.sys_valid.any()
+        for _ in range(2):
+            again = apu.faults.touch_range(buf.vma, 0, 200, "gpu")
+            assert not again.any_faults
+
     def test_minor_faster_than_major(self, apu):
         a = apu.memory.malloc(1024 * PAGE_SIZE)
         b = apu.memory.malloc(1024 * PAGE_SIZE)
