@@ -40,7 +40,7 @@ def main() -> None:
     findings = analyze_runtime(hip)
     print(render_text(findings))
     print()
-    pairs = [f for f in findings if f.rule == "hipsan.duplicated-pair"]
+    pairs = [f for f in findings if f.rule == "duplicated-pair"]
     copy_ms = sum(f.cost_ns for f in pairs) / 1e6
     print(f"Unifying the {len(pairs)} pairs would save "
           f"{len(pairs) * size >> 20} MiB of the "

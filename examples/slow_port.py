@@ -10,12 +10,12 @@ six without running anything:
 ====================== =========================================
 scenario               advisor rule
 ====================== =========================================
-redundant_copy         advise.redundant-copy   (§4.3 / Fig. 3)
-first_touch_hazard     advise.first-touch      (Fig. 10)
-fault_storm            advise.fault-storm      (Figs. 7-8)
-tlb_thrash             advise.tlb-reach        (Fig. 9)
-mixed_models           advise.mixed-alloc      (§3.4 / Table 1)
-sync_in_loop           advise.sync-in-loop     (§3.3)
+redundant_copy         redundant-copy   (§4.3 / Fig. 3)
+first_touch_hazard     first-touch      (Fig. 10)
+fault_storm            fault-storm      (Figs. 7-8)
+tlb_thrash             tlb-reach        (Fig. 9)
+mixed_models           mixed-alloc      (§3.4 / Table 1)
+sync_in_loop           sync-in-loop     (§3.3)
 ====================== =========================================
 
 This file is the advisor's regression fixture, and runnable:

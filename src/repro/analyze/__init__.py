@@ -16,11 +16,11 @@ Two analyzers over programs written against :mod:`repro.runtime`:
   per-function CFG + dataflow fixpoint with two rule selections over
   the same analysis of each file.
 
-  - ``python -m repro lint <paths>`` (the ``lint.*`` rules) flags
+  - ``python -m repro lint <paths>`` (the lint rules) flags
     missing synchronization, use-after-free, double and unsynchronized
     frees, leaked allocations, mixed explicit/managed usage and
     deprecated/unknown API names without running anything.
-  - ``python -m repro advise <paths|--apps>`` (the ``advise.*`` rules)
+  - ``python -m repro advise <paths|--apps>`` (the advise rules)
     prices the paper's UPM anti-patterns — redundant copies,
     first-touch placement, predicted fault storms, TLB reach, mixed
     allocation models, device syncs in loops — with SARIF 2.1.0 output
@@ -28,8 +28,8 @@ Two analyzers over programs written against :mod:`repro.runtime`:
 
 Both report :class:`~repro.analyze.findings.Finding` records
 whose severities come from the shared rule registry
-(:data:`~repro.analyze.findings.RULES`), rendered by the common
-text/JSON/SARIF reporters.
+(:data:`~repro.analyze.findings.RULES`), one code per hazard whichever
+analyzer finds it, rendered by the common text/JSON/SARIF reporters.
 """
 
 from .advise import (

@@ -2,8 +2,8 @@
 
 A CFG + dataflow analysis over the simulator's Python/HIP-API surface.
 One :class:`ModuleAnalysis` per file feeds both selections: the
-``advise.*`` checks find the *performance* anti-patterns the paper
-measures, and the ``lint.*`` checks find HIP API misuse (lifetime,
+advise checks find the *performance* anti-patterns the paper
+measures, and the lint checks find HIP API misuse (lifetime,
 synchronization, unknown or deprecated names).  Both depend on what
 reaches a program point, on which path, and in what allocation state:
 
@@ -14,8 +14,8 @@ reaches a program point, on which path, and in what allocation state:
 * :mod:`.dataflow` — the worklist fixpoint and event emission;
 * :mod:`.summaries` — bottom-up interprocedural summaries, so a
   finding survives ``apps/common.py``-style helper refactors;
-* :mod:`.checks` — the six paper-grounded ``advise.*`` checks;
-* :mod:`.lint` — the ``lint.*`` rules (``repro lint``);
+* :mod:`.checks` — the six paper-grounded advise checks;
+* :mod:`.lint` — the lint rules (``repro lint``);
 * :mod:`.sarif` / :mod:`.baseline` — SARIF 2.1.0 output and the CI
   suppression baseline.
 

@@ -6,16 +6,20 @@ anti-pattern with the calibrated constants in :mod:`repro.hw.config`
 figure it derives from via the rule registry
 (:mod:`repro.analyze.findings`):
 
-==================== ===================== ==========================
-rule                 paper anchor          what it costs
-==================== ===================== ==========================
-advise.redundant-copy §4.3 / Fig. 3        bytes / SDMA bandwidth
-advise.first-touch    Fig. 10              GPU minor fault burst
-advise.fault-storm    Figs. 7-8 / §5.2     GPU major fault burst
-advise.tlb-reach      Fig. 9 / §5.3        fragments x L2-TLB miss
-advise.mixed-alloc    §3.4 / Table 1       (structural)
-advise.sync-in-loop   §3.3                 (structural)
-==================== ===================== ==========================
+============== ================= ==========================
+rule           paper anchor      what it costs
+============== ================= ==========================
+redundant-copy §4.3 / Fig. 3     bytes / SDMA bandwidth
+first-touch    Fig. 10           GPU minor fault burst
+fault-storm    Figs. 7-8 / §5.2  GPU major fault burst
+tlb-reach      Fig. 9 / §5.3     fragments x L2-TLB miss
+mixed-alloc    §3.4 / Table 1    (structural)
+sync-in-loop   §3.3              (structural)
+============== ================= ==========================
+
+``fault-storm`` is the static half of the hazard hipsan counts in a
+run; the others have no dynamic code of their own (hipsan's
+``duplicated-pair`` is the per-buffer-pair view of redundant copies).
 
 Finding messages deliberately carry **no line numbers** — the line
 lives in :attr:`Finding.line` only — so baseline fingerprints (rule,
@@ -114,7 +118,7 @@ def _check_redundant_copy(
         out,
         len(dst | src),
         make_finding(
-            "advise.redundant-copy",
+            "redundant-copy",
             message,
             file=file,
             line=ev.line,
@@ -168,7 +172,7 @@ def _check_launch(
             out,
             len(first_touch),
             make_finding(
-                "advise.first-touch",
+                "first-touch",
                 f"{kernel} streams {_buf_label(first_touch)} whose pages "
                 "the CPU first-touched: on-demand placement routes them "
                 "through the CPU fault path before the GPU can stream them",
@@ -185,7 +189,7 @@ def _check_launch(
             out,
             len(storm),
             make_finding(
-                "advise.fault-storm",
+                "fault-storm",
                 f"{kernel} may first-touch on-demand allocation "
                 f"{_buf_label(storm)} under XNACK with no warm-up or "
                 "prefetch on some path: predicted GPU page-fault storm",
@@ -202,7 +206,7 @@ def _check_launch(
             out,
             len(mixed),
             make_finding(
-                "advise.mixed-alloc",
+                "mixed-alloc",
                 f"{kernel} receives {_buf_label(mixed)}, which mixes "
                 "explicit-model and managed-model allocations on "
                 "different paths; the two models have different paging "
@@ -245,7 +249,7 @@ def _check_tlb_reach(
             out,
             1,
             make_finding(
-                "advise.tlb-reach",
+                "tlb-reach",
                 f"allocation {_buf_label([origin])} of "
                 f"{origin.size_bytes} bytes exceeds the GPU L2 TLB reach "
                 f"of {reach} bytes at this allocator's "
@@ -286,7 +290,7 @@ def _check_sync_in_loop(
             out,
             1,
             make_finding(
-                "advise.sync-in-loop",
+                "sync-in-loop",
                 "hipDeviceSynchronize inside a loop that launches work "
                 "on a non-default stream: the device-wide barrier stalls "
                 "every queue each iteration",
@@ -308,15 +312,10 @@ def run_checks(
     analysis: ModuleAnalysis, config: Optional[MI300AConfig] = None
 ) -> List[Finding]:
     """All six checks over one module's dataflow results."""
+    if analysis.syntax_error is not None:
+        return [analysis.syntax_error]
     cfg = config or default_config()
     file = analysis.file
-    if analysis.syntax_error is not None:
-        line, msg = analysis.syntax_error
-        return [
-            make_finding(
-                "advise.syntax-error", msg, file=file, line=line
-            )
-        ]
     out: _FindingMap = {}
     for fn in analysis.functions.values():
         for ev in fn.events:

@@ -32,7 +32,7 @@ CPU writes, kernel launches (with each access's warm/written status at
 that point), copies, and synchronizations — which
 :mod:`repro.analyze.advise.checks` consumes and
 :mod:`repro.analyze.advise.summaries` replays at call sites.  The same
-pass records the lifetime facts the ``lint.*`` rules read
+pass records the lifetime facts the lint rules read
 (:mod:`repro.analyze.advise.lint`): frees, uses of freed names, host
 accesses, owning binds, and the owned names still unfreed at exit.
 These are intra-function facts and are never replayed.

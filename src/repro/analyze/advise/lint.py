@@ -1,4 +1,4 @@
-"""The ``lint.*`` rule selection: HIP API misuse over the advise engine.
+"""The lint rule selection: HIP API misuse over the advise engine.
 
 The lifetime and synchronization rules read the facts the dataflow
 engine (:mod:`repro.analyze.advise.dataflow`) records from its
@@ -8,25 +8,26 @@ one branch does not excuse the other, and freed names cross loop back
 edges.  Only each function's own facts count; none are replayed from
 callee summaries.
 
-* ``lint.double-free`` / ``lint.use-after-free`` (errors) — a name
-  freed, or passed to a call or dereferenced, while it may already
-  have been freed;
-* ``lint.free-before-sync`` (error) — a free while asynchronous work
+* ``double-free`` / ``use-after-free`` (errors) — a name freed, or
+  passed to a call or dereferenced, while it may already have been
+  freed;
+* ``free-in-flight`` (error) — a free while asynchronous work
   (``launchKernel`` / ``hipMemcpyAsync``) may still be in flight;
-* ``lint.missing-sync`` (warning) — host access (``runCpuKernel``, or
+* ``missing-sync`` (warning) — host access (``runCpuKernel``, or
   ``.np`` of an owned buffer) while asynchronous work may be pending;
-* ``lint.leaked-alloc`` (warning) — a name bound to a literal allocator
+* ``leaked-alloc`` (warning) — a name bound to a literal allocator
   call that reaches the exit neither freed nor returned on any path,
   in a function that creates its own runtime (``make_runtime`` /
   ``make_apu``); a function handed a runtime borrows its arena and is
-  exempt.  Ownership is by name: freeing an alias or an
-  ``.allocation`` view does not release the owning name;
-* ``lint.mixed-model`` (warning) — one name bound to allocations from
-  both the explicit and the managed families.
+  exempt.  Ownership is by name: ``hipFree(x)`` and
+  ``hipFree(x.allocation)`` release ``x``, freeing an alias does not;
+* ``mixed-model`` (warning) — one name bound to allocations from both
+  the explicit and the managed families.
 
-The name rules — ``lint.unknown-api`` / ``lint.deprecated-api`` (both
+The first three share their codes with hipsan's detectors of the same
+hazards.  The name rules — ``unknown-api`` / ``deprecated-api`` (both
 errors) — are a small pass over the expressions of the same CFG nodes,
-reachable or not; ``lint.syntax-error`` comes from the module parse.
+reachable or not; ``syntax-error`` comes from the module parse.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from __future__ import annotations
 import ast
 import functools
 import re
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set
 
 from ..findings import Finding, make_finding
 from .dataflow import Event, _Interp
@@ -52,9 +53,6 @@ DEPRECATED_APIS: Dict[str, str] = {
 }
 
 _HIP_NAME = re.compile(r"^hip[A-Z]\w*$")
-
-#: One finding before rendering: (rule, message, hint, line).
-_Rule = Tuple[str, str, Optional[str], Optional[int]]
 
 #: Statement fields whose expressions the name rules inspect (header
 #: nodes carry their expression directly).
@@ -81,45 +79,53 @@ def known_hip_api() -> frozenset:
 # ----------------------------------------------------------------------
 
 
-def _lifetime_rule(ev: Event, owns_runtime: bool) -> Optional[_Rule]:
-    """(rule, message, hint, line) for one lifetime fact, if it is a
-    finding."""
+def _lifetime_rule(
+    ev: Event, owns_runtime: bool, file: str
+) -> Optional[Finding]:
+    """The finding one lifetime fact makes, if any."""
     pending = f"asynchronous work from line {ev.pending_at} may still be " \
         "in flight"
+    at = {"file": file, "line": ev.line}
     if ev.kind == "free" and ev.freed_at is not None:
-        return ("lint.double-free",
-                f"{ev.name!r} is freed twice (first at line {ev.freed_at})",
-                "remove the second hipFree or rebind the name first", ev.line)
+        return make_finding(
+            "double-free",
+            f"{ev.name!r} is freed twice (first at line {ev.freed_at})",
+            hint="remove the second hipFree or rebind the name first", **at)
     if ev.kind == "free" and ev.pending_at is not None:
-        return ("lint.free-before-sync", f"hipFree while {pending}",
-                "synchronize before freeing buffers kernels or async "
-                "copies may still touch", ev.line)
+        return make_finding(
+            "free-in-flight", f"hipFree while {pending}",
+            hint="synchronize before freeing buffers kernels or async "
+            "copies may still touch", **at)
     if ev.kind == "use":
-        return ("lint.use-after-free",
-                f"{ev.name!r} is used after hipFree (freed at line "
-                f"{ev.freed_at})",
-                "free after the last use, or reallocate", ev.line)
+        return make_finding(
+            "use-after-free",
+            f"{ev.name!r} is used after hipFree (freed at line "
+            f"{ev.freed_at})",
+            hint="free after the last use, or reallocate", **at)
     if ev.kind == "host" and ev.pending_at is not None and ev.name:
-        return ("lint.missing-sync",
-                f"host access to {ev.name!r}.np while {pending}",
-                "synchronize before reading or writing the buffer on the "
-                "host", ev.line)
+        return make_finding(
+            "missing-sync", f"host access to {ev.name!r}.np while {pending}",
+            hint="synchronize before reading or writing the buffer on the "
+            "host", **at)
     if ev.kind == "host" and ev.pending_at is not None:
-        return ("lint.missing-sync", f"host compute while {pending}",
-                "call hipDeviceSynchronize / hipStreamSynchronize before "
-                "touching shared buffers on the host", ev.line)
+        return make_finding(
+            "missing-sync", f"host compute while {pending}",
+            hint="call hipDeviceSynchronize / hipStreamSynchronize before "
+            "touching shared buffers on the host", **at)
     if ev.kind == "unfreed" and owns_runtime:
-        return ("lint.leaked-alloc",
-                f"allocation {ev.name!r} is never freed in this scope",
-                f"add hipFree({ev.name}) (or return the buffer to the "
-                "caller)", ev.line)
+        return make_finding(
+            "leaked-alloc",
+            f"allocation {ev.name!r} is never freed in this scope",
+            hint=f"add hipFree({ev.name}) (or return the buffer to the "
+            "caller)", **at)
     clash = ev.prior_models & ({"explicit", "managed"} - {ev.model})
     if ev.kind == "bind" and ev.model in ("explicit", "managed") and clash:
-        return ("lint.mixed-model",
-                f"buffer {ev.name!r} is allocated through both the "
-                f"{min(clash)} and {ev.model} memory models",
-                "pick one model per logical buffer; mixing them hides "
-                "copies and defeats the unified-memory port", ev.line)
+        return make_finding(
+            "mixed-model",
+            f"buffer {ev.name!r} is allocated through both the "
+            f"{min(clash)} and {ev.model} memory models",
+            hint="pick one model per logical buffer; mixing them hides "
+            "copies and defeats the unified-memory port", **at)
     return None
 
 
@@ -144,9 +150,11 @@ def _defined_names(tree: ast.Module) -> Set[str]:
     return defined
 
 
-def _api_rules(expr: ast.expr, defined: Set[str]) -> Iterator[_Rule]:
-    """(rule, message, hint, line) for unknown and deprecated HIP names
-    in one expression."""
+def _api_rules(
+    expr: ast.expr, defined: Set[str], file: str
+) -> Iterator[Finding]:
+    """Findings for unknown and deprecated HIP names in one
+    expression."""
     def unknown(name: str) -> bool:
         return bool(_HIP_NAME.match(name)) and (
             name not in known_hip_api() and name not in defined
@@ -162,23 +170,26 @@ def _api_rules(expr: ast.expr, defined: Set[str]) -> Iterator[_Rule]:
         if isinstance(node, ast.Call):
             name = _Interp._call_name(node) or ""
             if name in DEPRECATED_APIS:
-                yield ("lint.deprecated-api",
-                       f"{name} is a deprecated API name",
-                       f"use {DEPRECATED_APIS[name]} instead", line)
+                yield make_finding(
+                    "deprecated-api", f"{name} is a deprecated API name",
+                    hint=f"use {DEPRECATED_APIS[name]} instead",
+                    file=file, line=line)
             elif unknown(name):
-                yield ("lint.unknown-api",
-                       f"{name} is not a HIP API this runtime provides",
-                       "see dir(repro.runtime.HipRuntime) for the supported "
-                       "surface", line)
+                yield make_finding(
+                    "unknown-api",
+                    f"{name} is not a HIP API this runtime provides",
+                    hint="see dir(repro.runtime.HipRuntime) for the "
+                    "supported surface", file=file, line=line)
         elif id(node) not in targets:
             name = node.attr if isinstance(node, ast.Attribute) else (
                 node.id if isinstance(node, ast.Name)
                 and isinstance(node.ctx, ast.Load) else ""
             )
             if name not in DEPRECATED_APIS and unknown(name):
-                yield ("lint.unknown-api",
-                       f"{name} is not a HIP name this runtime provides",
-                       None, line)
+                yield make_finding(
+                    "unknown-api",
+                    f"{name} is not a HIP name this runtime provides",
+                    file=file, line=line)
 
 
 # ----------------------------------------------------------------------
@@ -187,17 +198,13 @@ def _api_rules(expr: ast.expr, defined: Set[str]) -> Iterator[_Rule]:
 
 
 def lint_checks(analysis: ModuleAnalysis) -> List[Finding]:
-    """Every ``lint.*`` rule over one module's analysis."""
-    file = analysis.file
+    """Every lint rule over one module's analysis."""
     if analysis.syntax_error is not None:
-        line, msg = analysis.syntax_error
-        return [
-            make_finding("lint.syntax-error", f"cannot parse: {msg}",
-                         file=file, line=line)
-        ]
+        return [analysis.syntax_error]
+    file = analysis.file
     assert analysis.tree is not None
     defined = _defined_names(analysis.tree)
-    rules: List[_Rule] = []
+    findings: Set[Finding] = set()
     for fn in analysis.functions.values():
         assert fn.cfg is not None
         for node in fn.cfg.statement_nodes():
@@ -206,12 +213,8 @@ def lint_checks(analysis: ModuleAnalysis) -> List[Finding]:
             ]
             for expr in exprs:
                 if isinstance(expr, ast.expr):
-                    rules.extend(_api_rules(expr, defined))
-        rules.extend(filter(None, (
-            _lifetime_rule(ev, fn.owns_runtime) for ev in fn.events
+                    findings.update(_api_rules(expr, defined, file))
+        findings.update(filter(None, (
+            _lifetime_rule(ev, fn.owns_runtime, file) for ev in fn.events
         )))
-    unique = sorted(set(rules), key=lambda r: (r[3] or 0, r[0], r[1]))
-    return [
-        make_finding(rule, message, file=file, line=line, hint=hint)
-        for rule, message, hint, line in unique
-    ]
+    return sorted(findings, key=lambda f: (f.line or 0, f.rule, f.message))

@@ -3,11 +3,10 @@
 One writer serves both static tools (``repro advise`` and
 ``repro lint --format sarif``) so CI uploads a single code-scanning
 artifact format.  The rule table comes straight from the registry in
-:mod:`repro.analyze.findings` — every rule of every tool that appears
-in the report, with its paper anchor in ``properties.paper`` — and
-each result carries the baseline fingerprint as a
-``partialFingerprints`` entry so code-scanning UIs and the CI gate
-agree on finding identity.
+:mod:`repro.analyze.findings` — the rules the report's findings use,
+with their paper anchors in ``properties.paper`` — and each result
+carries the baseline fingerprint as a ``partialFingerprints`` entry so
+code-scanning UIs and the CI gate agree on finding identity.
 
 ``validate_sarif`` is a self-contained structural check of the
 invariants the 2.1.0 schema mandates (no network, no jsonschema
@@ -34,19 +33,15 @@ def to_sarif(
 ) -> Dict[str, object]:
     """Build the SARIF log object for one run."""
     findings = list(findings)
-    present_tools = {f.rule.split(".", 1)[0] for f in findings}
-    if not present_tools:
-        present_tools = {tool.rsplit("-", 1)[-1]}
-    rules = [r for r in all_rules() if r.tool in present_tools]
+    used = {f.rule for f in findings}
+    rules = [r for r in all_rules() if r.code in used]
     rule_index = {r.code: i for i, r in enumerate(rules)}
 
     results: List[Dict[str, object]] = []
     for f in findings:
         properties: Dict[str, object] = {}
-        spec = None
         if f.rule in rule_index:
-            spec = rules[rule_index[f.rule]]
-            properties["paper"] = spec.paper
+            properties["paper"] = rules[rule_index[f.rule]].paper
         if f.cost_ns is not None:
             properties["cost_ns"] = f.cost_ns
         if f.function:

@@ -27,6 +27,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from ..findings import Finding, make_finding
 from .dataflow import FunctionResult, _Interp, analyze_function
 from .values import NumVal, StrVal
 
@@ -38,8 +39,8 @@ class ModuleAnalysis:
     file: str
     #: qualname ("Class.method", "helper", "<module>") -> result.
     functions: Dict[str, FunctionResult] = field(default_factory=dict)
-    #: (line, message) when the file did not parse.
-    syntax_error: Optional[Tuple[int, str]] = None
+    #: The file's one finding when it did not parse.
+    syntax_error: Optional[Finding] = None
     tree: Optional[ast.Module] = None  #: the parsed module, when it parsed
 
 
@@ -166,7 +167,10 @@ def analyze_module(source: str, file: str) -> ModuleAnalysis:
     try:
         module = ast.parse(source, filename=file)
     except SyntaxError as exc:
-        analysis.syntax_error = (exc.lineno or 1, exc.msg or "syntax error")
+        analysis.syntax_error = make_finding(
+            "syntax-error", f"cannot parse: {exc.msg or 'syntax error'}",
+            file=file, line=exc.lineno or 1,
+        )
         return analysis
     analysis.tree = module
 

@@ -2,18 +2,20 @@
 
 Both analyzers — the dynamic sanitizer
 (:mod:`repro.analyze.sanitizer`) and the static engine
-(:mod:`repro.analyze.advise`) with its ``lint.*`` and ``advise.*`` rule
-selections — report through the same :class:`Finding` record, so the
-CLI, the CI gates, and the tests can treat their output uniformly: a
-rule id, a severity, a message, an optional source location, and an
-optional fix hint.
+(:mod:`repro.analyze.advise`) with its lint and advise rule selections
+— report through the same :class:`Finding` record, so the CLI, the CI
+gates, and the tests can treat their output uniformly: a rule id, a
+severity, a message, an optional source location, and an optional fix
+hint.
 
 Every rule id any pass may emit is declared up front in one
 :data:`RULES` registry entry carrying the rule's severity, the paper
-section it derives from, and a one-line doc.  The registry is the
-single source of truth for severities (``make_finding`` refuses unknown
-codes), keeps codes collision-free across the rule families, and feeds
-the SARIF writer's ``tool.driver.rules`` table.
+section it derives from, and a one-line doc.  A code names one hazard,
+whichever analyzer detects it: ``double-free``, ``use-after-free``,
+``free-in-flight`` and ``fault-storm`` each have a static and a dynamic
+detector behind one entry.  The registry is the single source of truth
+for severities (``make_finding`` refuses unknown codes) and feeds the
+SARIF writer's ``tool.driver.rules`` table.
 """
 
 from __future__ import annotations
@@ -46,44 +48,21 @@ class Severity(enum.IntEnum):
 class RuleSpec:
     """Registry entry for one rule a pass may emit."""
 
-    code: str  #: full id, e.g. ``advise.redundant-copy``
+    code: str  #: the hazard's id, e.g. ``redundant-copy``
     severity: Severity
     paper: str  #: paper anchor the rule encodes, e.g. ``Fig. 9``
     doc: str  #: one-line description (SARIF shortDescription)
 
-    @property
-    def tool(self) -> str:
-        """The emitting pass (``lint`` / ``hipsan`` / ``advise``)."""
-        return self.code.split(".", 1)[0]
 
-    @property
-    def base(self) -> str:
-        """The code without the tool prefix (``redundant-copy``)."""
-        return self.code.split(".", 1)[1]
-
-
-#: Every rule any pass may emit, keyed by full code.
+#: Every rule any pass may emit, keyed by code.
 RULES: Dict[str, RuleSpec] = {}
 
 
-def register_rule(
-    code: str, severity: Severity, paper: str, doc: str
-) -> RuleSpec:
-    """Declare one rule.  Duplicate codes are rejected, and a base code
-    shared between tools (``lint.double-free`` / ``hipsan.double-free``)
-    must carry one severity everywhere — the collisions the ad-hoc
-    per-tool tables used to allow."""
+def register_rule(code: str, severity: Severity, paper: str, doc: str) -> None:
+    """Declare one rule; a code is registered once."""
     if code in RULES:
         raise ValueError(f"duplicate rule code {code!r}")
-    spec = RuleSpec(code, severity, paper, doc)
-    for other in RULES.values():
-        if other.base == spec.base and other.severity != severity:
-            raise ValueError(
-                f"severity collision on base code {spec.base!r}: "
-                f"{other.code}={other.severity} vs {code}={severity}"
-            )
-    RULES[code] = spec
-    return spec
+    RULES[code] = RuleSpec(code, severity, paper, doc)
 
 
 def rule_spec(code: str) -> RuleSpec:
@@ -102,80 +81,75 @@ def all_rules() -> List[RuleSpec]:
 
 
 # ----------------------------------------------------------------------
-# The registry: lint, sanitizer, and advise rules in one place.
+# The registry: one entry per hazard.
 # ----------------------------------------------------------------------
 
 _E, _W, _I = Severity.ERROR, Severity.WARNING, Severity.INFO
 
-# Static engine, lint selection (repro.analyze.advise.lint).
-register_rule("lint.syntax-error", _E, "-", "source file does not parse")
-register_rule("lint.unknown-api", _E, "Table 1",
+# Both analyzers: the static engine's lint selection reads the source,
+# hipsan watches a traced run.
+register_rule("double-free", _E, "Section 5.1",
+              "the same handle freed twice through hipFree")
+register_rule("use-after-free", _E, "Section 5.1",
+              "a buffer used after hipFree")
+register_rule("free-in-flight", _E, "Section 3.3 / Section 5.1",
+              "hipFree while asynchronous work on the buffer may still "
+              "be executing")
+register_rule("fault-storm", _I, "Figs. 7-8 / Section 5.2",
+              "a GPU first touch of on-demand memory faults a large "
+              "number of pages under XNACK (predicted statically, "
+              "counted dynamically)")
+
+# Static engine (repro.analyze.advise): lint selection.
+register_rule("syntax-error", _E, "-", "source file does not parse")
+register_rule("unknown-api", _E, "Table 1",
               "hipXxx name the simulated runtime does not provide")
-register_rule("lint.deprecated-api", _E, "Table 1",
+register_rule("deprecated-api", _E, "Table 1",
               "CUDA-era spelling with a modern replacement")
-register_rule("lint.double-free", _E, "Section 5.1",
-              "the same handle passed to hipFree twice")
-register_rule("lint.use-after-free", _E, "Section 5.1",
-              "a freed handle used afterwards")
-register_rule("lint.free-before-sync", _E, "Section 3.3",
-              "hipFree while asynchronous work may still be in flight")
-register_rule("lint.missing-sync", _W, "Section 3.3",
+register_rule("missing-sync", _W, "Section 3.3",
               "host access while asynchronous work is pending")
-register_rule("lint.leaked-alloc", _W, "Section 5.1",
+register_rule("leaked-alloc", _W, "Section 5.1",
               "allocation neither freed nor returned by its owner")
-register_rule("lint.mixed-model", _W, "Section 3.4",
+register_rule("mixed-model", _W, "Section 3.4",
               "one buffer name rebound across explicit and managed "
               "allocators")
 
-# Dynamic sanitizer (repro.analyze.sanitizer).
-register_rule("hipsan.cpu-gpu-race", _E, "Section 3.3",
-              "host and GPU touch the same unified bytes unordered")
-register_rule("hipsan.unsync-d2h-read", _E, "Section 3.3",
-              "host reads bytes a still-pending GPU kernel writes")
-register_rule("hipsan.stream-race", _E, "Section 3.3",
-              "two streams touch the same bytes unordered")
-register_rule("hipsan.memcpy-race", _E, "Section 3.3",
-              "an access races an in-flight hipMemcpyAsync")
-register_rule("hipsan.use-after-free", _E, "Section 5.1",
-              "a buffer touched after hipFree")
-register_rule("hipsan.free-in-flight", _E, "Section 5.1",
-              "hipFree while work on the buffer may still be executing")
-register_rule("hipsan.double-free", _E, "Section 5.1",
-              "the same buffer freed twice through hipFree")
-register_rule("hipsan.xnack-fatal", _E, "Table 1",
-              "GPU access that faults with XNACK disabled")
-register_rule("hipsan.fault-storm", _I, "Figs. 7-8 / Section 5.2",
-              "a buffer served a large number of GPU page faults")
-register_rule("hipsan.duplicated-pair", _I, "Section 3.3 / Fig. 11",
-              "a copy joins a host and a device allocation of equal "
-              "size that one unified allocation replaces")
-register_rule("hipsan.copy-dominated", _I, "Section 3.3 / Listing 2",
-              "copies take more than a fifth of copy plus GPU-kernel "
-              "time")
-register_rule("hipsan.dead-alloc", _I, "Fig. 11",
-              "a buffer no copy, kernel or page fault ever touches")
-
-# Static engine, advise selection (repro.analyze.advise.checks).
-register_rule("advise.syntax-error", _E, "-",
-              "source file does not parse")
-register_rule("advise.redundant-copy", _W, "Section 4.3 / Fig. 3",
+# Static engine: advise selection (repro.analyze.advise.checks).
+register_rule("redundant-copy", _W, "Section 4.3 / Fig. 3",
               "hipMemcpy between coherent UPM buffers is pure overhead "
               "on MI300A")
-register_rule("advise.first-touch", _W, "Fig. 10",
+register_rule("first-touch", _W, "Fig. 10",
               "CPU first-touch places pages the GPU later streams "
               "through the CPU fault path")
-register_rule("advise.fault-storm", _I, "Figs. 7-8 / Section 5.2",
-              "a kernel's first touch of an on-demand allocation "
-              "predicts a GPU page-fault storm under XNACK")
-register_rule("advise.tlb-reach", _W, "Fig. 9 / Section 5.3",
+register_rule("tlb-reach", _W, "Fig. 9 / Section 5.3",
               "allocation exceeds the modeled GPU TLB reach for its "
               "allocator's fragment size")
-register_rule("advise.mixed-alloc", _W, "Section 3.4 / Table 1",
+register_rule("mixed-alloc", _W, "Section 3.4 / Table 1",
               "explicit and managed allocations flow into one kernel "
               "argument on different paths")
-register_rule("advise.sync-in-loop", _W, "Section 3.3",
+register_rule("sync-in-loop", _W, "Section 3.3",
               "device-wide synchronization inside a loop where a "
               "stream event suffices")
+
+# Dynamic sanitizer (repro.analyze.sanitizer).
+register_rule("cpu-gpu-race", _E, "Section 3.3",
+              "host and GPU touch the same unified bytes unordered")
+register_rule("unsync-d2h-read", _E, "Section 3.3",
+              "host reads bytes a still-pending GPU kernel writes")
+register_rule("stream-race", _E, "Section 3.3",
+              "two streams touch the same bytes unordered")
+register_rule("memcpy-race", _E, "Section 3.3",
+              "an access races an in-flight hipMemcpyAsync")
+register_rule("xnack-fatal", _E, "Table 1",
+              "GPU access that faults with XNACK disabled")
+register_rule("duplicated-pair", _I, "Section 3.3 / Fig. 11",
+              "a copy joins a host and a device allocation of equal "
+              "size that one unified allocation replaces")
+register_rule("copy-dominated", _I, "Section 3.3 / Listing 2",
+              "copies take more than a fifth of copy plus GPU-kernel "
+              "time")
+register_rule("dead-alloc", _I, "Fig. 11",
+              "a buffer no copy, kernel or page fault ever touches")
 
 
 @dataclass(frozen=True)

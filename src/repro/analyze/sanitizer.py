@@ -5,25 +5,26 @@ produced, maintaining one :class:`~repro.analyze.hb.VectorClock` per
 timeline (host + each stream) and a per-buffer access history, and
 reports the paper's porting hazards as :class:`Finding` records:
 
-* ``hipsan.cpu-gpu-race`` — host and GPU touch the same unified bytes
-  with no happens-before edge (Section 3.3, Concurrent CPU-GPU Access);
-* ``hipsan.unsync-d2h-read`` — the host reads bytes a still-pending GPU
-  kernel writes (the classic missing ``hipDeviceSynchronize``);
-* ``hipsan.stream-race`` — two streams touch the same bytes unordered;
-* ``hipsan.memcpy-race`` — an access races an in-flight
-  ``hipMemcpyAsync``;
-* ``hipsan.use-after-free`` / ``hipsan.free-in-flight`` /
-  ``hipsan.double-free`` — lifetime violations through ``hipFree``;
-* ``hipsan.xnack-fatal`` — a GPU access that faulted on an unmapped
-  page with XNACK disabled (fatal on real hardware);
-* ``hipsan.fault-storm`` (info) — a buffer that served a large number
-  of GPU page faults; the paper's fix is CPU pre-faulting
-  (Section 5.2);
+* ``cpu-gpu-race`` — host and GPU touch the same unified bytes with no
+  happens-before edge (Section 3.3, Concurrent CPU-GPU Access);
+* ``unsync-d2h-read`` — the host reads bytes a still-pending GPU kernel
+  writes (the classic missing ``hipDeviceSynchronize``);
+* ``stream-race`` — two streams touch the same bytes unordered;
+* ``memcpy-race`` — an access races an in-flight ``hipMemcpyAsync``;
+* ``use-after-free`` / ``free-in-flight`` / ``double-free`` — lifetime
+  violations through ``hipFree``;
+* ``xnack-fatal`` — a GPU access that faulted on an unmapped page with
+  XNACK disabled (fatal on real hardware);
+* ``fault-storm`` (info) — a buffer that served a large number of GPU
+  page faults; the paper's fix is CPU pre-faulting (Section 5.2);
 * the porting rules (info), what a unified port (Section 3.3, Listing
-  1 -> 2) removes: ``hipsan.duplicated-pair`` — a copy joins equal-size
-  host and device allocations; ``hipsan.copy-dominated`` — copies take
-  over :data:`COPY_DOMINATED_FRACTION` of copy plus GPU-kernel time;
-  ``hipsan.dead-alloc`` — no copy, kernel or page fault touches a buffer.
+  1 -> 2) removes: ``duplicated-pair`` — a copy joins equal-size host
+  and device allocations; ``copy-dominated`` — copies take over
+  :data:`COPY_DOMINATED_FRACTION` of copy plus GPU-kernel time;
+  ``dead-alloc`` — no copy, kernel or page fault touches a buffer.
+
+The lifetime codes and ``fault-storm`` are shared with the static
+engine, which detects the same hazards in the source.
 
 Pageable-copy semantics: ``hipMemcpyAsync`` to or from *pageable*
 (unpinned) memory behaves synchronously on the host side — the runtime
@@ -173,9 +174,9 @@ class Sanitizer:
             return
         if not state.alive:
             self._report(
-                ("hipsan.double-free", state.uid),
+                ("double-free", state.uid),
                 make_finding(
-                    "hipsan.double-free",
+                    "double-free",
                     f"buffer {state.describe()} freed twice through hipFree",
                     hint="free each allocation exactly once; clear the "
                     "handle after the first hipFree",
@@ -188,9 +189,9 @@ class Sanitizer:
             if ordered_before(access.clock, access.timeline, self._host):
                 continue
             self._report(
-                ("hipsan.free-in-flight", state.uid, access.label),
+                ("free-in-flight", state.uid, access.label),
                 make_finding(
-                    "hipsan.free-in-flight",
+                    "free-in-flight",
                     f"buffer {state.describe()} freed while {access.label} "
                     "may still be executing",
                     hint="synchronize the stream (hipStreamSynchronize / "
@@ -345,9 +346,9 @@ class Sanitizer:
         d = event.data
         name = d.get("name") or d.get("buffer") or "memory"
         self._report(
-            ("hipsan.xnack-fatal", name, d.get("reason")),
+            ("xnack-fatal", name, d.get("reason")),
             make_finding(
-                "hipsan.xnack-fatal",
+                "xnack-fatal",
                 f"GPU access to {name!r} is fatal: {d.get('reason', '?')}",
                 hint="run with HSA_XNACK=1 or allocate the buffer with a "
                 "GPU-mapped allocator (hipMalloc / hipHostMalloc / "
@@ -359,9 +360,9 @@ class Sanitizer:
         for state in self._buffers.values():
             if state.gpu_fault_pages >= GPU_FAULT_STORM_PAGES:
                 self._report(
-                    ("hipsan.fault-storm", state.uid),
+                    ("fault-storm", state.uid),
                     make_finding(
-                        "hipsan.fault-storm",
+                        "fault-storm",
                         f"buffer {state.describe()} served "
                         f"{state.gpu_fault_pages} GPU page faults",
                         hint="pre-fault from the CPU before the first GPU "
@@ -392,7 +393,7 @@ class Sanitizer:
         for (host, device), (copies, copy_ns) in self._pairs.items():
             host, device = self._buffers[host], self._buffers[device]
             self._findings.append(make_finding(
-                "hipsan.duplicated-pair",
+                "duplicated-pair",
                 f"host buffer {host.describe()} and device buffer "
                 f"{device.describe()} are joined by {copies} cop"
                 f"{'y' if copies == 1 else 'ies'}; one unified allocation "
@@ -404,7 +405,7 @@ class Sanitizer:
         total = self._copy_ns + self._gpu_kernel_ns
         if total > 0 and self._copy_ns / total > COPY_DOMINATED_FRACTION:
             self._findings.append(make_finding(
-                "hipsan.copy-dominated",
+                "copy-dominated",
                 f"copies are {self._copy_ns / total:.0%} of GPU-path time "
                 "(copies plus GPU kernels)",
                 hint="a unified-memory port removes the copies (Listing 2)",
@@ -413,7 +414,7 @@ class Sanitizer:
         for state in self._buffers.values():
             if not state.touched:
                 self._findings.append(make_finding(
-                    "hipsan.dead-alloc",
+                    "dead-alloc",
                     f"buffer {state.describe()} is never accessed: no "
                     "copy, kernel or page fault touches it",
                     hint="remove the allocation",
@@ -430,9 +431,9 @@ class Sanitizer:
         state.touched = True
         if not state.alive:
             self._report(
-                ("hipsan.use-after-free", uid, access.label),
+                ("use-after-free", uid, access.label),
                 make_finding(
-                    "hipsan.use-after-free",
+                    "use-after-free",
                     f"{access.label} touches buffer {state.describe()} "
                     "after hipFree",
                     hint="move the hipFree after the last use, or extend "
@@ -456,7 +457,7 @@ class Sanitizer:
         self, state: BufferState, prev: Access, access: Access
     ) -> None:
         if "memcpy_async" in (prev.op, access.op):
-            rule = "hipsan.memcpy-race"
+            rule = "memcpy-race"
             hint = (
                 "order the access against the copy with "
                 "hipStreamSynchronize or a stream event"
@@ -465,20 +466,20 @@ class Sanitizer:
             host_acc = prev if prev.timeline == HOST else access
             gpu_acc = access if host_acc is prev else prev
             if not host_acc.is_write and gpu_acc.is_write:
-                rule = "hipsan.unsync-d2h-read"
+                rule = "unsync-d2h-read"
                 hint = (
                     "synchronize (hipDeviceSynchronize / "
                     "hipStreamSynchronize) before reading GPU results on "
                     "the host"
                 )
             else:
-                rule = "hipsan.cpu-gpu-race"
+                rule = "cpu-gpu-race"
                 hint = (
                     "separate CPU and GPU phases with synchronization, or "
                     "double-buffer with stream events (Section 3.3)"
                 )
         else:
-            rule = "hipsan.stream-race"
+            rule = "stream-race"
             hint = (
                 "order the streams with hipEventRecord / "
                 "hipStreamWaitEvent"

@@ -206,7 +206,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
-    """The static engine's ``lint.*`` rules over Python sources."""
+    """The static engine's lint rules over Python sources."""
     from .analyze import (
         has_errors,
         lint_paths,

@@ -12,8 +12,10 @@ import pytest
 
 from repro.analyze import (
     Severity,
+    advise_file,
     advise_source,
     fingerprint,
+    lint_file,
     load_baseline,
     new_findings,
     render_sarif,
@@ -231,7 +233,7 @@ class TestChecks:
                 hip.hipFree(d.allocation)
             """
         ))
-        assert "advise.redundant-copy" in found
+        assert "redundant-copy" in found
 
     def test_no_copy_no_finding(self):
         found = rules(program(
@@ -266,7 +268,7 @@ class TestChecks:
                 hip.hipFree(dst.allocation)
             """
         ))
-        copies = [f for f in findings if f.rule == "advise.redundant-copy"]
+        copies = [f for f in findings if f.rule == "redundant-copy"]
         assert copies and all(f.severity == Severity.WARNING for f in copies)
 
     def test_first_touch_fires_on_on_demand_alloc(self):
@@ -283,7 +285,7 @@ class TestChecks:
                 hip.hipFree(d.allocation)
             """
         ))
-        assert "advise.first-touch" in found
+        assert "first-touch" in found
 
     def test_first_touch_quiet_for_up_front_alloc(self):
         found = rules(program(
@@ -299,7 +301,7 @@ class TestChecks:
                 hip.hipFree(d.allocation)
             """
         ))
-        assert "advise.first-touch" not in found
+        assert "first-touch" not in found
 
     def test_fault_storm_on_large_cold_managed_range(self):
         findings = advise(program(
@@ -314,7 +316,7 @@ class TestChecks:
                 hip.hipFree(d.allocation)
             """
         ))
-        storms = [f for f in findings if f.rule == "advise.fault-storm"]
+        storms = [f for f in findings if f.rule == "fault-storm"]
         assert storms and all(f.severity == Severity.INFO for f in storms)
 
     def test_fault_storm_suppressed_when_xnack_off(self):
@@ -330,7 +332,7 @@ class TestChecks:
                 hip.hipFree(d.allocation)
             """
         ))
-        assert "advise.fault-storm" not in found
+        assert "fault-storm" not in found
 
     def test_fault_storm_quiet_below_page_threshold(self):
         found = rules(program(
@@ -345,7 +347,7 @@ class TestChecks:
                 hip.hipFree(d.allocation)
             """
         ))
-        assert "advise.fault-storm" not in found
+        assert "fault-storm" not in found
 
     def test_tlb_reach_on_oversized_up_front_alloc(self):
         found = rules(program(
@@ -360,7 +362,7 @@ class TestChecks:
                 hip.hipFree(big)
             """
         ))
-        assert "advise.tlb-reach" in found
+        assert "tlb-reach" in found
 
     def test_tlb_reach_quiet_within_reach(self):
         found = rules(program(
@@ -375,7 +377,7 @@ class TestChecks:
                 hip.hipFree(ok)
             """
         ))
-        assert "advise.tlb-reach" not in found
+        assert "tlb-reach" not in found
 
     def test_mixed_alloc_on_branch_dependent_allocator(self):
         found = rules(program(
@@ -394,7 +396,7 @@ class TestChecks:
                 hip.hipFree(d.allocation)
             """
         ))
-        assert "advise.mixed-alloc" in found
+        assert "mixed-alloc" in found
 
     def test_single_model_is_quiet(self):
         found = rules(program(
@@ -413,7 +415,7 @@ class TestChecks:
                 hip.hipFree(d.allocation)
             """
         ))
-        assert "advise.mixed-alloc" not in found
+        assert "mixed-alloc" not in found
 
     def test_sync_in_loop_with_stream(self):
         found = rules(program(
@@ -433,7 +435,7 @@ class TestChecks:
                 hip.hipFree(d.allocation)
             """
         ))
-        assert "advise.sync-in-loop" in found
+        assert "sync-in-loop" in found
 
     def test_sync_after_loop_is_fine(self):
         found = rules(program(
@@ -453,11 +455,11 @@ class TestChecks:
                 hip.hipFree(d.allocation)
             """
         ))
-        assert "advise.sync-in-loop" not in found
+        assert "sync-in-loop" not in found
 
     def test_syntax_error_reported_not_raised(self):
         findings = advise_source("def broken(:\n", "broken.py")
-        assert [f.rule for f in findings] == ["advise.syntax-error"]
+        assert [f.rule for f in findings] == ["syntax-error"]
 
     def test_findings_carry_cost_and_paper_anchor(self):
         findings = advise(program(
@@ -472,7 +474,7 @@ class TestChecks:
                 hip.hipFree(d.allocation)
             """
         ))
-        (copy,) = [f for f in findings if f.rule == "advise.redundant-copy"]
+        (copy,) = [f for f in findings if f.rule == "redundant-copy"]
         assert copy.cost_ns and copy.cost_ns > 0
         assert copy.function.endswith("run")
 
@@ -554,6 +556,20 @@ class TestSarif:
         doc = json.loads(render_sarif(self.findings()))
         assert validate_sarif(doc) == []
 
+    @pytest.mark.parametrize("tool,fixture", [
+        ("repro-lint", "racey_port.py"), ("repro-advise", "slow_port.py"),
+    ])
+    def test_rule_table_is_the_rules_the_findings_use(self, tool, fixture):
+        path = ROOT / "examples" / fixture
+        findings = (lint_file if tool == "repro-lint" else advise_file)(path)
+        doc = to_sarif(findings, tool=tool)
+        assert validate_sarif(doc) == []
+        driver = doc["runs"][0]["tool"]["driver"]
+        assert driver["name"] == tool
+        assert [r["id"] for r in driver["rules"]] == sorted(
+            {f.rule for f in findings}
+        )
+
 
 # ----------------------------------------------------------------------
 # Baseline
@@ -599,7 +615,7 @@ class TestAdviseCli:
         path.write_text(BAD_SNIPPET)
         assert main(["advise", str(path)]) == 1
         out = capsys.readouterr().out
-        assert "advise.redundant-copy" in out
+        assert "redundant-copy" in out
 
     def test_clean_file_exits_zero(self, tmp_path, capsys):
         path = tmp_path / "ok.py"
@@ -644,7 +660,7 @@ class TestAdviseCli:
         path.write_text(BAD_SNIPPET)
         main(["advise", str(path), "--format", "json"])
         parsed = json.loads(capsys.readouterr().out)
-        assert any(f["rule"] == "advise.redundant-copy" for f in parsed)
+        assert any(f["rule"] == "redundant-copy" for f in parsed)
 
 
 class TestDeterminism:
@@ -663,5 +679,5 @@ class TestDeterminism:
                 timeout=120,
             )
             outputs.append(proc.stdout)
-        assert "advise.tlb-reach" in outputs[0]
+        assert "tlb-reach" in outputs[0]
         assert outputs[0] == outputs[1]

@@ -46,7 +46,7 @@ class TestPortGolden:
     @pytest.mark.parametrize("name", sorted(ALL_APPS))
     def test_explicit_ports_flag_redundant_copies(self, buckets, name):
         rules = {f.rule for f in buckets[name]["explicit"]}
-        assert "advise.redundant-copy" in rules
+        assert "redundant-copy" in rules
 
     @pytest.mark.parametrize("name", sorted(ALL_APPS))
     def test_managed_ports_advise_clean(self, buckets, name):
@@ -61,7 +61,7 @@ class TestPortGolden:
             f
             for name in buckets
             for f in buckets[name]["explicit"]
-            if f.rule == "advise.redundant-copy"
+            if f.rule == "redundant-copy"
         ]
         assert all(f.severity == Severity.WARNING for f in copies)
         # Constant-size copies are priced at the paper's SDMA rate;
@@ -73,12 +73,12 @@ class TestSlowPortGolden:
     """One scenario per rule in the shipped slow-port example."""
 
     EXPECTED = {
-        "redundant_copy": "advise.redundant-copy",
-        "first_touch_hazard": "advise.first-touch",
-        "fault_storm": "advise.fault-storm",
-        "tlb_thrash": "advise.tlb-reach",
-        "mixed_models": "advise.mixed-alloc",
-        "sync_in_loop": "advise.sync-in-loop",
+        "redundant_copy": "redundant-copy",
+        "first_touch_hazard": "first-touch",
+        "fault_storm": "fault-storm",
+        "tlb_thrash": "tlb-reach",
+        "mixed_models": "mixed-alloc",
+        "sync_in_loop": "sync-in-loop",
     }
 
     @pytest.fixture(scope="class")
@@ -133,7 +133,7 @@ class TestHipsanCrossValidation:
             name
             for name in buckets
             if any(
-                f.rule == "advise.fault-storm"
+                f.rule == "fault-storm"
                 for f in buckets[name]["managed"]
             )
         }
@@ -143,9 +143,9 @@ class TestHipsanCrossValidation:
         findings = analyze_app(
             "nn", "unified", params={"records": 1 << 20, "k": 4}
         )
-        assert any(f.rule == "hipsan.fault-storm" for f in findings)
+        assert any(f.rule == "fault-storm" for f in findings)
 
     @pytest.mark.parametrize("name", ["hotspot", "srad_v1"])
     def test_storm_free_ports_stay_quiet_dynamically(self, name):
         findings = analyze_app(name, "unified")
-        assert not any(f.rule == "hipsan.fault-storm" for f in findings)
+        assert not any(f.rule == "fault-storm" for f in findings)

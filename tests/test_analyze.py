@@ -12,6 +12,7 @@ Four layers:
   models, with duplicated pairs in exactly the explicit variants.
 """
 
+import ast
 import importlib.util
 import pathlib
 import re
@@ -21,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.analyze import (
+    RULES,
     SMALL_PARAMS,
     Severity,
     VectorClock,
@@ -148,6 +150,42 @@ class TestFindings:
         assert not has_errors([Finding("r", Severity.WARNING, "m")])
         assert has_errors([Finding("r", Severity.ERROR, "m")])
 
+    def test_registry_is_exactly_the_codes_the_analyzers_emit(self):
+        """Every code literal passed to ``make_finding`` in the package
+        (directly, or through a local assigned a literal) is
+        registered, and every registered code is emitted somewhere."""
+        emitted = set()
+        for path in (ROOT / "src" / "repro" / "analyze").rglob("*.py"):
+            tree = ast.parse(path.read_text())
+            for fn in ast.walk(tree):
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                assigned = {}
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Assign) and isinstance(
+                        node.value, ast.Constant
+                    ):
+                        for target in node.targets:
+                            if isinstance(target, ast.Name):
+                                assigned.setdefault(target.id, set()).add(
+                                    node.value.value
+                                )
+                for node in ast.walk(fn):
+                    if not (
+                        isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Name)
+                        and node.func.id == "make_finding"
+                    ):
+                        continue
+                    code = node.args[0]
+                    if isinstance(code, ast.Constant):
+                        emitted.add(code.value)
+                    else:
+                        emitted |= assigned[code.id]
+        assert emitted == set(RULES)
+        assert len(RULES) == 23
+        assert not any("." in code for code in RULES)
+
 
 # ----------------------------------------------------------------------
 # Runtime event log
@@ -208,7 +246,7 @@ class TestTracer:
         hip.hipMemcpy(staging, copied)
         hip.launchKernel(KernelSpec("k", [BufferAccess(launched, "read")]))
         hip.hipDeviceSynchronize()
-        dead = _of(analyze_log(hip.apu.trace), "hipsan.dead-alloc")
+        dead = _of(analyze_log(hip.apu.trace), "dead-alloc")
         assert [_names(f) for f in dead] == [["idle"]]
 
     def test_query_helpers(self, traced_explicit_run):
@@ -243,7 +281,7 @@ class TestAdvisor:
 
     def test_finds_duplicated_pair(self, traced_explicit_run):
         pairs = _of(analyze_log(traced_explicit_run.log),
-                    "hipsan.duplicated-pair")
+                    "duplicated-pair")
         assert len(pairs) == 1
         assert _names(pairs[0]) == ["h_data", "d_data"]
         assert f"{16 * MiB} B" in pairs[0].message
@@ -251,7 +289,7 @@ class TestAdvisor:
 
     def test_potential_saving(self, traced_explicit_run):
         (pair,) = _of(analyze_log(traced_explicit_run.log),
-                      "hipsan.duplicated-pair")
+                      "duplicated-pair")
         assert f"saves {16 * MiB} B" in pair.message
 
     def test_copy_fraction(self, traced_explicit_run):
@@ -259,16 +297,16 @@ class TestAdvisor:
         findings = analyze_log(log)
         copies = [e.data["duration_ns"] for e in log if e.kind == "memcpy"]
         assert all(c > 0 for c in copies)
-        (dominated,) = _of(findings, "hipsan.copy-dominated")
+        (dominated,) = _of(findings, "copy-dominated")
         assert dominated.cost_ns == pytest.approx(sum(copies))
-        (pair,) = _of(findings, "hipsan.duplicated-pair")
+        (pair,) = _of(findings, "duplicated-pair")
         assert pair.cost_ns == pytest.approx(sum(copies))
         kernel = traced_explicit_run.kernel
         fraction = sum(copies) / (sum(copies) + kernel.duration_ns)
         assert f"copies are {fraction:.0%} " in dominated.message
 
     def test_dead_allocation_detected(self, traced_explicit_run):
-        dead = _of(analyze_log(traced_explicit_run.log), "hipsan.dead-alloc")
+        dead = _of(analyze_log(traced_explicit_run.log), "dead-alloc")
         assert [_names(f) for f in dead] == [["d_scratch"]]
 
     def test_fault_dominated_vector_storms(self):
@@ -279,7 +317,7 @@ class TestAdvisor:
         hip.launchKernel(KernelSpec("euclid", [BufferAccess(vec, "read")]))
         hip.hipDeviceSynchronize()
         findings = analyze_log(hip.apu.trace)
-        assert _rules(findings) == {"hipsan.fault-storm"}
+        assert _rules(findings) == {"fault-storm"}
         assert "served 1024 GPU page faults" in findings[0].message
 
     def test_unified_run_is_clean(self):
@@ -295,7 +333,7 @@ class TestAdvisor:
         d = hip.apu.memory.hip_malloc(8 * MiB, name="d")
         hip.hipMemcpy(d, h, 8 * MiB)
         findings = analyze_log(hip.apu.trace)
-        assert not _of(findings, "hipsan.duplicated-pair")
+        assert not _of(findings, "duplicated-pair")
 
     def test_summary_text(self, traced_explicit_run):
         text = render_text(analyze_log(traced_explicit_run.log))
@@ -309,9 +347,9 @@ class TestAdvisor:
         # are accesses.  nn's first std::vector storage (b0, 64 B) is
         # freed on grow untouched, so it is the one dead buffer.
         dwt2d = analyze_app("dwt2d", "unified", params=SMALL_PARAMS["dwt2d"])
-        assert not _of(dwt2d, "hipsan.dead-alloc")
+        assert not _of(dwt2d, "dead-alloc")
         nn = _of(analyze_app("nn", "unified", params=SMALL_PARAMS["nn"]),
-                 "hipsan.dead-alloc")
+                 "dead-alloc")
         assert len(nn) == 1
         assert nn[0].message.startswith("buffer b0 ")
 
@@ -336,7 +374,7 @@ class TestSanitizerScenarios:
         hip.launchKernel(_spec("produce", buf.allocation, "write"))
         hip.runCpuKernel(_spec("consume", buf.allocation, "read"))
         findings = analyze_runtime(hip)
-        assert _rules(findings) == {"hipsan.unsync-d2h-read"}
+        assert _rules(findings) == {"unsync-d2h-read"}
         assert findings[0].severity == Severity.ERROR
 
     def test_event_edge_suppresses_stream_race(self):
@@ -358,7 +396,7 @@ class TestSanitizerScenarios:
         hip.launchKernel(_spec("first", buf.allocation, "write"), s1)
         hip.launchKernel(_spec("second", buf.allocation, "write"), s2)
         hip.hipDeviceSynchronize()
-        assert _rules(analyze_runtime(hip)) == {"hipsan.stream-race"}
+        assert _rules(analyze_runtime(hip)) == {"stream-race"}
 
     def test_disjoint_ranges_do_not_race(self):
         hip = make_runtime(memory_gib=2, trace=True)
@@ -390,12 +428,12 @@ class TestSanitizerScenarios:
             if fix:
                 hip.hipStreamSynchronize(stream)
             hip.runCpuKernel(_spec("refill", src.allocation, "write"))
-            porting = {"hipsan.duplicated-pair", "hipsan.copy-dominated"}
+            porting = {"duplicated-pair", "copy-dominated"}
             findings = analyze_runtime(hip)
             if fix:
                 assert _rules(findings) == porting
             else:
-                assert _rules(findings) == {"hipsan.memcpy-race"} | porting
+                assert _rules(findings) == {"memcpy-race"} | porting
 
     def test_pageable_async_copy_is_host_synchronous(self):
         # hipMemcpyAsync from pageable memory stages synchronously on
@@ -409,7 +447,7 @@ class TestSanitizerScenarios:
         hip.runCpuKernel(_spec("refill", src.allocation, "write"))
         hip.hipStreamSynchronize(stream)
         assert _rules(analyze_runtime(hip)) == {
-            "hipsan.duplicated-pair", "hipsan.copy-dominated",
+            "duplicated-pair", "copy-dominated",
         }
 
     def test_free_in_flight_and_use_after_free(self):
@@ -421,8 +459,8 @@ class TestSanitizerScenarios:
         hip.launchKernel(_spec("stale", alloc, "read"))
         hip.hipDeviceSynchronize()
         rules = _rules(analyze_runtime(hip))
-        assert "hipsan.free-in-flight" in rules
-        assert "hipsan.use-after-free" in rules
+        assert "free-in-flight" in rules
+        assert "use-after-free" in rules
 
     def test_synchronized_free_is_clean(self):
         hip = make_runtime(memory_gib=2, trace=True)
@@ -442,7 +480,7 @@ class TestSanitizerScenarios:
             hip.hipFree(alloc)
         assert failure.value.code == hipErrorInvalidValue
         assert _rules(analyze_runtime(hip)) == {
-            "hipsan.double-free", "hipsan.dead-alloc",
+            "double-free", "dead-alloc",
         }
 
     def test_xnack_fatal_access_reported(self):
@@ -454,7 +492,7 @@ class TestSanitizerScenarios:
         with pytest.raises(GPUMemoryAccessError):
             hip.launchKernel(_spec("toucher", buf.allocation, "read"))
             hip.hipDeviceSynchronize()
-        assert _rules(analyze_runtime(hip)) == {"hipsan.xnack-fatal"}
+        assert _rules(analyze_runtime(hip)) == {"xnack-fatal"}
 
     def test_fault_storm_is_info_only(self):
         hip = make_runtime(memory_gib=2, xnack=True, trace=True)
@@ -462,7 +500,7 @@ class TestSanitizerScenarios:
         hip.launchKernel(_spec("first_touch", buf.allocation, "read"))
         hip.hipDeviceSynchronize()
         findings = analyze_runtime(hip)
-        assert _rules(findings) == {"hipsan.fault-storm"}
+        assert _rules(findings) == {"fault-storm"}
         assert all(f.severity == Severity.INFO for f in findings)
 
     def test_findings_deduplicated_across_iterations(self):
@@ -500,22 +538,22 @@ class TestRaceyPortExample:
         return _load_racey_port()
 
     def test_detects_unsynchronized_d2h_read(self, racey):
-        assert "hipsan.unsync-d2h-read" in _rules(racey.unsync_d2h_read())
+        assert "unsync-d2h-read" in _rules(racey.unsync_d2h_read())
 
     def test_detects_cpu_gpu_race(self, racey):
-        assert "hipsan.cpu-gpu-race" in _rules(racey.cpu_gpu_race())
+        assert "cpu-gpu-race" in _rules(racey.cpu_gpu_race())
 
     def test_detects_use_after_free(self, racey):
         rules = _rules(racey.use_after_free())
-        assert "hipsan.use-after-free" in rules
-        assert "hipsan.free-in-flight" in rules
+        assert "use-after-free" in rules
+        assert "free-in-flight" in rules
 
     def test_detects_every_remaining_rule(self, racey):
-        assert "hipsan.memcpy-race" in _rules(racey.memcpy_race())
-        assert "hipsan.stream-race" in _rules(racey.stream_race())
-        assert "hipsan.double-free" in _rules(racey.double_free())
-        assert "hipsan.xnack-fatal" in _rules(racey.xnack_fatal())
-        assert "hipsan.fault-storm" in _rules(racey.fault_storm())
+        assert "memcpy-race" in _rules(racey.memcpy_race())
+        assert "stream-race" in _rules(racey.stream_race())
+        assert "double-free" in _rules(racey.double_free())
+        assert "xnack-fatal" in _rules(racey.xnack_fatal())
+        assert "fault-storm" in _rules(racey.fault_storm())
 
     def test_every_scenario_reports_something(self, racey):
         for scenario in racey.SCENARIOS:
@@ -539,8 +577,8 @@ def test_rodinia_ports_analyze_clean(name, variant):
     findings = analyze_app(name, variant, params=SMALL_PARAMS[name])
     reported = [f for f in findings if f.severity > Severity.INFO]
     assert reported == [], render_text(reported)
-    pairs = _of(findings, "hipsan.duplicated-pair")
-    dominated = _of(findings, "hipsan.copy-dominated")
+    pairs = _of(findings, "duplicated-pair")
+    dominated = _of(findings, "copy-dominated")
     if variant == "explicit":
         assert len(pairs) >= 1
         assert len(dominated) == 1

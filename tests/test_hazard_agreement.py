@@ -8,6 +8,11 @@ paired hazard's static verdict must equal its dynamic verdict, except
 where :data:`EXCEPTIONS` says why not.  A listed exception that stops
 disagreeing fails too, so the list stays exact.
 
+Four of the six share one rule code.  ``missing-sync`` (a warning)
+covers three error-severity dynamic races, and ``redundant-copy`` (a
+warning per copy) is ``duplicated-pair`` (info, per buffer pair) seen
+from the source, so those two keep their own codes.
+
 Static findings are attributed to the innermost function enclosing
 their line.  An app variant reads its port's ``advise_ports`` methods
 plus any helper outside every port (as ``repro advise --apps``
@@ -37,7 +42,7 @@ RACEY_PORT = ROOT / "examples" / "racey_port.py"
 PAIRS: Dict[str, Set[str]] = {
     "double-free": {"double-free"},
     "use-after-free": {"use-after-free"},
-    "free-before-sync": {"free-in-flight"},
+    "free-in-flight": {"free-in-flight"},
     # The host-side races: a host access unordered with GPU work.
     "missing-sync": {"unsync-d2h-read", "cpu-gpu-race", "memcpy-race"},
     "fault-storm": {"fault-storm"},
@@ -74,11 +79,6 @@ DYNAMIC_ONLY: Dict[str, str] = {
 }
 
 
-def _hazard(code: str) -> str:
-    """The hazard a rule code names, without its tool prefix."""
-    return code.rsplit(".", 1)[-1]
-
-
 def _static_by_function(path: pathlib.Path) -> Dict[str, Set[str]]:
     """Hazards the static engine reports, keyed by enclosing function."""
     defs = [
@@ -91,7 +91,7 @@ def _static_by_function(path: pathlib.Path) -> Dict[str, Set[str]]:
             (d for d in defs if d.lineno <= finding.line <= d.end_lineno),
             key=lambda d: d.lineno,
         )
-        out.setdefault(enclosing.name, set()).add(_hazard(finding.rule))
+        out.setdefault(enclosing.name, set()).add(finding.rule)
     return out
 
 
@@ -122,7 +122,7 @@ def _verdicts(subject: str):
     if where == "racey_port":
         static = _static_by_function(RACEY_PORT).get(what, set())
         scenario = getattr(_load_racey_port(), what)
-        return static, {_hazard(f.rule) for f in scenario()}
+        return static, {f.rule for f in scenario()}
     app = ALL_APPS[where]
     ports = dict(app.advise_ports)
     methods = ports["explicit" if what == "explicit" else "managed"]
@@ -133,7 +133,7 @@ def _verdicts(subject: str):
         if function in methods or function not in shared
     ))
     dynamic = analyze_app(where, what, params=SMALL_PARAMS[where])
-    return static, {_hazard(f.rule) for f in dynamic}
+    return static, {f.rule for f in dynamic}
 
 
 @pytest.mark.parametrize("subject", SUBJECTS)
@@ -160,5 +160,5 @@ def test_nn_storms_only_at_full_size_and_only_from_malloc():
     storms and the hipMalloc one does not."""
     params = {"records": 1 << 20, "k": 4}
     for variant, storms in (("unified", True), ("unified-hipalloc", False)):
-        dynamic = {_hazard(f.rule) for f in analyze_app("nn", variant, params)}
+        dynamic = {f.rule for f in analyze_app("nn", variant, params)}
         assert ("fault-storm" in dynamic) == storms, variant

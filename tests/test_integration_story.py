@@ -62,7 +62,7 @@ def story():
     out["explicit_peak"] = usage.peak_bytes
     out["advice"] = [
         f for f in analyze_log(apu2.trace)
-        if f.rule == "hipsan.duplicated-pair"
+        if f.rule == "duplicated-pair"
     ]
     out["explicit_time"] = apu2.clock.now_ns
 

@@ -1,4 +1,4 @@
-"""Tests for the ``lint.*`` rules of the static analysis engine.
+"""Tests for the lint rules of the static analysis engine.
 
 Each rule gets positive and negative coverage through ``lint_source``;
 ``TestControlFlow`` covers what the CFG adds over a linear walk, and
@@ -31,7 +31,7 @@ class TestMissingSync:
                 hip.launchKernel(spec)
                 hip.runCpuKernel(spec)
         """)
-        assert "lint.missing-sync" in rules(findings)
+        assert "missing-sync" in rules(findings)
 
     def test_sync_in_between_is_clean(self):
         findings = lint("""
@@ -40,7 +40,7 @@ class TestMissingSync:
                 hip.hipDeviceSynchronize()
                 hip.runCpuKernel(spec)
         """)
-        assert "lint.missing-sync" not in rules(findings)
+        assert "missing-sync" not in rules(findings)
 
     def test_np_view_of_alloc_after_launch(self):
         findings = lint("""
@@ -49,7 +49,7 @@ class TestMissingSync:
                 hip.launchKernel(spec)
                 return buf.np.sum()
         """)
-        assert "lint.missing-sync" in rules(findings)
+        assert "missing-sync" in rules(findings)
 
     def test_hipmemcpy_counts_as_sync(self):
         findings = lint("""
@@ -58,7 +58,7 @@ class TestMissingSync:
                 hip.hipMemcpy(dst, src)
                 hip.runCpuKernel(spec)
         """)
-        assert "lint.missing-sync" not in rules(findings)
+        assert "missing-sync" not in rules(findings)
 
     def test_severity_is_warning(self):
         findings = lint("""
@@ -66,7 +66,7 @@ class TestMissingSync:
                 hip.launchKernel(spec)
                 hip.runCpuKernel(spec)
         """)
-        finding = next(f for f in findings if f.rule == "lint.missing-sync")
+        finding = next(f for f in findings if f.rule == "missing-sync")
         assert finding.severity == Severity.WARNING
         assert finding.line is not None
 
@@ -79,7 +79,7 @@ class TestLifetimeRules:
                 buf = hip.hipMalloc(1024)
                 hip.hipDeviceSynchronize()
         """)
-        assert "lint.leaked-alloc" in rules(findings)
+        assert "leaked-alloc" in rules(findings)
 
     def test_borrowed_runtime_scope_is_exempt(self):
         # A scope that receives the runtime as a parameter borrows its
@@ -90,7 +90,7 @@ class TestLifetimeRules:
                 buf = hip.hipMalloc(1024)
                 hip.hipDeviceSynchronize()
         """)
-        assert "lint.leaked-alloc" not in rules(findings)
+        assert "leaked-alloc" not in rules(findings)
 
     def test_freed_alloc_does_not_warn(self):
         findings = lint("""
@@ -99,7 +99,7 @@ class TestLifetimeRules:
                 buf = hip.hipMalloc(1024)
                 hip.hipFree(buf)
         """)
-        assert "lint.leaked-alloc" not in rules(findings)
+        assert "leaked-alloc" not in rules(findings)
 
     def test_returned_alloc_does_not_warn(self):
         findings = lint("""
@@ -108,7 +108,7 @@ class TestLifetimeRules:
                 buf = hip.hipMalloc(1024)
                 return buf
         """)
-        assert "lint.leaked-alloc" not in rules(findings)
+        assert "leaked-alloc" not in rules(findings)
 
     def test_double_free_is_error(self):
         findings = lint("""
@@ -117,7 +117,7 @@ class TestLifetimeRules:
                 hip.hipFree(buf)
                 hip.hipFree(buf)
         """)
-        finding = next(f for f in findings if f.rule == "lint.double-free")
+        finding = next(f for f in findings if f.rule == "double-free")
         assert finding.severity == Severity.ERROR
 
     def test_use_after_free_is_error(self):
@@ -127,7 +127,7 @@ class TestLifetimeRules:
                 hip.hipFree(buf)
                 hip.hipMemcpy(buf, buf)
         """)
-        assert "lint.use-after-free" in rules(findings)
+        assert "use-after-free" in rules(findings)
 
     def test_free_before_sync_under_pending_async(self):
         findings = lint("""
@@ -136,7 +136,7 @@ class TestLifetimeRules:
                 hip.launchKernel(spec)
                 hip.hipFree(buf)
         """)
-        assert "lint.free-before-sync" in rules(findings)
+        assert "free-in-flight" in rules(findings)
 
     def test_free_after_sync_is_clean(self):
         findings = lint("""
@@ -146,7 +146,7 @@ class TestLifetimeRules:
                 hip.hipDeviceSynchronize()
                 hip.hipFree(buf)
         """)
-        assert "lint.free-before-sync" not in rules(findings)
+        assert "free-in-flight" not in rules(findings)
 
 
 class TestModelAndApiRules:
@@ -159,7 +159,7 @@ class TestModelAndApiRules:
                 buf = hip.hipMallocManaged(1024)
                 hip.hipFree(buf)
         """)
-        assert "lint.mixed-model" in rules(findings)
+        assert "mixed-model" in rules(findings)
 
     def test_single_model_is_clean(self):
         findings = lint("""
@@ -169,7 +169,7 @@ class TestModelAndApiRules:
                 hip.hipFree(a)
                 hip.hipFree(b)
         """)
-        assert "lint.mixed-model" not in rules(findings)
+        assert "mixed-model" not in rules(findings)
 
     def test_deprecated_api_names_replacement(self):
         findings = lint("""
@@ -177,7 +177,7 @@ class TestModelAndApiRules:
                 buf = hip.hipMallocHost(1024)
                 hip.hipFree(buf)
         """)
-        finding = next(f for f in findings if f.rule == "lint.deprecated-api")
+        finding = next(f for f in findings if f.rule == "deprecated-api")
         assert finding.severity == Severity.ERROR
         assert "hipHostMalloc" in (finding.hint or "")
 
@@ -186,7 +186,7 @@ class TestModelAndApiRules:
             def f(hip):
                 hip.hipMallocAsync(1024)
         """)
-        assert "lint.unknown-api" in rules(findings)
+        assert "unknown-api" in rules(findings)
 
     def test_known_api_not_flagged(self):
         findings = lint("""
@@ -195,7 +195,7 @@ class TestModelAndApiRules:
                 hip.hipStreamWaitEvent(stream, event)
                 hip.hipEventSynchronize(event)
         """)
-        assert "lint.unknown-api" not in rules(findings)
+        assert "unknown-api" not in rules(findings)
 
     def test_locally_defined_hip_name_not_flagged(self):
         findings = lint("""
@@ -205,11 +205,11 @@ class TestModelAndApiRules:
             def f():
                 return hipCustomHelper(1)
         """)
-        assert "lint.unknown-api" not in rules(findings)
+        assert "unknown-api" not in rules(findings)
 
     def test_syntax_error_reported_not_raised(self):
         findings = lint_source("def broken(:\n", "broken.py")
-        assert rules(findings) == {"lint.syntax-error"}
+        assert rules(findings) == {"syntax-error"}
         assert has_errors(findings)
 
 
@@ -224,7 +224,7 @@ class TestControlFlow:
                     return
                 hip.hipMemcpy(buf, buf)
         """)
-        assert "lint.use-after-free" not in rules(findings)
+        assert "use-after-free" not in rules(findings)
 
     def test_free_in_loop_reaches_next_iteration(self):
         findings = lint("""
@@ -234,7 +234,7 @@ class TestControlFlow:
                     hip.hipMemcpy(buf, buf)
                     hip.hipFree(buf)
         """)
-        assert {"lint.use-after-free", "lint.double-free"} <= rules(findings)
+        assert {"use-after-free", "double-free"} <= rules(findings)
 
     def test_sync_on_one_branch_leaves_the_other_pending(self):
         findings = lint("""
@@ -244,7 +244,7 @@ class TestControlFlow:
                     hip.hipDeviceSynchronize()
                 hip.runCpuKernel(spec)
         """)
-        assert "lint.missing-sync" in rules(findings)
+        assert "missing-sync" in rules(findings)
 
     def test_exclusive_branches_do_not_mix_models(self):
         findings = lint("""
@@ -255,7 +255,7 @@ class TestControlFlow:
                     buf = hip.hipMalloc(1024)
                 hip.hipFree(buf)
         """)
-        assert "lint.mixed-model" not in rules(findings)
+        assert "mixed-model" not in rules(findings)
 
     def test_unreachable_code_is_not_judged(self):
         findings = lint("""
@@ -265,7 +265,7 @@ class TestControlFlow:
                 return
                 hip.hipFree(buf)
         """)
-        assert "lint.double-free" not in rules(findings)
+        assert "double-free" not in rules(findings)
 
     def test_work_launched_in_a_loop_is_pending_after_it(self):
         findings = lint("""
@@ -274,7 +274,7 @@ class TestControlFlow:
                     hip.launchKernel(spec)
                 hip.runCpuKernel(spec)
         """)
-        assert "lint.missing-sync" in rules(findings)
+        assert "missing-sync" in rules(findings)
 
     def test_pipelined_loop_is_judged_per_iteration(self):
         # Host work overlapping the previous iteration's kernel is the
@@ -289,7 +289,7 @@ class TestControlFlow:
                     hip.launchKernel(spec)
                 hip.hipDeviceSynchronize()
         """)
-        assert "lint.missing-sync" not in rules(findings)
+        assert "missing-sync" not in rules(findings)
 
     def test_handler_starts_without_pending_work(self):
         findings = lint("""
@@ -300,7 +300,7 @@ class TestControlFlow:
                 except HipError:
                     hip.hipFree(buf)
         """)
-        assert "lint.free-before-sync" not in rules(findings)
+        assert "free-in-flight" not in rules(findings)
 
     def test_nested_function_is_linted(self):
         findings = lint("""
@@ -310,7 +310,7 @@ class TestControlFlow:
                     hip.runCpuKernel(spec)
                 return inner
         """)
-        assert "lint.missing-sync" in rules(findings)
+        assert "missing-sync" in rules(findings)
 
 
 class TestLintPaths:
@@ -364,7 +364,7 @@ class TestShippedSourcesGate:
 
     def test_racey_port_itself_parses(self):
         findings = lint_paths([ROOT / "examples" / "racey_port.py"])
-        assert "lint.syntax-error" not in rules(findings)
+        assert "syntax-error" not in rules(findings)
 
 
 class TestLintCli:
@@ -393,7 +393,7 @@ class TestLintCli:
         bad.write_text("hipBogusCall()\n")
         main(["lint", "--format", "json", str(tmp_path)])
         data = json.loads(capsys.readouterr().out)
-        assert data[0]["rule"] == "lint.unknown-api"
+        assert data[0]["rule"] == "unknown-api"
 
     def test_format_is_the_only_format_switch(self, tmp_path):
         from repro.cli import main
@@ -416,5 +416,5 @@ class TestLintCli:
         run = doc["runs"][0]
         assert run["tool"]["driver"]["name"] == "repro-lint"
         assert any(
-            r["ruleId"] == "lint.unknown-api" for r in run["results"]
+            r["ruleId"] == "unknown-api" for r in run["results"]
         )
