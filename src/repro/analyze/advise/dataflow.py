@@ -431,8 +431,12 @@ class _Interp:
         return min((ln for n, ln in state.freed if n == name), default=None)
 
     def _free(self, expr: ast.Call, state: AbsState) -> object:
-        """``hipFree(name)`` / ``mm.free(name)``: the name is released."""
+        """``hipFree(name)`` / ``mm.free(name)``: the name is released,
+        and so is ``name`` when the call frees its ``name.allocation``
+        view."""
         first = expr.args[0] if expr.args else None
+        if isinstance(first, ast.Attribute) and first.attr == "allocation":
+            first = first.value
         name = first.id if isinstance(first, ast.Name) else ""
         # The freed name itself is not a use (a second free is reported
         # as a double free).

@@ -101,6 +101,26 @@ class TestLifetimeRules:
         """)
         assert "leaked-alloc" not in rules(findings)
 
+    def test_freeing_the_allocation_view_releases_the_name(self):
+        findings = lint("""
+            def f():
+                hip = make_runtime(memory_gib=1)
+                buf = hip.array(256, np.float32, "hipMalloc")
+                hip.hipFree(buf.allocation)
+                hip.hipFree(buf.allocation)
+        """)
+        assert rules(findings) == {"double-free"}
+
+    def test_freeing_an_alias_does_not_release_the_name(self):
+        findings = lint("""
+            def f():
+                hip = make_runtime(memory_gib=1)
+                buf = hip.array(256, np.float32, "hipMalloc")
+                alias = buf.allocation
+                hip.hipFree(alias)
+        """)
+        assert rules(findings) == {"leaked-alloc"}
+
     def test_returned_alloc_does_not_warn(self):
         findings = lint("""
             def f():
