@@ -14,20 +14,17 @@ from repro.analyze import lint_paths
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 RACEY_PORT = sorted(
-    [("lint.double-free", 98),
-     ("lint.free-before-sync", 82),
-     ("lint.use-after-free", 85)]
-    + [("lint.leaked-alloc", line)
+    [("double-free", 98),
+     ("free-in-flight", 82),
+     ("use-after-free", 85)]
+    + [("leaked-alloc", line)
        for line in (31, 41, 52, 53, 65, 78, 83, 107, 121)]
-    + [("lint.missing-sync", line) for line in (34, 44, 57)]
+    + [("missing-sync", line) for line in (34, 44, 57)]
 )
 
-#: The gate tree: only slow_port's allocations, freed through
-#: ``.allocation`` views rather than the owning name.
-GATE_TREE = sorted(
-    ("lint.leaked-alloc", "slow_port.py", line)
-    for line in (38, 40, 56, 70, 110)
-)
+#: The gate tree lints clean: slow_port frees its buffers through their
+#: ``.allocation`` views, which release the owning names.
+GATE_TREE = []
 
 
 def test_racey_port_verdicts():
