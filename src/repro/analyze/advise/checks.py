@@ -17,9 +17,8 @@ mixed-alloc    §3.4 / Table 1    (structural)
 sync-in-loop   §3.3              (structural)
 ============== ================= ==========================
 
-``fault-storm`` is the static half of the hazard hipsan counts in a
-run; the others have no dynamic code of their own (hipsan's
-``duplicated-pair`` is the per-buffer-pair view of redundant copies).
+``fault-storm`` shares its code with hipsan, which counts the storm in
+a run.
 
 Finding messages deliberately carry **no line numbers** — the line
 lives in :attr:`Finding.line` only — so baseline fingerprints (rule,
