@@ -58,7 +58,8 @@ EXCEPTIONS: Dict[tuple, str] = {
     ("nn/unified-hipalloc", "fault-storm"):
         "one _compute_unified serves both managed variants and the "
         "vector's allocator is a parameter there; a hipMalloc vector is "
-        "GPU-mapped at allocation and never storms, at any size",
+        "GPU-mapped at allocation and never storms, at any size (both "
+        "checked at records=1<<20 in test_advise_golden.py)",
     ("racey_port/use_after_free", "fault-storm"):
         "the stale kernel reads the freed 4 MiB buffer, whose pages "
         "fault again on the GPU (1024 of them); the static engine "
@@ -153,12 +154,3 @@ def test_subjects_cover_every_app_variant_and_scenario():
     assert len(SUBJECTS) == 14 + 8
     assert {s for s, _ in EXCEPTIONS} <= set(SUBJECTS)
     assert {h for _, h in EXCEPTIONS} <= set(PAIRS)
-
-
-def test_nn_storms_only_at_full_size_and_only_from_malloc():
-    """The nn exceptions' reasons: at records=1<<20 the malloc vector
-    storms and the hipMalloc one does not."""
-    params = {"records": 1 << 20, "k": 4}
-    for variant, storms in (("unified", True), ("unified-hipalloc", False)):
-        dynamic = {f.rule for f in analyze_app("nn", variant, params)}
-        assert ("fault-storm" in dynamic) == storms, variant
